@@ -21,13 +21,6 @@
 //! returned optimum — plan, cost and join order — is identical to the unpruned run, while the
 //! suppressed classes shrink the search the later sizes/subsets have to grind through.
 //!
-//! [`dpsize_parallel`] and [`dpsub_parallel`] are level-parallel variants of the two exact
-//! baselines: both algorithms build a class of `s` relations only from classes of strictly
-//! fewer relations, so a barrier between size levels seals every input a level reads and the
-//! per-level work fans out across `std::thread::scope` workers. A deterministic merge replays
-//! the sequential inspection order, making plans, costs and all counters bit-identical to the
-//! sequential runs at every thread count (see the [`parallel`]-module docs).
-//!
 //! DPccp (the paper's predecessor algorithm for simple graphs) is not implemented separately:
 //! as the paper notes in Sec. 4.4, "DPhyp performs exactly like DPccp on regular graphs", so the
 //! regular-graph experiments use DPhyp directly.
@@ -41,14 +34,12 @@ mod dpsize;
 mod dpsub;
 mod goo;
 mod idp;
-pub mod parallel;
 mod result;
 
 pub use dpsize::{dpsize, dpsize_bounded};
 pub use dpsub::{dpsub, dpsub_bounded};
 pub use goo::goo;
 pub use idp::{idp, idp_with_strategy, IdpStrategy, MAX_IDP_BLOCK_SIZE};
-pub use parallel::{dpsize_parallel, dpsub_parallel};
 pub use qo_catalog::PruneCounters;
 pub use result::{BaselineError, BaselineResult};
 

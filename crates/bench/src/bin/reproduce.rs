@@ -12,7 +12,7 @@
 //!   experiment, for smoke runs (CI) where wall-clock matters more than measurement depth.
 //! * `--experiment <id>` restricts the run to one experiment; ids: `e1`, `fig5a`, `fig5b`, `e4`,
 //!   `fig6a`, `fig6b`, `fig7`, `fig8a`, `fig8b`, `ccp`, `table`, `adaptive`, `ingest`,
-//!   `service`, `parallel`, `pruning`, `feedback`, `obsv`.
+//!   `service`, `pruning`, `feedback`, `obsv`.
 //! * `--baseline [path]` skips the experiment tables and instead writes a machine-readable
 //!   snapshot (`BENCH_baseline.json` by default): ccp counts and wall-clock per graph family
 //!   plus the arena-vs-HashMap DP-table comparison, so future changes have a perf trajectory.
@@ -42,7 +42,7 @@ const SEED: u64 = 2008;
 /// Schema version of `BENCH_baseline.json`. Bump whenever a section is added, removed or
 /// reshaped; `write_baseline` refuses to overwrite a file carrying a different version unless
 /// forced, and readers should reject versions they do not understand.
-const SCHEMA_VERSION: u32 = 9;
+const SCHEMA_VERSION: u32 = 10;
 
 /// Measurement budget per timed point in baseline/table modes; long enough to average out
 /// noise on fast workloads, short enough that the multi-second star-20 runs once.
@@ -151,9 +151,6 @@ fn main() {
     if want("service") {
         service_experiment();
     }
-    if want("parallel") {
-        parallel_experiment(full);
-    }
     if want("pruning") {
         pruning_experiment();
     }
@@ -165,207 +162,15 @@ fn main() {
     }
 }
 
-/// The thread sweep's workload specs: name, spec, and an ample ccp budget that keeps each
-/// query inside the exact tier (the parallel tier only engages when exact enumeration runs
-/// to completion). star-20 and clique-14 are the enumeration-heavy single-word points;
-/// chain-96 exercises the two-word (`W = 2`) node-set width through the same sweep.
-fn parallel_specs() -> Vec<(&'static str, QuerySpec, usize)> {
+/// The enumeration-heavy workload specs: name, spec, and an ample ccp budget that keeps each
+/// query inside the exact tier. star-20 and clique-14 are the enumeration-heavy single-word
+/// points; chain-96 exercises the two-word (`W = 2`) node-set width.
+fn exact_heavy_specs() -> Vec<(&'static str, QuerySpec, usize)> {
     vec![
         ("star-20", star_spec(19, SEED), 8_000_000),
         ("clique-14", clique_spec(14, SEED), 8_000_000),
         ("chain-96", chain_spec(96, SEED), 8_000_000),
     ]
-}
-
-/// One timed point of the parallel sweep.
-struct ParallelPoint {
-    threads: usize,
-    wall_ms: f64,
-    /// Load-balance figure from the worker telemetry; `None` on the sequential point.
-    efficiency: Option<f64>,
-}
-
-/// Runs one spec's exact tier at every thread count in `threads_list`, asserting plan, cost
-/// and ccp count bit-identical to the sequential run at each point. Returns the ccp count
-/// and the timed points.
-fn parallel_sweep(
-    name: &str,
-    spec: &QuerySpec,
-    budget: usize,
-    threads_list: &[usize],
-) -> (usize, Vec<ParallelPoint>) {
-    let base_options = AdaptiveOptions {
-        ccp_budget: budget,
-        ..Default::default()
-    };
-    let base = AdaptiveOptimizer::new(base_options)
-        .optimize_spec(spec)
-        .expect("sweep workload plannable");
-    assert_eq!(
-        base.tier,
-        PlanTier::Exact,
-        "{name}: the sweep budget must keep the exact tier"
-    );
-    let points = threads_list
-        .iter()
-        .map(|&threads| {
-            let options = AdaptiveOptions {
-                parallelism: Some(threads),
-                ..base_options
-            };
-            let (t, r) = time_once(|| {
-                AdaptiveOptimizer::new(options)
-                    .optimize_spec(spec)
-                    .expect("sweep workload plannable")
-            });
-            assert_eq!(
-                r.cost, base.cost,
-                "{name}: cost must be bit-identical at {threads} threads"
-            );
-            assert_eq!(
-                r.plan, base.plan,
-                "{name}: plan must be identical at {threads} threads"
-            );
-            assert_eq!(
-                r.telemetry.exact_ccps, base.telemetry.exact_ccps,
-                "{name}: ccp count must be identical at {threads} threads"
-            );
-            ParallelPoint {
-                threads,
-                wall_ms: t.as_secs_f64() * 1e3,
-                efficiency: r.parallel.map(|p| p.efficiency),
-            }
-        })
-        .collect();
-    (base.telemetry.exact_ccps, points)
-}
-
-/// One corpus pass of the parallel sweep: every query planned at `threads` workers.
-struct ParallelCorpusRow {
-    threads: usize,
-    queries: usize,
-    wall_ms: f64,
-}
-
-/// Replans the whole embedded corpus at each thread count (each query's own options overlaid
-/// with the thread setting), asserting every plan and cost bit-identical to sequential.
-fn parallel_corpus_rows(threads_list: &[usize]) -> Vec<ParallelCorpusRow> {
-    let queries = qo_workloads::corpus::corpus();
-    let sequential: Vec<_> = queries
-        .iter()
-        .map(|q| {
-            AdaptiveOptimizer::new(q.adaptive_options())
-                .optimize_spec(&q.spec)
-                .expect("corpus query plannable")
-        })
-        .collect();
-    threads_list
-        .iter()
-        .map(|&threads| {
-            let (t, ()) = time_once(|| {
-                for (q, seq) in queries.iter().zip(&sequential) {
-                    let options = AdaptiveOptions {
-                        parallelism: Some(threads),
-                        ..q.adaptive_options()
-                    };
-                    let par = AdaptiveOptimizer::new(options)
-                        .optimize_spec(&q.spec)
-                        .expect("corpus query plannable");
-                    assert_eq!(
-                        par.cost, seq.cost,
-                        "{}: corpus cost must be bit-identical at {threads} threads",
-                        q.name
-                    );
-                    assert_eq!(
-                        par.plan, seq.plan,
-                        "{}: corpus plan must be identical at {threads} threads",
-                        q.name
-                    );
-                }
-            });
-            ParallelCorpusRow {
-                threads,
-                queries: queries.len(),
-                wall_ms: t.as_secs_f64() * 1e3,
-            }
-        })
-        .collect()
-}
-
-/// The ≥2x-at-4-threads claim is only measurable on a host with at least 4 cores; on
-/// smaller machines the sweep still runs (bit-identity is asserted everywhere) but the
-/// speedup assertion is skipped, loudly.
-fn assert_parallel_speedup(cores: usize, clique_speedup_at_4: Option<f64>) {
-    match clique_speedup_at_4 {
-        Some(s) if cores >= 4 => {
-            assert!(
-                s >= 2.0,
-                "clique-14 at 4 threads must be >= 2x sequential on a {cores}-core host, \
-                 got {s:.2}x"
-            );
-            println!("clique-14 at 4 threads: {s:.2}x >= 2x (asserted)");
-        }
-        Some(s) => println!(
-            "clique-14 at 4 threads: {s:.2}x (speedup not asserted: host has {cores} \
-             core(s), the >= 2x claim needs >= 4)"
-        ),
-        None => println!("(4-thread point not run; use --full or --baseline for the full sweep)"),
-    }
-}
-
-/// P1: the parallel exact tier — a thread sweep over the enumeration-heavy workloads and
-/// the corpus, with plans and costs asserted bit-identical to sequential at every point.
-fn parallel_experiment(full: bool) {
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let threads_list: &[usize] = if full { &[1, 2, 4, 8] } else { &[1, 2] };
-    println!("== P1: parallel exact tier (sharded DP table + level-synchronized cost pass) ==");
-    println!(
-        "host parallelism: {cores} core(s){}",
-        if full {
-            ""
-        } else {
-            "; quick mode sweeps 1/2 threads (--full adds 4/8)"
-        }
-    );
-    println!(
-        "{:>10} {:>8} {:>12} {:>12} {:>9} {:>11}",
-        "workload", "threads", "exact ccps", "wall (ms)", "speedup", "efficiency"
-    );
-    let mut clique_speedup_at_4 = None;
-    for (name, spec, budget) in parallel_specs() {
-        let (ccps, points) = parallel_sweep(name, &spec, budget, threads_list);
-        let seq_ms = points[0].wall_ms;
-        for p in &points {
-            let speedup = seq_ms / p.wall_ms.max(1e-9);
-            if name == "clique-14" && p.threads == 4 {
-                clique_speedup_at_4 = Some(speedup);
-            }
-            println!(
-                "{:>10} {:>8} {:>12} {:>12.3} {:>8.2}x {:>11}",
-                name,
-                p.threads,
-                ccps,
-                p.wall_ms,
-                speedup,
-                p.efficiency
-                    .map_or_else(|| "-".to_string(), |e| format!("{e:.2}"))
-            );
-        }
-    }
-    for row in parallel_corpus_rows(threads_list) {
-        println!(
-            "{:>10} {:>8} {:>12} {:>12.3} {:>9} {:>11}",
-            "corpus",
-            row.threads,
-            format!("{} queries", row.queries),
-            row.wall_ms,
-            "-",
-            "-"
-        );
-    }
-    println!("every point above is asserted bit-identical in cost and plan to the sequential run");
-    assert_parallel_speedup(cores, clique_speedup_at_4);
-    println!();
 }
 
 /// One workload point of the pruning sweep: the same query planned with pruning off and on.
@@ -438,10 +243,10 @@ fn pruning_row(name: &str, spec: &QuerySpec, options: AdaptiveOptions) -> Prunin
     }
 }
 
-/// The enumeration-heavy sweep points, reusing the parallel sweep's specs and budgets
-/// (star-20 / clique-14 / chain-96, all inside the exact tier).
+/// The enumeration-heavy sweep points (star-20 / clique-14 / chain-96, all inside the exact
+/// tier).
 fn pruning_rows() -> Vec<PruningRow> {
-    parallel_specs()
+    exact_heavy_specs()
         .into_iter()
         .map(|(name, spec, budget)| {
             pruning_row(
@@ -1681,22 +1486,6 @@ fn adaptive_tiers() {
             verdict
         );
     }
-    // The multi-threaded exact tier's telemetry, surfaced on the smallest exact row:
-    // per-worker pair counts and the load-balance figure they imply.
-    let driver = AdaptiveOptimizer::new(AdaptiveOptions {
-        parallelism: Some(2),
-        ..Default::default()
-    });
-    let r = driver
-        .optimize_spec(&chain_spec(20, SEED))
-        .expect("plannable");
-    let t = r
-        .parallel
-        .expect("the multi-threaded exact tier always reports telemetry");
-    println!(
-        "parallel telemetry (chain-20, {} threads): per-thread pairs {:?}, efficiency {:.2}",
-        t.threads, t.per_thread_pairs, t.efficiency
-    );
     println!();
 }
 
@@ -1840,53 +1629,6 @@ fn write_baseline(path: &str) {
             cmp.hashmap_ms,
             cmp.speedup(),
             cmp.ccp_count
-        ));
-    }
-
-    // Parallel sweep: the exact tier at 1/2/4/8 workers, each point asserted bit-identical
-    // to the sequential plan. Speedups are only meaningful relative to the host's core
-    // count, so it is recorded alongside the points.
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let sweep_threads = [1usize, 2, 4, 8];
-    let mut parallel_json_rows = Vec::new();
-    let mut clique_speedup_at_4 = None;
-    for (name, spec, budget) in parallel_specs() {
-        let (ccps, points) = parallel_sweep(name, &spec, budget, &sweep_threads);
-        let seq_ms = points[0].wall_ms;
-        for p in &points {
-            let speedup = seq_ms / p.wall_ms.max(1e-9);
-            if name == "clique-14" && p.threads == 4 {
-                clique_speedup_at_4 = Some(speedup);
-            }
-            println!(
-                "  {:>10}: {:>2} threads, {:>10.3} ms ({:.2}x)",
-                name, p.threads, p.wall_ms, speedup
-            );
-            parallel_json_rows.push(format!(
-                concat!(
-                    "      {{\"name\": \"{}\", \"threads\": {}, \"ccp_count\": {}, ",
-                    "\"wall_ms\": {:.4}, \"speedup\": {:.3}, \"efficiency\": {}}}"
-                ),
-                name,
-                p.threads,
-                ccps,
-                p.wall_ms,
-                speedup,
-                p.efficiency
-                    .map_or_else(|| "null".to_string(), |e| format!("{e:.4}"))
-            ));
-        }
-    }
-    assert_parallel_speedup(cores, clique_speedup_at_4);
-    let mut parallel_corpus_json = Vec::new();
-    for row in parallel_corpus_rows(&sweep_threads) {
-        println!(
-            "  {:>10}: {:>2} threads, {:>10.3} ms ({} queries, bit-identical)",
-            "corpus", row.threads, row.wall_ms, row.queries
-        );
-        parallel_corpus_json.push(format!(
-            "      {{\"threads\": {}, \"queries\": {}, \"wall_ms\": {:.4}}}",
-            row.threads, row.queries, row.wall_ms
         ));
     }
 
@@ -2144,8 +1886,6 @@ fn write_baseline(path: &str) {
         "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"generated_by\": \"reproduce --baseline\",\n  \
          \"seed\": {SEED},\n  \"workloads\": [\n{}\n  ],\n  \"adaptive_tiers\": [\n{}\n  ],\n  \
          \"ingest\": [\n{}\n  ],\n  \"service\": {{\n{}\n  }},\n  \
-         \"parallel\": {{\n    \"host_parallelism\": {cores},\n    \"workloads\": [\n{}\n    ],\n    \
-         \"corpus_sweep\": [\n{}\n    ]\n  }},\n  \
          \"pruning\": {{\n    \"workloads\": [\n{}\n    ],\n{}\n  }},\n  \
          \"feedback\": {{\n{}\n  }},\n  \
          \"obsv\": {{\n{}\n  }},\n  \
@@ -2155,8 +1895,6 @@ fn write_baseline(path: &str) {
         adaptive_json_rows.join(",\n"),
         ingest_json_rows.join(",\n"),
         service_json,
-        parallel_json_rows.join(",\n"),
-        parallel_corpus_json.join(",\n"),
         pruning_json_rows.join(",\n"),
         pruning_corpus_json,
         feedback_json,

@@ -8,9 +8,7 @@
 //!
 //! * the elements of a set ([`NodeSet::iter`], ascending and [`NodeSet::iter_descending`]),
 //! * all non-empty subsets of a set ([`SubsetIter`], multi-word Vance–Maier walk),
-//! * all *proper*, non-empty subsets ([`NodeSet::proper_subsets`]),
-//! * all subsets of a fixed size ([`CombinationIter`], the by-size schedule of the parallel
-//!   DPsub variant).
+//! * all *proper*, non-empty subsets ([`NodeSet::proper_subsets`]).
 //!
 //! The width is a const generic defaulting to one word: plain `NodeSet` in type positions is
 //! [`NodeSet64`] (up to [`MAX_NODES`] = 64 relations, covering the query sizes evaluated in the
@@ -19,11 +17,9 @@
 //! `NodeSet::<W>::CAPACITY = 64 * W` relations. The planner facade in `dphyp` picks the width
 //! once per optimization based on the query's node count.
 
-mod combination;
 mod node_set;
 mod subset;
 
-pub use combination::CombinationIter;
 pub use node_set::{
     NodeId, NodeSet, NodeSet128, NodeSet64, NodeSetIter, NodeSetRevIter, MAX_NODES,
 };

@@ -64,8 +64,7 @@ impl<const W: usize> SubsetIter<W> {
     /// order.
     ///
     /// This exists so the walk can be segmented — e.g. to verify termination behavior near the
-    /// end of a full 64-bit universe without enumerating 2^64 subsets, or to hand disjoint
-    /// mask ranges to parallel workers.
+    /// end of a full 64-bit universe without enumerating 2^64 subsets.
     #[inline]
     pub fn resuming_after(universe: NodeSet<W>, position: NodeSet<W>) -> Self {
         debug_assert!(position.is_subset_of(universe));

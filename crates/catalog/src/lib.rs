@@ -23,24 +23,22 @@
 //!   statistics, and the [`BudgetedHandler`] decorator that aborts an enumeration from inside
 //!   `EmitCsgCmp` once a csg-cmp-pair budget is exhausted (the adaptive driver's early-exit
 //!   signal, see [`EmitSignal`]),
-//! * [`parallel`]: the shared-state primitives of multi-threaded enumeration — a
-//!   [`ShardedDpTable`] partitioning the memo behind per-shard locks, the [`NodeSetSet`]
-//!   membership set of the structure pass, and the [`SharedBudget`] deadline/abort state all
-//!   cost-pass workers poll.
+//! * [`NodeSetSet`]: the payload-free membership set that holds cost-bounded pruning's
+//!   tombstones.
 
 mod cardinality;
 mod catalog;
 mod cost;
+mod node_set_set;
 mod observed;
-pub mod parallel;
 pub mod planner;
 pub mod table;
 
 pub use cardinality::CardinalityEstimator;
 pub use catalog::{Catalog, CatalogBuilder, EdgeAnnotation, StatsEpoch};
 pub use cost::{CostModel, CoutCost, MixedCost, SubPlanStats};
+pub use node_set_set::NodeSetSet;
 pub use observed::{ExecutionFeedback, ObservedStats};
-pub use parallel::{shard_of, NodeSetSet, ShardReader, ShardedDpTable, SharedBudget, SHARD_COUNT};
 pub use planner::{
     recost_table, BudgetedHandler, CcpHandler, CostBasedHandler, CountingHandler, EmitSignal,
     JoinCombiner, PruneCounters,

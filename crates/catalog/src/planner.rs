@@ -16,7 +16,7 @@
 
 use crate::catalog::Catalog;
 use crate::cost::{CostModel, SubPlanStats};
-use crate::parallel::NodeSetSet;
+use crate::node_set_set::NodeSetSet;
 pub use crate::table::{BestJoin, Candidate, CandidateJoin, DpTable, EdgeListRef, PlanClass};
 use qo_bitset::{NodeId, NodeSet};
 use qo_hypergraph::{EdgeId, Hypergraph};
@@ -252,9 +252,8 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
     /// structural rejections of `combine` — empty edge list, TES violation, no orientation
     /// surviving the lateral-dependency checks — without touching cardinality or cost.
     ///
-    /// The parallel enumeration's structure pass uses this to register only those unions whose
-    /// cost pass will actually produce a plan class, so that every membership answer the
-    /// enumerator sees matches what the sequential cost-based handler would have built.
+    /// Pruning uses this to tombstone only those unions the unpruned handler would have
+    /// registered, so that every membership answer the enumerator sees stays unchanged.
     pub fn feasible(&self, a_set: NodeSet<W>, b_set: NodeSet<W>, edges: &[EdgeId]) -> bool {
         debug_assert!(a_set.is_disjoint(b_set));
         if edges.is_empty() {
@@ -318,7 +317,7 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
 
     /// `true` when [`combine`](Self::combine) succeeds for *every* connected csg-cmp-pair: with
     /// TES enforcement off and no lateral references, no orientation is ever skipped. Callers
-    /// that only need membership (the parallel structure pass) can then drop the per-pair
+    /// that only need membership (pruning's tombstones) can then drop the per-pair
     /// connecting-edge collection and [`feasible`](Self::feasible) call entirely.
     pub fn always_combines(&self) -> bool {
         !self.enforce_tes && !self.catalog.has_lateral_refs()
@@ -359,17 +358,6 @@ pub struct PruneCounters {
     pub pruned_classes: usize,
     /// Times a completed plan improved on — and tightened — the upper bound.
     pub bound_updates: usize,
-}
-
-impl PruneCounters {
-    /// Component-wise sum, for aggregating per-worker counters.
-    pub fn merge(self, other: PruneCounters) -> PruneCounters {
-        PruneCounters {
-            pruned_pairs: self.pruned_pairs + other.pruned_pairs,
-            pruned_classes: self.pruned_classes + other.pruned_classes,
-            bound_updates: self.bound_updates + other.bound_updates,
-        }
-    }
 }
 
 /// Branch-and-bound state of a pruning [`CostBasedHandler`].

@@ -55,16 +55,14 @@
 //! ```
 
 use crate::enumerate::DpHyp;
-use crate::optimizer::{CostModelKind, OptimizeError};
-use crate::parallel::{optimize_parallel_exact, ParallelExact};
+use crate::optimizer::{full_plan, CostModelKind, OptimizeError};
 use crate::query::QuerySpec;
 use qo_baselines::{
     goo, idp_with_strategy, BaselineError, BaselineResult, IdpStrategy, MAX_IDP_BLOCK_SIZE,
 };
-use qo_catalog::DpTable;
 use qo_catalog::{
     BudgetedHandler, Catalog, CcpHandler, CostBasedHandler, CostModel, CoutCost, JoinCombiner,
-    MixedCost, PruneCounters,
+    MixedCost,
 };
 use qo_hypergraph::Hypergraph;
 use qo_obsv::{RecordingSink, Span, Trace};
@@ -97,14 +95,6 @@ pub struct AdaptiveOptions {
     /// forming densely connected subgraphs and tie-breaks by cardinality. On uniformly
     /// connected shapes (stars, chains) the two are identical by construction.
     pub idp_strategy: IdpStrategy,
-    /// Intra-query parallelism of the exact tier. `None` (the default) and `Some(1)` run the
-    /// classic sequential enumeration; `Some(0)` uses one worker per available core
-    /// ([`std::thread::available_parallelism`]); `Some(k ≥ 2)` uses exactly `k` workers.
-    /// The produced plan — cost, cardinality, join order — is bit-identical at every setting
-    /// (see the `parallel` module docs for the argument), as are the pair-budget semantics:
-    /// the csg-cmp-pair budget is spent in the serial structure pass. The fallback tiers are
-    /// unaffected by this knob.
-    pub parallelism: Option<usize>,
     /// Cost-bounded branch-and-bound pruning of the exact tier. When enabled, the driver first
     /// seeds an upper bound from the cheap heuristics (GOO, plus a small-block IDP on larger
     /// queries) and then skips *costing and registering* any plan class whose accumulated cost
@@ -144,7 +134,6 @@ impl Default for AdaptiveOptions {
             time_budget: None,
             cost_model: CostModelKind::Cout,
             idp_strategy: IdpStrategy::default(),
-            parallelism: None,
             pruning: false,
             trace: false,
             sample_rate: None,
@@ -204,50 +193,6 @@ pub struct BudgetTelemetry {
     pub seed_bound_time: Duration,
 }
 
-impl BudgetTelemetry {
-    fn record_prune(&mut self, c: PruneCounters) {
-        self.pruned_pairs = c.pruned_pairs;
-        self.pruned_classes = c.pruned_classes;
-        self.bound_updates = c.bound_updates;
-    }
-}
-
-/// Telemetry of one multi-threaded exact enumeration: how evenly the cost pass's work spread
-/// over the workers.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParallelTelemetry {
-    /// Worker threads of the cost pass.
-    pub threads: usize,
-    /// Csg-cmp-pairs costed by each worker, *after* work-stealing moved chunks between them
-    /// (summing to the evaluated-pair count — the feasible pairs minus any pruned ones).
-    pub per_thread_pairs: Vec<usize>,
-    /// Post-steal load balance in `(0, 1]`: total pairs over `threads ×` the busiest worker's
-    /// pairs. `1.0` means the stealing spread the cost pass perfectly evenly; low values mean
-    /// one worker still dominated (e.g. a single enormous shard chunk).
-    pub efficiency: f64,
-    /// Cost-pass chunks claimed by a worker other than the shard's install owner — how much
-    /// work the stealing actually moved. `0` means static ownership was already balanced.
-    pub stolen_chunks: usize,
-}
-
-impl ParallelTelemetry {
-    fn new(threads: usize, per_thread_pairs: Vec<usize>, stolen_chunks: usize) -> Self {
-        let total: usize = per_thread_pairs.iter().sum();
-        let max = per_thread_pairs.iter().copied().max().unwrap_or(0);
-        let efficiency = if max == 0 {
-            1.0
-        } else {
-            total as f64 / (threads as f64 * max as f64)
-        };
-        ParallelTelemetry {
-            threads,
-            per_thread_pairs,
-            efficiency,
-            stolen_chunks,
-        }
-    }
-}
-
 /// The result of an adaptive optimization: the plan, which tier produced it, and the budget
 /// telemetry.
 #[derive(Clone, Debug)]
@@ -264,9 +209,6 @@ pub struct OptimizeResult {
     pub telemetry: BudgetTelemetry,
     /// DP-table entries materialized by the winning tier.
     pub dp_entries: usize,
-    /// Work distribution of the multi-threaded cost pass; `None` when the exact tier ran
-    /// sequentially (the default) or did not complete.
-    pub parallel: Option<ParallelTelemetry>,
     /// Per-phase span trace of this optimization; `Some` only when
     /// [`AdaptiveOptions::trace`] was on. Purely observational — two results that differ
     /// only here describe bit-identical plans.
@@ -316,18 +258,9 @@ impl AdaptiveOptimizer {
         }
     }
 
-    /// The exact tier's worker count under the configured [`AdaptiveOptions::parallelism`].
-    fn exact_threads(&self) -> usize {
-        match self.options.parallelism {
-            None | Some(1) => 1,
-            Some(0) => std::thread::available_parallelism().map_or(1, |p| p.get()),
-            Some(k) => k,
-        }
-    }
-
     /// Entry point of the tiered walk: handles the [`AdaptiveOptions::trace`] knob (install
     /// a recording sink, run, attach the harvested [`Trace`]) around [`Self::drive_inner`].
-    fn drive<M: CostModel<W> + Sync, const W: usize>(
+    fn drive<M: CostModel<W>, const W: usize>(
         &self,
         graph: &Hypergraph<W>,
         catalog: &Catalog<W>,
@@ -346,7 +279,7 @@ impl AdaptiveOptimizer {
         })
     }
 
-    fn drive_inner<M: CostModel<W> + Sync, const W: usize>(
+    fn drive_inner<M: CostModel<W>, const W: usize>(
         &self,
         graph: &Hypergraph<W>,
         catalog: &Catalog<W>,
@@ -372,86 +305,44 @@ impl AdaptiveOptimizer {
             None
         };
 
-        // Tier 1: exact DPhyp under the pair budget and, when configured, the deadline —
-        // sequentially, or (threads ≥ 2) via the two-pass parallel enumeration, which is
-        // bit-identical in plans, costs and budget semantics.
-        let threads = self.exact_threads();
+        // Tier 1: exact DPhyp under the pair budget and, when configured, the deadline.
+        let combiner = JoinCombiner::new(graph, catalog, cost_model);
+        let cost_handler = match bound {
+            Some(b) => CostBasedHandler::with_bound(combiner, b),
+            None => CostBasedHandler::new(combiner),
+        };
+        let mut handler = BudgetedHandler::new(cost_handler, self.options.ccp_budget);
+        if let Some(d) = deadline {
+            handler = handler.with_deadline(d);
+        }
+        let span = Span::enter("enumerate");
+        let _ = DpHyp::new(graph, &mut handler).run();
+        drop(span);
+        qo_obsv::event("exact_ccps", handler.ccp_count() as u64);
+        let prune = handler.inner().prune_counters();
         let mut telemetry = BudgetTelemetry {
             ccp_budget: self.options.ccp_budget,
-            exact_ccps: 0,
-            exact_aborted: true,
-            exact_time_exceeded: false,
+            exact_ccps: handler.ccp_count(),
+            exact_aborted: handler.aborted(),
+            exact_time_exceeded: handler.deadline_exceeded(),
             idp_k: 0,
             fallback_cost_calls: 0,
-            pruned_pairs: 0,
-            pruned_classes: 0,
-            bound_updates: 0,
+            pruned_pairs: prune.pruned_pairs,
+            pruned_classes: prune.pruned_classes,
+            bound_updates: prune.bound_updates,
             seed_bound_time,
         };
-        if threads >= 2 {
-            let span = Span::enter("enumerate");
-            let outcome = optimize_parallel_exact(
-                graph,
-                catalog,
-                cost_model,
-                threads,
-                self.options.ccp_budget,
-                deadline,
-                bound,
-                qo_obsv::current_sink(),
-            );
-            drop(span);
-            match outcome {
-                ParallelExact::Completed {
-                    table,
-                    ccps,
-                    per_thread_pairs,
-                    prune,
-                    stolen_chunks,
-                } => {
-                    telemetry.exact_ccps = ccps;
-                    telemetry.exact_aborted = false;
-                    telemetry.record_prune(prune);
-                    return finish_exact(
-                        table,
-                        graph,
-                        telemetry,
-                        Some(ParallelTelemetry::new(
-                            threads,
-                            per_thread_pairs,
-                            stolen_chunks,
-                        )),
-                    );
-                }
-                ParallelExact::Aborted {
-                    ccps,
-                    time_exceeded,
-                } => {
-                    telemetry.exact_ccps = ccps;
-                    telemetry.exact_time_exceeded = time_exceeded;
-                }
-            }
-        } else {
-            let combiner = JoinCombiner::new(graph, catalog, cost_model);
-            let cost_handler = match bound {
-                Some(b) => CostBasedHandler::with_bound(combiner, b),
-                None => CostBasedHandler::new(combiner),
-            };
-            let mut handler = BudgetedHandler::new(cost_handler, self.options.ccp_budget);
-            if let Some(d) = deadline {
-                handler = handler.with_deadline(d);
-            }
-            let span = Span::enter("enumerate");
-            let _ = DpHyp::new(graph, &mut handler).run();
-            drop(span);
-            qo_obsv::event("exact_ccps", handler.ccp_count() as u64);
-            telemetry.exact_ccps = handler.ccp_count();
-            telemetry.exact_aborted = handler.aborted();
-            telemetry.exact_time_exceeded = handler.deadline_exceeded();
-            telemetry.record_prune(handler.inner().prune_counters());
-            if !telemetry.exact_aborted {
-                return finish_exact(handler.into_inner().into_table(), graph, telemetry, None);
-            }
+        if !telemetry.exact_aborted {
+            let exact = full_plan(&handler.into_inner().into_table(), graph)?;
+            return Ok(OptimizeResult {
+                plan: exact.plan,
+                cost: exact.cost,
+                cardinality: exact.cardinality,
+                tier: PlanTier::Exact,
+                telemetry,
+                dp_entries: exact.dp_entries,
+                trace: None,
+            });
         }
 
         // Tier 2: IDP with the block size shrunk until one round's worst case (3^k splits)
@@ -522,33 +413,6 @@ fn seed_bound<M: CostModel<W>, const W: usize>(
     bound
 }
 
-/// Builds the exact-tier result from a completed DP table (sequential or merged parallel).
-fn finish_exact<const W: usize>(
-    table: DpTable<W>,
-    graph: &Hypergraph<W>,
-    telemetry: BudgetTelemetry,
-    parallel: Option<ParallelTelemetry>,
-) -> Result<OptimizeResult, OptimizeError> {
-    let all = graph.all_nodes();
-    let Some(class) = table.get(all) else {
-        let largest_covered = table.classes().map(|c| c.set.len()).max().unwrap_or(0);
-        return Err(OptimizeError::NoCompletePlan { largest_covered });
-    };
-    let plan = table
-        .reconstruct(all)
-        .expect("class for the full relation set must reconstruct");
-    Ok(OptimizeResult {
-        cost: class.cost,
-        cardinality: class.cardinality,
-        plan,
-        tier: PlanTier::Exact,
-        telemetry,
-        dp_entries: table.len(),
-        parallel,
-        trace: None,
-    })
-}
-
 fn finish_fallback(r: BaselineResult, tier: PlanTier, mut t: BudgetTelemetry) -> OptimizeResult {
     t.fallback_cost_calls = r.cost_calls;
     OptimizeResult {
@@ -558,7 +422,6 @@ fn finish_fallback(r: BaselineResult, tier: PlanTier, mut t: BudgetTelemetry) ->
         tier,
         telemetry: t,
         dp_entries: r.dp_entries,
-        parallel: None,
         trace: None,
     }
 }
@@ -638,147 +501,6 @@ mod tests {
         assert_ne!(below.tier, PlanTier::Exact);
         assert!(below.telemetry.exact_aborted);
         assert_eq!(below.telemetry.exact_ccps, true_ccps - 1);
-    }
-
-    #[test]
-    fn parallel_exact_is_bit_identical_to_sequential() {
-        for spec in [chain_spec(14), star_spec(10)] {
-            let sequential = optimize_adaptive(&spec).unwrap();
-            assert_eq!(sequential.tier, PlanTier::Exact);
-            assert!(sequential.parallel.is_none());
-            for threads in [2usize, 4, 8] {
-                let parallel = AdaptiveOptimizer::new(AdaptiveOptions {
-                    parallelism: Some(threads),
-                    ..Default::default()
-                })
-                .optimize_spec(&spec)
-                .unwrap();
-                assert_eq!(parallel.tier, PlanTier::Exact);
-                assert_eq!(parallel.cost, sequential.cost, "{threads} threads");
-                assert_eq!(parallel.cardinality, sequential.cardinality);
-                assert_eq!(parallel.plan, sequential.plan, "{threads} threads");
-                assert_eq!(parallel.dp_entries, sequential.dp_entries);
-                assert_eq!(
-                    parallel.telemetry.exact_ccps, sequential.telemetry.exact_ccps,
-                    "the structure pass replays the sequential emission sequence"
-                );
-                let pt = parallel.parallel.expect("parallel telemetry");
-                assert_eq!(pt.threads, threads);
-                assert_eq!(pt.per_thread_pairs.len(), threads);
-                assert_eq!(
-                    pt.per_thread_pairs.iter().sum::<usize>(),
-                    sequential.telemetry.exact_ccps,
-                    "all feasible pairs costed exactly once"
-                );
-                assert!(pt.efficiency > 0.0 && pt.efficiency <= 1.0);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_budget_boundary_matches_sequential_semantics() {
-        // Satellite: the ccp budget is spent in the serial structure pass, so budget == true
-        // pair count must stay exact and budget − 1 must fall back — at any thread count.
-        let spec = chain_spec(12);
-        let true_ccps = optimize_spec(&spec).unwrap().ccp_count;
-        for threads in [2usize, 4] {
-            let at_budget = AdaptiveOptimizer::new(AdaptiveOptions {
-                ccp_budget: true_ccps,
-                parallelism: Some(threads),
-                ..Default::default()
-            })
-            .optimize_spec(&spec)
-            .unwrap();
-            assert_eq!(at_budget.tier, PlanTier::Exact, "{threads} threads");
-            assert_eq!(at_budget.telemetry.exact_ccps, true_ccps);
-            assert!(at_budget.parallel.is_some());
-            let below = AdaptiveOptimizer::new(AdaptiveOptions {
-                ccp_budget: true_ccps - 1,
-                parallelism: Some(threads),
-                ..Default::default()
-            })
-            .optimize_spec(&spec)
-            .unwrap();
-            assert_ne!(below.tier, PlanTier::Exact, "{threads} threads");
-            assert!(below.telemetry.exact_aborted);
-            assert_eq!(below.telemetry.exact_ccps, true_ccps - 1);
-            assert!(below.parallel.is_none(), "aborted runs report no spread");
-        }
-    }
-
-    #[test]
-    fn parallel_auto_and_one_thread_settings_resolve_sensibly() {
-        let spec = chain_spec(8);
-        let sequential = optimize_adaptive(&spec).unwrap();
-        // Some(1) is the sequential path.
-        let one = AdaptiveOptimizer::new(AdaptiveOptions {
-            parallelism: Some(1),
-            ..Default::default()
-        })
-        .optimize_spec(&spec)
-        .unwrap();
-        assert!(one.parallel.is_none());
-        assert_eq!(one.cost, sequential.cost);
-        // Some(0) resolves to the host's core count; whatever that is, the plan is identical.
-        let auto = AdaptiveOptimizer::new(AdaptiveOptions {
-            parallelism: Some(0),
-            ..Default::default()
-        })
-        .optimize_spec(&spec)
-        .unwrap();
-        assert_eq!(auto.cost, sequential.cost);
-        assert_eq!(auto.plan, sequential.plan);
-        if let Some(pt) = &auto.parallel {
-            assert_eq!(
-                pt.threads,
-                std::thread::available_parallelism().map_or(1, |p| p.get())
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_time_budget_still_yields_a_valid_fallback_plan() {
-        // Satellite: the deadline is thread-shared; a spent clock aborts the parallel exact
-        // tier and the driver still answers with a complete greedy plan.
-        let spec = star_spec(16);
-        let r = AdaptiveOptimizer::new(AdaptiveOptions {
-            time_budget: Some(Duration::from_micros(1)),
-            parallelism: Some(4),
-            ..Default::default()
-        })
-        .optimize_spec(&spec)
-        .unwrap();
-        assert_eq!(r.tier, PlanTier::Greedy, "a spent clock must skip IDP");
-        assert!(r.telemetry.exact_aborted);
-        assert!(r.telemetry.exact_time_exceeded);
-        assert_eq!(r.plan.scan_count(), 17);
-        assert_eq!(r.plan.join_count(), 16);
-    }
-
-    #[test]
-    fn parallel_handles_non_inner_and_disconnected_shapes() {
-        // Disconnected specs must surface the same error in parallel as sequentially.
-        let mut b = QuerySpec::builder(4);
-        b.add_simple_edge(0, 1, 0.1);
-        b.add_simple_edge(2, 3, 0.1);
-        let err = AdaptiveOptimizer::new(AdaptiveOptions {
-            parallelism: Some(4),
-            ..Default::default()
-        })
-        .optimize_spec(&b.build())
-        .unwrap_err();
-        assert!(matches!(err, OptimizeError::NoCompletePlan { .. }));
-    }
-
-    #[test]
-    fn parallel_telemetry_efficiency_formula() {
-        let pt = ParallelTelemetry::new(4, vec![10, 10, 10, 10], 0);
-        assert_eq!(pt.efficiency, 1.0);
-        let skewed = ParallelTelemetry::new(2, vec![30, 10], 3);
-        assert!((skewed.efficiency - 40.0 / 60.0).abs() < 1e-12);
-        assert_eq!(skewed.stolen_chunks, 3);
-        let idle = ParallelTelemetry::new(4, vec![0, 0, 0, 0], 0);
-        assert_eq!(idle.efficiency, 1.0, "an empty pass is vacuously balanced");
     }
 
     #[test]

@@ -53,13 +53,12 @@ pub mod adaptive;
 pub mod canon;
 pub mod enumerate;
 mod optimizer;
-mod parallel;
 mod query;
 pub mod recost;
 
 pub use adaptive::{
     optimize_adaptive, AdaptiveOptimizer, AdaptiveOptions, BudgetTelemetry, OptimizeResult,
-    ParallelTelemetry, PlanTier,
+    PlanTier,
 };
 pub use canon::{canonicalize, same_shape, CanonicalQuery};
 pub use enumerate::{count_ccps_dphyp, DpHyp};

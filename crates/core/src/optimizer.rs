@@ -3,7 +3,7 @@
 use crate::enumerate::DpHyp;
 use qo_algebra::{derive_query, ConflictEncoding, OpTree, OpTreeError};
 use qo_catalog::{
-    Catalog, CcpHandler, CostBasedHandler, CostModel, CoutCost, JoinCombiner, MixedCost,
+    Catalog, CcpHandler, CostBasedHandler, CostModel, CoutCost, DpTable, JoinCombiner, MixedCost,
 };
 use qo_hypergraph::Hypergraph;
 use qo_plan::PlanNode;
@@ -45,6 +45,15 @@ pub enum OptimizeError {
     InvalidCatalog(String),
     /// The operator tree failed validation.
     InvalidTree(OpTreeError),
+    /// A spec edge is malformed: a side is empty, names a relation outside the query, or
+    /// shares a relation with another side (e.g. a self-loop). `edge` is the edge's index in
+    /// the submitted spec, and `reason` names the caller's relation id.
+    InvalidEdge {
+        /// Index of the edge in the submitted spec.
+        edge: usize,
+        /// What is wrong with it.
+        reason: String,
+    },
     /// No cross-product-free plan covering all relations exists (the query graph is not
     /// connected in the sense of Def. 3). `largest_covered` is the size of the largest connected
     /// set the enumeration found.
@@ -67,6 +76,7 @@ impl fmt::Display for OptimizeError {
         match self {
             OptimizeError::InvalidCatalog(msg) => write!(f, "invalid catalog: {msg}"),
             OptimizeError::InvalidTree(e) => write!(f, "invalid operator tree: {e}"),
+            OptimizeError::InvalidEdge { edge, reason } => write!(f, "invalid edge {edge}: {reason}"),
             OptimizeError::NoCompletePlan { largest_covered } => write!(
                 f,
                 "no cross-product-free plan covers all relations (largest connected set: {largest_covered} relations)"
@@ -196,7 +206,32 @@ pub(crate) fn optimize_graph_with<M: CostModel<W> + ?Sized, const W: usize>(
     let mut handler = CostBasedHandler::new(combiner);
     let _ = DpHyp::new(graph, &mut handler).run(); // unbudgeted handlers never abort
     let ccp_count = handler.ccp_count();
-    let table = handler.into_table();
+    let exact = full_plan(&handler.into_table(), graph)?;
+    Ok(Optimized {
+        plan: exact.plan,
+        cost: exact.cost,
+        cardinality: exact.cardinality,
+        ccp_count,
+        dp_entries: exact.dp_entries,
+    })
+}
+
+/// The best plan of a completed exact enumeration, as read off its DP table.
+pub(crate) struct FullPlan {
+    pub(crate) plan: PlanNode,
+    pub(crate) cost: f64,
+    pub(crate) cardinality: f64,
+    /// Entries in the DP table.
+    pub(crate) dp_entries: usize,
+}
+
+/// The exact-DP tail shared by [`Optimizer`] and the adaptive driver: reconstructs the plan for
+/// the full relation set, or reports [`OptimizeError::NoCompletePlan`] with the largest
+/// connected set the table covers.
+pub(crate) fn full_plan<const W: usize>(
+    table: &DpTable<W>,
+    graph: &Hypergraph<W>,
+) -> Result<FullPlan, OptimizeError> {
     let all = graph.all_nodes();
     let Some(class) = table.get(all) else {
         let largest_covered = table.classes().map(|c| c.set.len()).max().unwrap_or(0);
@@ -205,11 +240,10 @@ pub(crate) fn optimize_graph_with<M: CostModel<W> + ?Sized, const W: usize>(
     let plan = table
         .reconstruct(all)
         .expect("class for the full relation set must reconstruct");
-    Ok(Optimized {
+    Ok(FullPlan {
+        plan,
         cost: class.cost,
         cardinality: class.cardinality,
-        plan,
-        ccp_count,
         dp_entries: table.len(),
     })
 }

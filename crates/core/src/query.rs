@@ -164,6 +164,35 @@ impl QuerySpec {
         b.build()
     }
 
+    /// Checks the structure of every edge: both sides name at least one relation, every
+    /// relation id is below [`node_count`](Self::node_count), and no relation appears on two
+    /// sides of one edge (which rules out self-loops). Entry points run this before
+    /// canonicalizing or instantiating a spec, so a malformed edge surfaces as
+    /// [`OptimizeError::InvalidEdge`] in the caller's ids rather than as a panic.
+    pub fn validate_edges(&self) -> Result<(), OptimizeError> {
+        for (edge, e) in self.edges.iter().enumerate() {
+            let invalid = |reason: String| Err(OptimizeError::InvalidEdge { edge, reason });
+            if e.left.is_empty() || e.right.is_empty() {
+                return invalid("a side names no relation".to_string());
+            }
+            let sides = [&e.left, &e.right, &e.flex];
+            for (i, side) in sides.iter().enumerate() {
+                for &r in side.iter() {
+                    if r >= self.node_count {
+                        return invalid(format!(
+                            "relation {r} is out of range for a query of {} relations",
+                            self.node_count
+                        ));
+                    }
+                    if sides[..i].iter().any(|earlier| earlier.contains(&r)) {
+                        return invalid(format!("relation {r} appears on two sides of the edge"));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Materializes the spec at a concrete width.
     ///
     /// # Panics
@@ -270,16 +299,17 @@ impl QuerySpecBuilder {
     }
 }
 
-/// The single place encoding the width ladder: instantiates `spec` at the narrowest
-/// sufficient node-set width and runs the matching continuation (`n ≤ 64` → `narrow`,
-/// `n ≤ 128` → `wide`), or returns [`OptimizeError::TooManyRelations`] beyond
-/// [`MAX_WIDE_NODES`]. Every spec-consuming entry point (the exact [`Optimizer`] facade, the
+/// The single place encoding the width ladder: validates the spec's edges
+/// ([`QuerySpec::validate_edges`]), instantiates `spec` at the narrowest sufficient node-set
+/// width and runs the matching continuation (`n ≤ 64` → `narrow`, `n ≤ 128` → `wide`), or
+/// returns [`OptimizeError::TooManyRelations`] beyond [`MAX_WIDE_NODES`]. Every spec-consuming entry point (the exact [`Optimizer`] facade, the
 /// adaptive driver) dispatches through here so a future width tier is added exactly once.
 pub(crate) fn with_width_dispatch<R>(
     spec: &QuerySpec,
     narrow: impl FnOnce(&Hypergraph<1>, &Catalog<1>) -> R,
     wide: impl FnOnce(&Hypergraph<2>, &Catalog<2>) -> R,
 ) -> Result<R, OptimizeError> {
+    spec.validate_edges()?;
     let n = spec.node_count();
     if n <= NodeSet64::CAPACITY {
         let (graph, catalog) = spec.instantiate::<1>();
@@ -411,6 +441,36 @@ mod tests {
         );
         // An empty overlay is the identity.
         assert_eq!(spec.apply_observed(&qo_catalog::ObservedStats::new()), spec);
+    }
+
+    #[test]
+    fn malformed_edges_error_in_the_callers_ids() {
+        let mut b = QuerySpec::builder(3);
+        b.add_simple_edge(0, 1, 0.1);
+        b.add_simple_edge(1, 7, 0.1);
+        let err = optimize_spec(&b.build()).unwrap_err();
+        assert!(matches!(err, OptimizeError::InvalidEdge { edge: 1, .. }));
+        assert!(err.to_string().contains("relation 7"), "{err}");
+
+        let mut b = QuerySpec::builder(3);
+        b.add_simple_edge(1, 1, 0.1);
+        let err = optimize_spec(&b.build()).unwrap_err();
+        assert!(matches!(err, OptimizeError::InvalidEdge { edge: 0, .. }));
+        assert!(err.to_string().contains("relation 1"), "{err}");
+
+        let mut b = QuerySpec::builder(3);
+        b.add_edge(&[0], &[], 0.1, JoinOp::Inner);
+        assert!(matches!(
+            optimize_spec(&b.build()),
+            Err(OptimizeError::InvalidEdge { edge: 0, .. })
+        ));
+
+        let mut b = QuerySpec::builder(3);
+        b.add_generalized_edge(&[0], &[1], &[1], 0.1);
+        assert!(matches!(
+            optimize_spec(&b.build()),
+            Err(OptimizeError::InvalidEdge { edge: 0, .. })
+        ));
     }
 
     #[test]

@@ -36,9 +36,6 @@ pub struct QueryOptions {
     pub cost_model: Option<CostModelKind>,
     /// `option idp_strategy = smallest | connected` — block selection of the IDP fallback.
     pub idp_strategy: Option<IdpStrategy>,
-    /// `option parallelism = <int ≥ 0>` — worker threads of the exact tier (`0` = one per
-    /// available core, `1` = sequential). Plans are bit-identical at every setting.
-    pub parallelism: Option<usize>,
     /// `option pruning = on | off` — cost-bounded branch-and-bound pruning of the exact tier.
     /// Plans are bit-identical at every setting; only cost evaluations are saved.
     pub pruning: Option<bool>,
@@ -61,7 +58,6 @@ impl QueryOptions {
             time_budget: self.time_budget.or(base.time_budget),
             cost_model: self.cost_model.unwrap_or(base.cost_model),
             idp_strategy: self.idp_strategy.unwrap_or(base.idp_strategy),
-            parallelism: self.parallelism.or(base.parallelism),
             pruning: self.pruning.unwrap_or(base.pruning),
             trace: self.trace.unwrap_or(base.trace),
             sample_rate: self.sample_rate.or(base.sample_rate),
@@ -335,7 +331,6 @@ fn lower_options(q: &QueryDecl) -> Result<QueryOptions, JgError> {
             "time_budget_ms" => opts.time_budget.is_some(),
             "cost_model" => opts.cost_model.is_some(),
             "idp_strategy" => opts.idp_strategy.is_some(),
-            "parallelism" => opts.parallelism.is_some(),
             "pruning" => opts.pruning.is_some(),
             "trace" => opts.trace.is_some(),
             "sample_rate" => opts.sample_rate.is_some(),
@@ -395,10 +390,6 @@ fn lower_options(q: &QueryDecl) -> Result<QueryOptions, JgError> {
                     ))
                 }
             },
-            "parallelism" => {
-                // 0 is meaningful (auto: one worker per core), so the minimum is 0.
-                opts.parallelism = Some(option_usize(&o.value, 0, "parallelism")?);
-            }
             "pruning" => match &o.value {
                 OptionValue::Symbol(s) if s.text == "on" => opts.pruning = Some(true),
                 OptionValue::Symbol(s) if s.text == "off" => opts.pruning = Some(false),
@@ -418,7 +409,7 @@ fn lower_options(q: &QueryDecl) -> Result<QueryOptions, JgError> {
                     format!(
                         "unknown option `{other}` (expected one of: ccp_budget, \
                          idp_block_size, time_budget_ms, cost_model, idp_strategy, \
-                         parallelism, pruning, trace, sample_rate)"
+                         pruning, trace, sample_rate)"
                     ),
                     o.key.span,
                 ))
@@ -607,22 +598,20 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_option_lowers_including_the_auto_setting() {
-        let ok = &q("relation a cardinality=1\noption parallelism = 4").unwrap()[0];
-        assert_eq!(ok.options.parallelism, Some(4));
-        assert_eq!(ok.adaptive_options().parallelism, Some(4));
-        // 0 means "one worker per available core" and must be accepted.
-        let ok = &q("relation a cardinality=1\noption parallelism = 0").unwrap()[0];
-        assert_eq!(ok.options.parallelism, Some(0));
-        let err = q("relation a cardinality=1\noption parallelism = 2.5").unwrap_err();
-        assert!(err.message.contains("integer"));
-        let src = "query t {\nrelation a cardinality=1\noption parallelism = 2\n\
-                   option parallelism = 4\n}";
-        let err = parse_queries(src).unwrap_err();
-        assert!(err.message.contains("duplicate option `parallelism`"));
-        // Unset leaves the driver default (sequential) in place.
-        let ok = &q("relation a cardinality=1").unwrap()[0];
-        assert_eq!(ok.adaptive_options().parallelism, None);
+    fn retired_parallelism_option_is_an_unknown_key() {
+        // A retired key gets the ordinary spanned unknown-option diagnostic.
+        let key = "parallelism";
+        let src = format!("query t {{\nrelation a cardinality=1\noption {key} = 4\n}}");
+        let err = parse_queries(&src).unwrap_err();
+        assert!(
+            err.message.contains(&format!("unknown option `{key}`")),
+            "{}",
+            err.message
+        );
+        assert_eq!(err.span.start, src.find(key).unwrap());
+        let valid_keys = err.message.split_once("expected one of:").unwrap().1;
+        assert!(valid_keys.contains("pruning"));
+        assert!(!valid_keys.contains(key), "{}", err.message);
     }
 
     #[test]

@@ -80,9 +80,6 @@ pub fn to_jg(q: &IngestQuery) -> String {
         };
         writeln!(out, "  option idp_strategy = {name}").unwrap();
     }
-    if let Some(p) = o.parallelism {
-        writeln!(out, "  option parallelism = {p}").unwrap();
-    }
     if let Some(p) = o.pruning {
         writeln!(out, "  option pruning = {}", if p { "on" } else { "off" }).unwrap();
     }
@@ -127,7 +124,6 @@ mod tests {
   option time_budget_ms = 250.0
   option cost_model = mixed
   option idp_strategy = connected
-  option parallelism = 4
   option pruning = on
   option trace = on
   option sample_rate = 512

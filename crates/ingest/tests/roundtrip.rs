@@ -75,8 +75,6 @@ fn random_query(seed: u64) -> IngestQuery {
             1 => Some(IdpStrategy::SmallestCardinality),
             _ => Some(IdpStrategy::ConnectedSmallest),
         },
-        // Includes 0, the "one worker per core" auto setting.
-        parallelism: (rng.random_range(0u32..2) == 0).then(|| rng.random_range(0usize..17)),
         pruning: match rng.random_range(0u32..3) {
             0 => None,
             1 => Some(false),

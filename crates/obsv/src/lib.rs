@@ -19,9 +19,8 @@
 //! bounded reservoir.
 //!
 //! The planner phases instrumented across the workspace are, in pipeline order:
-//! `parse` → `lower` → `canonicalize` → `seed_bound` → `enumerate` → `cost_pass`
-//! (with per-size-level `cost_pass_level_*` events) → `idp` / `greedy` → `recost` →
-//! `feedback`. See ARCHITECTURE.md's "Observability" section for the full hierarchy.
+//! `parse` → `lower` → `canonicalize` → `seed_bound` → `enumerate` (with an `exact_ccps`
+//! event) → `idp` / `greedy` → `recost` → `feedback`. See ARCHITECTURE.md's "Observability" section for the full hierarchy.
 
 pub mod metrics;
 pub mod sample;

@@ -20,8 +20,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Receiver for closed spans and point events. Implementations must be cheap and
-/// non-blocking: sinks run inline on the planning thread (and, for the parallel cost
-/// pass, on worker 0 of the thread pool — hence `Send + Sync`).
+/// non-blocking: sinks run inline on the planning thread. One sink may be installed on
+/// several threads at once (e.g. the serving threads of one service) — hence `Send + Sync`.
 pub trait ObsvSink: Send + Sync {
     /// A span named `name` at nesting `depth` closed after `nanos` nanoseconds.
     fn span_close(&self, name: &'static str, depth: u32, nanos: u64);
@@ -69,9 +69,9 @@ pub fn with_sink<R>(sink: Arc<dyn ObsvSink>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The sink installed on this thread, if any. Used to hand the current sink across an
-/// explicit thread boundary (the parallel cost pass), where the thread-local would
-/// otherwise start empty.
+/// The sink installed on this thread, if any. Used to tee a newly installed sink into the
+/// ambient one, or to hand the current sink across an explicit thread boundary, where the
+/// thread-local would otherwise start empty.
 pub fn current_sink() -> Option<Arc<dyn ObsvSink>> {
     CURRENT.with(|s| s.borrow().sink.clone())
 }
@@ -171,7 +171,7 @@ pub struct SpanRecord {
 /// A point event as captured by [`RecordingSink`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EventRecord {
-    /// Static event name (e.g. `"cost_pass_level_pairs"`).
+    /// Static event name (e.g. `"exact_ccps"`).
     pub name: &'static str,
     /// The recorded measurement.
     pub value: u64,

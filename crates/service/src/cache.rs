@@ -93,9 +93,12 @@ pub(crate) enum Lookup {
 
 /// Aggregated telemetry of the plan cache (all counters since construction).
 ///
-/// Latency totals are wall-clock sums of the *whole* serving path per outcome — canonicalize,
-/// fingerprint, lookup, plus the outcome's work (clone / re-cost / full optimization) — so
-/// `miss_time / misses` vs `hit_time / hits` is the end-to-end speedup of warm serving.
+/// Latency totals are wall-clock sums per outcome of fingerprint, lookup and the outcome's work
+/// (clone / re-cost / full optimization). They **exclude canonicalization**, which the entry
+/// points run before the clock starts, and the serve shell around it (sampling, regret pinning,
+/// flight recording). On a warm hit canonicalization is the largest layer, so
+/// [`avg_hit_ns`](Self::avg_hit_ns) sits well below the end-to-end latency a caller measures
+/// around `Service::plan_spec`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Full hits (plan served from cache unchanged).

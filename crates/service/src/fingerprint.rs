@@ -19,12 +19,10 @@
 //! reused — verbatim *or* as a re-cost seed — by requests with the identical options key: a
 //! plan produced under a 1-pair budget must never satisfy a caller paying for exact
 //! enumeration, and an options change is neither a hit nor a drift but a fresh optimization.
-//! [`AdaptiveOptions::parallelism`] and [`AdaptiveOptions::pruning`] are deliberately
-//! *excluded*: the parallel exact tier is bit-identical to the sequential one at every thread
-//! count, and cost-bounded pruning changes only how much work the exact tier performs — never
-//! the produced plan, its cost, or the tier the driver lands in. A plan produced at one
-//! setting is exactly the plan every other setting would produce — callers with different
-//! thread or pruning preferences share one cache entry.
+//! [`AdaptiveOptions::pruning`] is deliberately *excluded*: cost-bounded pruning changes only
+//! how much work the exact tier performs — never the produced plan, its cost, or the tier the
+//! driver lands in. A plan produced with pruning on is exactly the plan it would produce off,
+//! so callers with different pruning preferences share one cache entry.
 
 use dphyp::{AdaptiveOptions, CanonicalQuery, CostModelKind, IdpStrategy, QuerySpec};
 use qo_catalog::StatsEpoch;
@@ -73,9 +71,9 @@ fn stats_hash(spec: &QuerySpec) -> u64 {
 /// Digests every [`AdaptiveOptions`] field that can change which plan an optimization
 /// produces. Entries are only reusable by requests with an equal key.
 ///
-/// `parallelism`, `pruning`, `trace` and `sample_rate` are intentionally left out: plans
-/// are bit-identical across thread counts, pruning settings, tracing settings and sampling
-/// rates (see the crate docs), so keying on any of them would only fragment the cache.
+/// `pruning`, `trace` and `sample_rate` are intentionally left out: plans are bit-identical
+/// across pruning settings, tracing settings and sampling rates (see the crate docs), so
+/// keying on any of them would only fragment the cache.
 pub fn options_key(options: &AdaptiveOptions) -> u64 {
     let model_rank = match options.cost_model {
         CostModelKind::Cout => 0u64,
@@ -159,27 +157,9 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_never_fragments_the_options_key() {
-        // The parallel exact tier is bit-identical to the sequential one, so every thread
-        // setting must map onto the same cache entry.
-        let base = AdaptiveOptions::default();
-        let key = options_key(&base);
-        for parallelism in [None, Some(0), Some(1), Some(2), Some(8)] {
-            assert_eq!(
-                key,
-                options_key(&AdaptiveOptions {
-                    parallelism,
-                    ..base
-                })
-            );
-        }
-    }
-
-    #[test]
     fn pruning_never_fragments_the_options_key() {
         // Pruned enumeration produces the identical plan, cost and tier — only fewer cost
-        // evaluations — so both settings must map onto the same cache entry, mirroring the
-        // parallelism exclusion above.
+        // evaluations — so both settings must map onto the same cache entry.
         let base = AdaptiveOptions::default();
         let key = options_key(&base);
         for pruning in [false, true] {

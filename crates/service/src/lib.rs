@@ -81,7 +81,9 @@ pub use service::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dphyp::{optimize_adaptive, AdaptiveOptions, IdpStrategy, PlanTier, QuerySpec};
+    use dphyp::{
+        optimize_adaptive, AdaptiveOptions, IdpStrategy, OptimizeError, PlanTier, QuerySpec,
+    };
 
     fn star_spec(hub: f64, sats: &[f64], sel: f64) -> QuerySpec {
         let n = sats.len() + 1;
@@ -386,7 +388,7 @@ mod tests {
         let service = Service::default();
         let cards: Vec<f64> = (0..130).map(|i| 100.0 + i as f64).collect();
         let err = service.plan_spec(&chain_spec(&cards, 0.01)).unwrap_err();
-        assert!(matches!(err, dphyp::OptimizeError::TooManyRelations { .. }));
+        assert!(matches!(err, OptimizeError::TooManyRelations { .. }));
         assert_eq!(service.cache_stats().entries, 0);
     }
 
@@ -413,57 +415,59 @@ mod tests {
 
     #[test]
     fn batch_fan_out_is_capped_against_oversubscription() {
-        // Auto fan-out with sequential queries uses every core, bounded by the group count.
-        assert_eq!(effective_batch_threads(0, 8, 1, 100), 8);
-        assert_eq!(effective_batch_threads(0, 8, 1, 3), 3);
-        // Intra-query parallelism divides the fan-out: 8 cores / 4 threads each → 2 groups
-        // in flight, so batch × per-query never exceeds the machine.
-        assert_eq!(effective_batch_threads(0, 8, 4, 100), 2);
-        // An explicit fan-out is honored but still capped by the same product rule.
-        assert_eq!(effective_batch_threads(6, 8, 1, 100), 6);
-        assert_eq!(effective_batch_threads(6, 8, 2, 100), 4);
-        // Per-query demand beyond the machine still leaves one batch worker running.
-        assert_eq!(effective_batch_threads(0, 8, 16, 100), 1);
+        // Auto fan-out uses every core, bounded by the group count.
+        assert_eq!(effective_batch_threads(0, 8, 100), 8);
+        assert_eq!(effective_batch_threads(0, 8, 3), 3);
+        // An explicit fan-out is honored, even beyond the core count.
+        assert_eq!(effective_batch_threads(6, 8, 100), 6);
+        assert_eq!(effective_batch_threads(16, 2, 100), 16);
         // An empty batch resolves to the one-worker floor.
-        assert_eq!(effective_batch_threads(0, 8, 1, 0), 1);
-        // Sequential queries (per_query == 1) never shrink an explicit setting: the cap only
-        // engages when the queries themselves spawn workers.
-        assert_eq!(effective_batch_threads(16, 2, 1, 100), 16);
-        assert_eq!(effective_batch_threads(16, 2, 2, 100), 1);
+        assert_eq!(effective_batch_threads(0, 8, 0), 1);
     }
 
     #[test]
-    fn batched_parallel_queries_match_sequential_serving() {
-        // Satellite of the parallel-enumeration work: a batch whose queries themselves run
-        // the multi-threaded exact tier must produce exactly the plans the sequential
-        // service produces, and the combined fan-out must not oversubscribe (exercised here
-        // by construction: batch_threads=4 × parallelism=2 on any host hits the cap path).
-        let parallel_opts = AdaptiveOptions {
-            parallelism: Some(2),
-            ..Default::default()
-        };
-        let specs: Vec<QuerySpec> = (2..12)
-            .map(|n| {
-                let cards: Vec<f64> = (0..n).map(|i| 40.0 * (i as f64 + 1.0)).collect();
-                chain_spec(&cards, 0.02)
-            })
-            .collect();
-        let sequential = Service::default();
-        let seq: Vec<_> = specs
-            .iter()
-            .map(|s| sequential.plan_spec(s).unwrap())
-            .collect();
-        let concurrent = Service::new(ServiceOptions {
-            batch_threads: 4,
-            adaptive: parallel_opts,
+    fn out_of_range_edge_endpoints_error_instead_of_panicking() {
+        let service = Service::default();
+        let mut b = QuerySpec::builder(3);
+        b.add_simple_edge(0, 1, 0.1);
+        b.add_simple_edge(1, 7, 0.1);
+        let spec = b.build();
+        let err = service.plan_spec(&spec).unwrap_err();
+        assert!(matches!(err, OptimizeError::InvalidEdge { edge: 1, .. }));
+        assert!(err.to_string().contains("relation 7"), "{err}");
+        assert_eq!(
+            service.cache_stats().lookups(),
+            0,
+            "rejected before the cache"
+        );
+        // The batch path answers the bad item with the same error and plans the rest.
+        let good = chain_spec(&[10.0, 20.0, 30.0], 0.1);
+        let batch = Service::new(ServiceOptions {
+            batch_threads: 2,
             ..Default::default()
         });
-        let par = concurrent.plan_batch(&specs);
-        assert_eq!(par.len(), specs.len());
-        for (s, p) in seq.iter().zip(par) {
-            let p = p.unwrap();
-            assert_eq!(p.plan, s.plan, "parallel batch serves the sequential plan");
-            assert_eq!(p.cost, s.cost);
-        }
+        let results = batch.plan_batch(&[good.clone(), spec, good]);
+        assert!(results[0].is_ok() && results[2].is_ok());
+        assert_eq!(results[1].as_ref().unwrap_err(), &err);
+    }
+
+    #[test]
+    fn self_loop_edges_error_instead_of_panicking() {
+        let service = Service::default();
+        let mut b = QuerySpec::builder(3);
+        b.add_simple_edge(0, 1, 0.1);
+        b.add_simple_edge(1, 2, 0.1);
+        b.add_simple_edge(1, 1, 0.1);
+        let spec = b.build();
+        let err = service.plan_spec(&spec).unwrap_err();
+        assert!(matches!(err, OptimizeError::InvalidEdge { edge: 2, .. }));
+        assert!(err.to_string().contains("relation 1"), "{err}");
+        // The driver's own entry point rejects it the same way.
+        let direct = dphyp::AdaptiveOptimizer::default()
+            .optimize_spec(&spec)
+            .unwrap_err();
+        assert_eq!(direct, err);
+        let results = service.plan_batch(&[spec]);
+        assert_eq!(results[0].as_ref().unwrap_err(), &err);
     }
 }

@@ -1,5 +1,5 @@
 //! The service's metrics registry: one place where the stack's scattered telemetry —
-//! [`CacheStats`], `BudgetTelemetry`, `ParallelTelemetry`, sampler counters, the regret
+//! [`CacheStats`], `BudgetTelemetry`, sampler counters, the regret
 //! ledger — unifies into named counters, gauges and latency histograms.
 //!
 //! Naming scheme: `qo_<subsystem>_<quantity>[_<unit|total>]`. Counters end in `_total`,
@@ -7,7 +7,7 @@
 //! Subsystems: `cache` (plan-cache outcomes, view-synced from [`CacheStats`] at snapshot
 //! time), `serve` (end-to-end per-path latencies recorded live, plus sampler admission
 //! counters), `optimizer` (budget and pruning telemetry accumulated across cold-path
-//! optimizations), `parallel` (cost-pass work stealing), `trace` (sampled-recording ring
+//! optimizations), `trace` (sampled-recording ring
 //! eviction), and `regret` (per-shape true-cost regret, view-synced from the
 //! [`RegretLedger`] — including one labeled series per observed shape,
 //! `qo_regret_last{shape="…"}` / `qo_regret_cumulative{shape="…"}`).
@@ -36,7 +36,6 @@ pub(crate) struct ServiceMetrics {
     optimizer_plans_exact: Arc<Counter>,
     optimizer_plans_idp: Arc<Counter>,
     optimizer_plans_greedy: Arc<Counter>,
-    parallel_stolen_chunks: Arc<Counter>,
     trace_dropped_spans: Arc<Counter>,
     trace_dropped_events: Arc<Counter>,
 }
@@ -76,7 +75,6 @@ impl ServiceMetrics {
             optimizer_plans_exact: registry.counter("qo_optimizer_plans_exact_total"),
             optimizer_plans_idp: registry.counter("qo_optimizer_plans_idp_total"),
             optimizer_plans_greedy: registry.counter("qo_optimizer_plans_greedy_total"),
-            parallel_stolen_chunks: registry.counter("qo_parallel_stolen_chunks_total"),
             trace_dropped_spans: registry.counter("qo_trace_dropped_spans_total"),
             trace_dropped_events: registry.counter("qo_trace_dropped_events_total"),
             registry,
@@ -111,8 +109,7 @@ impl ServiceMetrics {
         }
     }
 
-    /// Absorbs one cold-path optimization's `BudgetTelemetry` / `ParallelTelemetry` into
-    /// the unified registry.
+    /// Absorbs one cold-path optimization's `BudgetTelemetry` into the unified registry.
     pub(crate) fn record_optimize(&self, result: &OptimizeResult) {
         let t = &result.telemetry;
         self.optimizer_exact_ccps.add(t.exact_ccps as u64);
@@ -126,9 +123,6 @@ impl ServiceMetrics {
             PlanTier::Exact => self.optimizer_plans_exact.inc(),
             PlanTier::Idp => self.optimizer_plans_idp.inc(),
             PlanTier::Greedy => self.optimizer_plans_greedy.inc(),
-        }
-        if let Some(p) = &result.parallel {
-            self.parallel_stolen_chunks.add(p.stolen_chunks as u64);
         }
         if let Some(trace) = &result.trace {
             self.record_trace_drops(trace.dropped_spans, trace.dropped_events);
@@ -252,10 +246,6 @@ const HELP: &[(&str, &str)] = &[
     (
         "qo_optimizer_seed_bound_ns",
         "Wall time spent seeding the branch-and-bound upper bound.",
-    ),
-    (
-        "qo_parallel_stolen_chunks_total",
-        "Work chunks stolen across workers by the parallel cost pass.",
     ),
     (
         "qo_regret_cumulative",

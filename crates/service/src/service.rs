@@ -33,10 +33,8 @@ pub struct ServiceOptions {
     /// re-optimizations.
     pub recost_tolerance: f64,
     /// Worker threads of [`Service::plan_batch`]; `0` (the default) means one per available
-    /// CPU, capped by the batch size. When the batch's queries additionally request
-    /// intra-query parallelism ([`AdaptiveOptions::parallelism`]), the fan-out is further
-    /// capped so that `batch threads × per-query threads` stays within the machine's available
-    /// parallelism (see [`effective_batch_threads`]).
+    /// CPU, capped by the number of distinct shapes in the batch (see
+    /// [`effective_batch_threads`]).
     pub batch_threads: usize,
     /// The always-on trace sampler's configuration: rate (default 1-in-1024, overridable
     /// per query via [`AdaptiveOptions::sample_rate`]), exemplar reservoir, slow-serve
@@ -49,36 +47,14 @@ pub struct ServiceOptions {
 }
 
 /// The worker count [`Service::plan_batch`] uses: the configured count (`0` = `available`),
-/// divided down when per-query parallelism would oversubscribe the machine, and capped by the
-/// number of shape groups. `per_query` is the largest intra-query worker count any batch item
-/// requests (`1` = sequential queries, which impose no cap). Always ≥ 1.
-pub fn effective_batch_threads(
-    configured: usize,
-    available: usize,
-    per_query: usize,
-    groups: usize,
-) -> usize {
+/// capped by the number of shape groups. Always ≥ 1.
+pub fn effective_batch_threads(configured: usize, available: usize, groups: usize) -> usize {
     let base = if configured == 0 {
         available
     } else {
         configured
     };
-    let capped = if per_query > 1 {
-        // batch fan-out × per-query threads ≤ available parallelism.
-        base.min((available / per_query).max(1))
-    } else {
-        base
-    };
-    capped.min(groups.max(1)).max(1)
-}
-
-/// The intra-query worker count an options value resolves to on this machine.
-fn resolved_parallelism(options: &AdaptiveOptions, available: usize) -> usize {
-    match options.parallelism {
-        None | Some(1) => 1,
-        Some(0) => available,
-        Some(k) => k,
-    }
+    base.min(groups.max(1)).max(1)
 }
 
 impl Default for ServiceOptions {
@@ -269,7 +245,7 @@ impl Service {
 
     /// A point-in-time copy of the unified metrics registry: cache outcome counters
     /// (view-synced from [`CacheStats`]), per-path serve latency histograms, the
-    /// optimizer/parallel telemetry accumulated across cold-path optimizations, trace-ring
+    /// optimizer telemetry accumulated across cold-path optimizations, trace-ring
     /// eviction counters, sampler admission counters, and the regret ledger's per-shape
     /// gauges. Render it with [`MetricsSnapshot::render_prometheus`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -334,25 +310,32 @@ impl Service {
     }
 
     /// The shared batch machinery: work-stealing over shape groups (see [`Service::plan_batch`]
-    /// for the determinism argument). Canonicalization happens once per item, up front — the
-    /// grouping needs the shape hash anyway, and the workers serve the prepared canonical form
-    /// directly.
+    /// for the determinism argument). Validation and canonicalization happen once per item, up
+    /// front — the grouping needs the shape hash anyway, and the workers serve the prepared
+    /// canonical form directly. An item with a malformed edge is answered with its error and
+    /// joins no group.
     fn batch_with<T: Sync>(
         &self,
         items: &[T],
         prepare: impl Fn(&T) -> (&QuerySpec, AdaptiveOptions),
     ) -> Vec<Result<ServedPlan, OptimizeError>> {
-        let prepared: Vec<(CanonicalQuery, AdaptiveOptions)> = items
+        let prepared: Vec<Result<(CanonicalQuery, AdaptiveOptions), OptimizeError>> = items
             .iter()
             .map(|item| {
                 let (spec, adaptive) = prepare(item);
-                (canonicalize(spec), adaptive)
+                spec.validate_edges()?;
+                Ok((canonicalize(spec), adaptive))
             })
             .collect();
+        let serve = |i: usize| match &prepared[i] {
+            Ok((canonical, adaptive)) => self.serve(canonical, *adaptive),
+            Err(e) => Err(e.clone()),
+        };
         // Group item indexes by shape, preserving input order within each group.
         let mut group_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (i, (canonical, _)) in prepared.iter().enumerate() {
+        for (i, item) in prepared.iter().enumerate() {
+            let Ok((canonical, _)) = item else { continue };
             match group_of.get(&canonical.shape_hash) {
                 Some(&g) => groups[g].push(i),
                 None => {
@@ -362,34 +345,24 @@ impl Service {
             }
         }
         let available = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let per_query = prepared
-            .iter()
-            .map(|(_, adaptive)| resolved_parallelism(adaptive, available))
-            .max()
-            .unwrap_or(1);
-        let threads = effective_batch_threads(
-            self.options.batch_threads,
-            available,
-            per_query,
-            groups.len(),
-        );
+        let threads = effective_batch_threads(self.options.batch_threads, available, groups.len());
         if threads <= 1 || items.len() <= 1 {
-            return prepared
-                .iter()
-                .map(|(canonical, adaptive)| self.serve(canonical, *adaptive))
-                .collect();
+            return (0..items.len()).map(serve).collect();
         }
         let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<Result<ServedPlan, OptimizeError>>>> =
-            Mutex::new((0..items.len()).map(|_| None).collect());
+        let results: Mutex<Vec<Option<Result<ServedPlan, OptimizeError>>>> = Mutex::new(
+            prepared
+                .iter()
+                .map(|p| p.as_ref().err().map(|e| Err(e.clone())))
+                .collect(),
+        );
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| loop {
                     let g = next.fetch_add(1, Ordering::Relaxed);
                     let Some(group) = groups.get(g) else { break };
                     for &i in group {
-                        let (canonical, adaptive) = &prepared[i];
-                        let r = self.serve(canonical, *adaptive);
+                        let r = serve(i);
                         results.lock().expect("batch results poisoned")[i] = Some(r);
                     }
                 });
@@ -403,12 +376,14 @@ impl Service {
             .collect()
     }
 
-    /// The serving pipeline for one spec under explicit adaptive options.
+    /// The serving pipeline for one spec under explicit adaptive options. A malformed edge
+    /// ([`QuerySpec::validate_edges`]) is an error before anything else runs.
     pub fn plan_spec_with(
         &self,
         spec: &QuerySpec,
         adaptive: AdaptiveOptions,
     ) -> Result<ServedPlan, OptimizeError> {
+        spec.validate_edges()?;
         self.serve(&canonicalize(spec), adaptive)
     }
 

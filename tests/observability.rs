@@ -192,7 +192,6 @@ qo_cache_shape_hits_total 0
     for name in [
         "qo_optimizer_exact_ccps_total",
         "qo_optimizer_plans_exact_total",
-        "qo_parallel_stolen_chunks_total",
         "qo_regret_cycles_total",
         "qo_regret_pins_total",
         "qo_serve_sampled_total",

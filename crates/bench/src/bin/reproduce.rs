@@ -42,7 +42,7 @@ const SEED: u64 = 2008;
 /// Schema version of `BENCH_baseline.json`. Bump whenever a section is added, removed or
 /// reshaped; `write_baseline` refuses to overwrite a file carrying a different version unless
 /// forced, and readers should reject versions they do not understand.
-const SCHEMA_VERSION: u32 = 10;
+const SCHEMA_VERSION: u32 = 11;
 
 /// Measurement budget per timed point in baseline/table modes; long enough to average out
 /// noise on fast workloads, short enough that the multi-second star-20 runs once.
@@ -1353,6 +1353,7 @@ fn run_ingest_row(q: &qo_workloads::corpus::IngestQuery) -> IngestRow {
         budget: q.adaptive_options().ccp_budget,
         tier: r.tier,
         exact_ccps: r.telemetry.exact_ccps,
+        exact_skipped: r.telemetry.exact_skipped,
         wall_ms: t.as_secs_f64() * 1e3,
         cost: r.cost,
     }
@@ -1364,6 +1365,7 @@ struct IngestRow {
     budget: usize,
     tier: PlanTier,
     exact_ccps: usize,
+    exact_skipped: bool,
     wall_ms: f64,
     cost: f64,
 }
@@ -1376,8 +1378,16 @@ fn ingest_corpus() {
     use qo_workloads::corpus::corpus;
     println!("== I1: embedded .jg corpus planned end to end (parse -> lower -> adaptive) ==");
     println!(
-        "{:>18} {:>5} {:>6} {:>10} {:>8} {:>12} {:>10} {:>14}",
-        "query", "rels", "edges", "budget", "tier", "exact ccps", "wall (ms)", "plan cost"
+        "{:>18} {:>5} {:>6} {:>10} {:>8} {:>12} {:>8} {:>10} {:>14}",
+        "query",
+        "rels",
+        "edges",
+        "budget",
+        "tier",
+        "exact ccps",
+        "skipped",
+        "wall (ms)",
+        "plan cost"
     );
     let mut tier_counts = [0usize; 3];
     let queries = corpus();
@@ -1390,13 +1400,14 @@ fn ingest_corpus() {
             PlanTier::Greedy => 2,
         }] += 1;
         println!(
-            "{:>18} {:>5} {:>6} {:>10} {:>8} {:>12} {:>10.3} {:>14.3e}",
+            "{:>18} {:>5} {:>6} {:>10} {:>8} {:>12} {:>8} {:>10.3} {:>14.3e}",
             q.name,
             row.relations,
             row.edges,
             row.budget,
             row.tier.to_string(),
             row.exact_ccps,
+            row.exact_skipped,
             row.wall_ms,
             row.cost
         );
@@ -1425,8 +1436,8 @@ fn adaptive_rows() -> Vec<(&'static str, QuerySpec, Option<usize>)> {
     ]
 }
 
-/// Runs one adaptive row and returns (tier, wall-ms, exact-tier ccps, cost).
-fn run_adaptive_row(spec: &QuerySpec, budget: Option<usize>) -> (PlanTier, f64, usize, f64) {
+/// Runs one adaptive row and returns its wall time in milliseconds and its result.
+fn run_adaptive_row(spec: &QuerySpec, budget: Option<usize>) -> (f64, dphyp::OptimizeResult) {
     let options = match budget {
         Some(ccp_budget) => AdaptiveOptions {
             ccp_budget,
@@ -1441,12 +1452,7 @@ fn run_adaptive_row(spec: &QuerySpec, budget: Option<usize>) -> (PlanTier, f64, 
         spec.node_count(),
         "adaptive plan must cover every relation"
     );
-    (
-        r.tier,
-        t.as_secs_f64() * 1e3,
-        r.telemetry.exact_ccps,
-        r.cost,
-    )
+    (t.as_secs_f64() * 1e3, r)
 }
 
 /// A2: the adaptive optimization driver — exact under an ample budget (costs asserted
@@ -1459,12 +1465,15 @@ fn adaptive_tiers() {
         "workload", "budget", "tier", "exact ccps", "wall (ms)", "vs plain DPhyp"
     );
     for (name, spec, budget) in adaptive_rows() {
-        let (tier, wall_ms, exact_ccps, cost) = run_adaptive_row(&spec, budget);
+        let (wall_ms, r) = run_adaptive_row(&spec, budget);
+        let tier = r.tier;
         let verdict = if tier == PlanTier::Exact {
             // The exact tier must be bit-identical to the unbudgeted optimizer.
             let plain = dphyp::optimize_spec(&spec).expect("plannable");
-            assert_eq!(cost, plain.cost, "{name}: exact tier diverged from DPhyp");
+            assert_eq!(r.cost, plain.cost, "{name}: exact tier diverged from DPhyp");
             "cost identical"
+        } else if r.telemetry.exact_skipped {
+            "(exact skipped)"
         } else {
             "(exact infeasible)"
         };
@@ -1481,7 +1490,7 @@ fn adaptive_tiers() {
             name,
             budget_col,
             tier.to_string(),
-            exact_ccps,
+            r.telemetry.exact_ccps,
             wall_ms,
             verdict
         );
@@ -1579,15 +1588,16 @@ fn write_baseline(path: &str) {
     // Adaptive-tier trajectory: which tier answers each workload/budget pair and how fast.
     let mut adaptive_json_rows = Vec::new();
     for (name, spec, budget) in adaptive_rows() {
-        let (tier, wall_ms, exact_ccps, _) = run_adaptive_row(&spec, budget);
+        let (wall_ms, r) = run_adaptive_row(&spec, budget);
+        let tier = r.tier;
         let budget_col = budget.map_or("default".to_string(), |b| b.to_string());
         println!("  {name:>10} (budget {budget_col:>9}): tier {tier:>7}, {wall_ms:>10.3} ms");
         adaptive_json_rows.push(format!(
             concat!(
                 "    {{\"name\": \"{}\", \"budget\": \"{}\", \"tier\": \"{}\", ",
-                "\"exact_ccps\": {}, \"wall_ms\": {:.4}}}"
+                "\"exact_ccps\": {}, \"exact_skipped\": {}, \"wall_ms\": {:.4}}}"
             ),
-            name, budget_col, tier, exact_ccps, wall_ms
+            name, budget_col, tier, r.telemetry.exact_ccps, r.telemetry.exact_skipped, wall_ms
         ));
     }
 
@@ -1603,9 +1613,16 @@ fn write_baseline(path: &str) {
             concat!(
                 "    {{\"name\": \"{}\", \"relations\": {}, \"edges\": {}, ",
                 "\"ccp_budget\": {}, \"tier\": \"{}\", \"exact_ccps\": {}, ",
-                "\"wall_ms\": {:.4}}}"
+                "\"exact_skipped\": {}, \"wall_ms\": {:.4}}}"
             ),
-            q.name, row.relations, row.edges, row.budget, row.tier, row.exact_ccps, row.wall_ms
+            q.name,
+            row.relations,
+            row.edges,
+            row.budget,
+            row.tier,
+            row.exact_ccps,
+            row.exact_skipped,
+            row.wall_ms
         ));
     }
 

@@ -12,6 +12,15 @@
 //!    over-budget query costs at most `budget` pair emissions (or the configured wall time),
 //!    never the full (possibly astronomical) enumeration. A spent *time* budget additionally
 //!    skips the IDP tier and drops straight to greedy ordering.
+//!
+//!    Before enumerating, the driver computes [`qo_hypergraph::ccp_lower_bound`], the exact
+//!    pair count of a spanning tree of the simple edges, in linear time. When it is strictly
+//!    above the budget and the query has no lateral references (so DPhyp emits every pair of
+//!    the graph), the exact tier is certain to abort and is skipped: no `seed_bound`, no
+//!    `enumerate`, `exact_ccps = 0` and [`BudgetTelemetry::exact_skipped`] set. The fallback
+//!    that follows is exactly the one an aborted enumeration would have reached, so without a
+//!    time budget the tier and plan are unchanged. With one, a skipped query always gets the
+//!    IDP tier, where a deadline firing mid-enumeration used to force greedy ordering.
 //! 2. **IDP** — [`qo_baselines::idp`], iterative dynamic programming with block size `k`. The
 //!    driver shrinks `k` until one block round's worst case (`3^k` subset-splits) fits the same
 //!    budget, so a *round* never exceeds it; total fallback work is `rounds × 3^k` (at most
@@ -21,9 +30,10 @@
 //!    fit (budget < 9) or IDP could not complete a plan.
 //!
 //! [`OptimizeResult`] reports which tier produced the plan and the budget telemetry (pairs
-//! spent in the exact tier, whether it aborted, the effective `k`). Width dispatch works like
-//! [`Optimizer::optimize_spec`](crate::Optimizer::optimize_spec): hand the driver a
-//! width-agnostic [`QuerySpec`] and it instantiates the narrowest sufficient node-set width.
+//! spent in the exact tier, whether it aborted or was skipped, the effective `k`). Width
+//! dispatch works like [`Optimizer::optimize_spec`](crate::Optimizer::optimize_spec): hand the
+//! driver a width-agnostic [`QuerySpec`] and it instantiates the narrowest sufficient node-set
+//! width.
 //!
 //! ```
 //! use dphyp::{optimize_adaptive, AdaptiveOptimizer, AdaptiveOptions, PlanTier, QuerySpec};
@@ -42,6 +52,9 @@
 //! assert_ne!(result.tier, PlanTier::Exact); // the driver fell back automatically …
 //! assert_eq!(result.plan.scan_count(), 40); // … and still produced a complete plan.
 //! assert!(result.telemetry.exact_aborted);
+//! // Its spanning tree alone has more pairs than the budget, so not one was enumerated.
+//! assert!(result.telemetry.exact_skipped);
+//! assert_eq!(result.telemetry.exact_ccps, 0);
 //!
 //! // Queries whose pair count fits the budget stay exact — bit-identical to plain DPhyp.
 //! let mut b = QuerySpec::builder(20);
@@ -64,7 +77,7 @@ use qo_catalog::{
     BudgetedHandler, Catalog, CcpHandler, CostBasedHandler, CostModel, CoutCost, JoinCombiner,
     MixedCost,
 };
-use qo_hypergraph::Hypergraph;
+use qo_hypergraph::{ccp_lower_bound, Hypergraph};
 use qo_obsv::{RecordingSink, Span, Trace};
 use qo_plan::PlanNode;
 use std::fmt;
@@ -86,7 +99,9 @@ pub struct AdaptiveOptions {
     /// [`BudgetedHandler::DEADLINE_CHECK_INTERVAL`] pairs) and aborts when it has passed; a
     /// deadline that expires during the exact tier also skips IDP and goes straight to greedy
     /// ordering, so a tiny time budget still yields a valid plan in (approximately) that time.
-    /// `None` — the default — budgets pairs only.
+    /// A query whose exact tier is skipped by the pair-count lower bound
+    /// ([`BudgetTelemetry::exact_skipped`]) spends no time there and goes to IDP while the
+    /// deadline is still ahead. `None` — the default — budgets pairs only.
     pub time_budget: Option<Duration>,
     /// Cost model shared by all tiers.
     pub cost_model: CostModelKind,
@@ -167,10 +182,17 @@ impl fmt::Display for PlanTier {
 pub struct BudgetTelemetry {
     /// The configured csg-cmp-pair budget.
     pub ccp_budget: usize,
-    /// Pairs the exact tier processed before completing or aborting (≤ `ccp_budget`).
+    /// Pairs the exact tier processed before completing or aborting (≤ `ccp_budget`; `0` when
+    /// the tier was skipped).
     pub exact_ccps: usize,
-    /// Did the exact tier hit the budget and abort?
+    /// Did the exact tier give up — hit a budget mid-enumeration, or get skipped because it
+    /// was certain to? Exactly when this holds, the plan comes from a fallback tier.
     pub exact_aborted: bool,
+    /// Was the exact tier skipped without enumerating a single pair, because a spanning-tree
+    /// lower bound on the query's csg-cmp-pair count ([`qo_hypergraph::ccp_lower_bound`])
+    /// already exceeds `ccp_budget`? Implies `exact_aborted`. Only queries without lateral
+    /// references are skipped: for those, DPhyp provably emits every pair of the graph.
+    pub exact_skipped: bool,
     /// Did the exact tier abort because the wall-clock budget (rather than the pair budget)
     /// ran out? Implies `exact_aborted`; always `false` without a configured time budget.
     pub exact_time_exceeded: bool,
@@ -187,7 +209,8 @@ pub struct BudgetTelemetry {
     pub bound_updates: usize,
     /// Wall time spent seeding the branch-and-bound upper bound (GOO plus, on 8+-relation
     /// queries, a small-block IDP) before the exact tier started. [`Duration::ZERO`] when
-    /// pruning is off or the cost model opts out — the heuristics then never ran. Pruning
+    /// pruning is off, the cost model opts out or the exact tier was skipped — the heuristics
+    /// then never ran. Pruning
     /// speedup claims must charge this time to the pruned configuration: the seed run is
     /// part of its end-to-end cost.
     pub seed_bound_time: Duration,
@@ -289,61 +312,85 @@ impl AdaptiveOptimizer {
             .validate_for(graph)
             .map_err(OptimizeError::InvalidCatalog)?;
         let deadline = self.options.time_budget.map(|b| Instant::now() + b);
-
-        // Branch-and-bound upper bound: the best heuristic full-plan cost, seeded before the
-        // exact tier so every enumerator starts with a finite bound. Only meaningful for
-        // monotone, non-negative models — others silently run unbounded.
-        let mut seed_bound_time = Duration::ZERO;
-        let bound = if self.options.pruning && cost_model.supports_pruning() {
-            let span = Span::enter("seed_bound");
-            let seed_started = Instant::now();
-            let b = seed_bound(graph, catalog, cost_model, self.options.idp_strategy);
-            seed_bound_time = seed_started.elapsed();
-            drop(span);
-            Some(b)
-        } else {
-            None
-        };
-
-        // Tier 1: exact DPhyp under the pair budget and, when configured, the deadline.
         let combiner = JoinCombiner::new(graph, catalog, cost_model);
-        let cost_handler = match bound {
-            Some(b) => CostBasedHandler::with_bound(combiner, b),
-            None => CostBasedHandler::new(combiner),
+
+        // Tier 1 is skipped when it is certain to abort. Without lateral references (and the
+        // driver never enforces TES) every union is registered, so DPhyp emits every
+        // csg-cmp-pair of the graph; a lower bound strictly above the budget guarantees the
+        // `budget + 1`-th pair, the one the budgeted handler aborts on.
+        let doomed = combiner.always_combines()
+            && ccp_lower_bound(graph).is_some_and(|b| b > self.options.ccp_budget as u128);
+        let mut telemetry = if doomed {
+            BudgetTelemetry {
+                ccp_budget: self.options.ccp_budget,
+                exact_ccps: 0,
+                exact_aborted: true,
+                exact_skipped: true,
+                exact_time_exceeded: false,
+                idp_k: 0,
+                fallback_cost_calls: 0,
+                pruned_pairs: 0,
+                pruned_classes: 0,
+                bound_updates: 0,
+                seed_bound_time: Duration::ZERO,
+            }
+        } else {
+            // Branch-and-bound upper bound: the best heuristic full-plan cost, seeded before
+            // the exact tier so every enumerator starts with a finite bound. Only meaningful
+            // for monotone, non-negative models — others silently run unbounded.
+            let mut seed_bound_time = Duration::ZERO;
+            let bound = if self.options.pruning && cost_model.supports_pruning() {
+                let span = Span::enter("seed_bound");
+                let seed_started = Instant::now();
+                let b = seed_bound(graph, catalog, cost_model, self.options.idp_strategy);
+                seed_bound_time = seed_started.elapsed();
+                drop(span);
+                Some(b)
+            } else {
+                None
+            };
+
+            // Tier 1: exact DPhyp under the pair budget and, when configured, the deadline.
+            let cost_handler = match bound {
+                Some(b) => CostBasedHandler::with_bound(combiner, b),
+                None => CostBasedHandler::new(combiner),
+            };
+            let mut handler = BudgetedHandler::new(cost_handler, self.options.ccp_budget);
+            if let Some(d) = deadline {
+                handler = handler.with_deadline(d);
+            }
+            let span = Span::enter("enumerate");
+            let _ = DpHyp::new(graph, &mut handler).run();
+            drop(span);
+            qo_obsv::event("exact_ccps", handler.ccp_count() as u64);
+            let prune = handler.inner().prune_counters();
+            let telemetry = BudgetTelemetry {
+                ccp_budget: self.options.ccp_budget,
+                exact_ccps: handler.ccp_count(),
+                exact_aborted: handler.aborted(),
+                exact_skipped: false,
+                exact_time_exceeded: handler.deadline_exceeded(),
+                idp_k: 0,
+                fallback_cost_calls: 0,
+                pruned_pairs: prune.pruned_pairs,
+                pruned_classes: prune.pruned_classes,
+                bound_updates: prune.bound_updates,
+                seed_bound_time,
+            };
+            if !telemetry.exact_aborted {
+                let exact = full_plan(&handler.into_inner().into_table(), graph)?;
+                return Ok(OptimizeResult {
+                    plan: exact.plan,
+                    cost: exact.cost,
+                    cardinality: exact.cardinality,
+                    tier: PlanTier::Exact,
+                    telemetry,
+                    dp_entries: exact.dp_entries,
+                    trace: None,
+                });
+            }
+            telemetry
         };
-        let mut handler = BudgetedHandler::new(cost_handler, self.options.ccp_budget);
-        if let Some(d) = deadline {
-            handler = handler.with_deadline(d);
-        }
-        let span = Span::enter("enumerate");
-        let _ = DpHyp::new(graph, &mut handler).run();
-        drop(span);
-        qo_obsv::event("exact_ccps", handler.ccp_count() as u64);
-        let prune = handler.inner().prune_counters();
-        let mut telemetry = BudgetTelemetry {
-            ccp_budget: self.options.ccp_budget,
-            exact_ccps: handler.ccp_count(),
-            exact_aborted: handler.aborted(),
-            exact_time_exceeded: handler.deadline_exceeded(),
-            idp_k: 0,
-            fallback_cost_calls: 0,
-            pruned_pairs: prune.pruned_pairs,
-            pruned_classes: prune.pruned_classes,
-            bound_updates: prune.bound_updates,
-            seed_bound_time,
-        };
-        if !telemetry.exact_aborted {
-            let exact = full_plan(&handler.into_inner().into_table(), graph)?;
-            return Ok(OptimizeResult {
-                plan: exact.plan,
-                cost: exact.cost,
-                cardinality: exact.cardinality,
-                tier: PlanTier::Exact,
-                telemetry,
-                dp_entries: exact.dp_entries,
-                trace: None,
-            });
-        }
 
         // Tier 2: IDP with the block size shrunk until one round's worst case (3^k splits)
         // fits the same budget. Skipped when the wall clock has already run out — IDP rounds
@@ -499,8 +546,10 @@ mod tests {
         .optimize_spec(&spec)
         .unwrap();
         assert_ne!(below.tier, PlanTier::Exact);
-        assert!(below.telemetry.exact_aborted);
-        assert_eq!(below.telemetry.exact_ccps, true_ccps - 1);
+        // A chain is its own spanning tree, so the lower bound is the true count: the doomed
+        // exact tier is skipped outright.
+        assert!(below.telemetry.exact_skipped && below.telemetry.exact_aborted);
+        assert_eq!(below.telemetry.exact_ccps, 0);
     }
 
     #[test]
@@ -539,7 +588,8 @@ mod tests {
         .unwrap();
         assert_eq!(r.tier, PlanTier::Idp);
         assert_eq!(r.telemetry.idp_k, 8);
-        assert_eq!(r.telemetry.exact_ccps, 10_000);
+        assert!(r.telemetry.exact_skipped && r.telemetry.exact_aborted);
+        assert_eq!(r.telemetry.exact_ccps, 0);
         assert_eq!(r.plan.scan_count(), 17);
         // The fallback plan cannot beat the true optimum.
         let exact = optimize_spec(&spec).unwrap();
@@ -564,6 +614,43 @@ mod tests {
         assert_eq!(r.plan.scan_count(), 17);
         assert_eq!(r.plan.join_count(), 16);
         assert!(r.cost.is_finite());
+    }
+
+    #[test]
+    fn a_skipped_exact_tier_leaves_the_time_budget_to_idp() {
+        // star-41: 40 · 2^39 pairs, far over the default budget. The exact tier is skipped
+        // before the clock can run out in it, so the deadline no longer forces greedy.
+        let spec = star_spec(40);
+        let r = AdaptiveOptimizer::new(AdaptiveOptions {
+            time_budget: Some(Duration::from_secs(1)),
+            ..Default::default()
+        })
+        .optimize_spec(&spec)
+        .unwrap();
+        assert_eq!(r.tier, PlanTier::Idp);
+        assert!(r.telemetry.exact_skipped);
+        assert!(!r.telemetry.exact_time_exceeded);
+        assert_eq!(r.plan.scan_count(), 41);
+    }
+
+    #[test]
+    fn lateral_references_keep_the_exact_tier_enumerating() {
+        // With a lateral reference some unions are never registered, so DPhyp may emit fewer
+        // pairs than the graph has; the bound cannot decide, and the budget aborts instead.
+        let mut b = QuerySpec::builder(17);
+        b.set_lateral_refs(16, &[0]);
+        for i in 1..17 {
+            b.add_simple_edge(0, i, 0.01);
+        }
+        let r = AdaptiveOptimizer::new(AdaptiveOptions {
+            ccp_budget: 10_000,
+            ..Default::default()
+        })
+        .optimize_spec(&b.build())
+        .unwrap();
+        assert!(r.telemetry.exact_aborted);
+        assert!(!r.telemetry.exact_skipped);
+        assert_eq!(r.telemetry.exact_ccps, 10_000);
     }
 
     #[test]

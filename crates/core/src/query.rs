@@ -164,12 +164,16 @@ impl QuerySpec {
         b.build()
     }
 
-    /// Checks the structure of every edge: both sides name at least one relation, every
-    /// relation id is below [`node_count`](Self::node_count), and no relation appears on two
-    /// sides of one edge (which rules out self-loops). Entry points run this before
-    /// canonicalizing or instantiating a spec, so a malformed edge surfaces as
-    /// [`OptimizeError::InvalidEdge`] in the caller's ids rather than as a panic.
-    pub fn validate_edges(&self) -> Result<(), OptimizeError> {
+    /// Checks the spec before anything is built from it. Structure: both sides of every edge
+    /// name at least one relation, every relation id (edge sides, flex sets, lateral
+    /// references) is below [`node_count`](Self::node_count), and no relation appears on two
+    /// sides of one edge (which rules out self-loops). Statistics: cardinalities are finite
+    /// and non-negative, selectivities finite and in `(0, 1]`. Entry points run this before
+    /// canonicalizing or instantiating a spec, so a malformed spec surfaces as
+    /// [`OptimizeError::InvalidEdge`] or [`OptimizeError::InvalidCatalog`] naming the caller's
+    /// relation and edge ids — never canonical ones, and never as a panic.
+    pub fn validate(&self) -> Result<(), OptimizeError> {
+        let n = self.node_count;
         for (edge, e) in self.edges.iter().enumerate() {
             let invalid = |reason: String| Err(OptimizeError::InvalidEdge { edge, reason });
             if e.left.is_empty() || e.right.is_empty() {
@@ -178,16 +182,38 @@ impl QuerySpec {
             let sides = [&e.left, &e.right, &e.flex];
             for (i, side) in sides.iter().enumerate() {
                 for &r in side.iter() {
-                    if r >= self.node_count {
+                    if r >= n {
                         return invalid(format!(
-                            "relation {r} is out of range for a query of {} relations",
-                            self.node_count
+                            "relation {r} is out of range for a query of {n} relations"
                         ));
                     }
                     if sides[..i].iter().any(|earlier| earlier.contains(&r)) {
                         return invalid(format!("relation {r} appears on two sides of the edge"));
                     }
                 }
+            }
+        }
+        let invalid = |reason: String| Err(OptimizeError::InvalidCatalog(reason));
+        for (r, (&c, refs)) in self
+            .cardinalities
+            .iter()
+            .zip(&self.lateral_refs)
+            .enumerate()
+        {
+            if !(c.is_finite() && c >= 0.0) {
+                return invalid(format!("relation R{r} has invalid cardinality {c}"));
+            }
+            if let Some(&x) = refs.iter().find(|&&x| x >= n) {
+                return invalid(format!(
+                    "relation R{r} has lateral reference {x}, out of range for a query of {n} \
+                     relations"
+                ));
+            }
+        }
+        for (i, e) in self.edges.iter().enumerate() {
+            let s = e.selectivity;
+            if !(s.is_finite() && s > 0.0 && s <= 1.0) {
+                return invalid(format!("edge e{i} has invalid selectivity {s}"));
             }
         }
         Ok(())
@@ -299,8 +325,8 @@ impl QuerySpecBuilder {
     }
 }
 
-/// The single place encoding the width ladder: validates the spec's edges
-/// ([`QuerySpec::validate_edges`]), instantiates `spec` at the narrowest sufficient node-set
+/// The single place encoding the width ladder: validates the spec ([`QuerySpec::validate`]),
+/// instantiates `spec` at the narrowest sufficient node-set
 /// width and runs the matching continuation (`n ≤ 64` → `narrow`, `n ≤ 128` → `wide`), or
 /// returns [`OptimizeError::TooManyRelations`] beyond [`MAX_WIDE_NODES`]. Every spec-consuming entry point (the exact [`Optimizer`] facade, the
 /// adaptive driver) dispatches through here so a future width tier is added exactly once.
@@ -309,7 +335,7 @@ pub(crate) fn with_width_dispatch<R>(
     narrow: impl FnOnce(&Hypergraph<1>, &Catalog<1>) -> R,
     wide: impl FnOnce(&Hypergraph<2>, &Catalog<2>) -> R,
 ) -> Result<R, OptimizeError> {
-    spec.validate_edges()?;
+    spec.validate()?;
     let n = spec.node_count();
     if n <= NodeSet64::CAPACITY {
         let (graph, catalog) = spec.instantiate::<1>();
@@ -471,6 +497,42 @@ mod tests {
             optimize_spec(&b.build()),
             Err(OptimizeError::InvalidEdge { edge: 0, .. })
         ));
+    }
+
+    #[test]
+    fn malformed_statistics_error_in_the_callers_ids() {
+        let card = |c: f64| {
+            let mut b = QuerySpec::builder(3);
+            b.set_cardinality(2, c);
+            b.add_simple_edge(0, 1, 0.1);
+            b.add_simple_edge(1, 2, 0.1);
+            optimize_spec(&b.build()).unwrap_err().to_string()
+        };
+        assert!(card(f64::NAN).contains("R2 has invalid cardinality NaN"));
+        assert!(card(f64::INFINITY).contains("R2 has invalid cardinality inf"));
+        assert!(card(-1.0).contains("R2 has invalid cardinality -1"));
+
+        for bad in [0.0, -0.5, 1.5, f64::NAN] {
+            let mut b = QuerySpec::builder(3);
+            b.add_simple_edge(0, 1, 0.1);
+            b.add_simple_edge(1, 2, bad);
+            let err = optimize_spec(&b.build()).unwrap_err();
+            assert_eq!(
+                err,
+                OptimizeError::InvalidCatalog(format!("edge e1 has invalid selectivity {bad}"))
+            );
+        }
+
+        let mut b = QuerySpec::builder(3);
+        b.set_lateral_refs(1, &[0, 9]);
+        b.add_simple_edge(0, 1, 0.1);
+        b.add_simple_edge(1, 2, 0.1);
+        let err = optimize_spec(&b.build()).unwrap_err();
+        assert!(matches!(err, OptimizeError::InvalidCatalog(_)), "{err}");
+        assert!(
+            err.to_string().contains("R1 has lateral reference 9"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * in the ablation benchmarks, to relate the runtime of the algorithms to the search-space
 //!   size of the workload.
 //!
-//! Complexity is `O(3^n)`-ish, so they are meant for `n ≲ 18`.
+//! Complexity is `O(3^n)`-ish, so they are meant for `n ≲ 18`. [`ccp_lower_bound`] is the
+//! linear-time exception: a sound lower bound on the ccp count for graphs of any size.
 
 use crate::graph::Hypergraph;
 use qo_bitset::NodeSet;
@@ -95,10 +96,58 @@ pub fn count_ccps<const W: usize>(graph: &Hypergraph<W>) -> usize {
     enumerate_ccps(graph).len()
 }
 
+/// A lower bound on [`count_ccps`] in time linear in the graph size, or `None` when the simple
+/// edges do not connect every relation.
+///
+/// The bound is the exact csg-cmp-pair count of a BFS spanning tree `T` of the simple edges.
+/// In a tree, every connected set `S` splits into two connected halves in exactly `|S| − 1`
+/// ways (cut one of its edges), so `#ccp(T) = Σ_{connected S ⊆ T} (|S| − 1)`. One bottom-up
+/// pass computes the sum: node `v` tracks how many connected sets have `v` as their top node
+/// and their total `|S| − 1`, and merging a child `u` into `v` lets each of `v`'s sets either
+/// stop at `v` or extend by any of `u`'s sets.
+///
+/// `T` is a subgraph of the graph, and adding (hyper)edges never removes a connected set or a
+/// connecting edge, so every ccp of `T` is a ccp of the graph: the bound is sound, and exact on
+/// trees. Arithmetic saturates at `u128::MAX` (a 128-relation star has `127·2^126` pairs).
+pub fn ccp_lower_bound<const W: usize>(graph: &Hypergraph<W>) -> Option<u128> {
+    let n = graph.node_count();
+    let mut parent = vec![0; n];
+    let mut order = vec![0];
+    let mut seen = NodeSet::<W>::single(0);
+    let mut head = 0;
+    while let Some(&v) = order.get(head) {
+        head += 1;
+        for u in graph.simple_neighbors(v) - seen {
+            seen.insert(u);
+            parent[u] = v;
+            order.push(u);
+        }
+    }
+    if order.len() < n {
+        return None;
+    }
+    // Per top node: the number of connected sets, and their total `|S| − 1`.
+    let mut sets = vec![1u128; n];
+    let mut cuts = vec![0u128; n];
+    let mut total = 0u128;
+    // Reverse BFS order finishes every child before its parent.
+    for &u in order.iter().skip(1).rev() {
+        let v = parent[u];
+        let extend = sets[u].saturating_add(1);
+        cuts[v] = cuts[v]
+            .saturating_mul(extend)
+            .saturating_add(sets[v].saturating_mul(cuts[u].saturating_add(sets[u])));
+        sets[v] = sets[v].saturating_mul(extend);
+        total = total.saturating_add(cuts[u]);
+    }
+    Some(total.saturating_add(cuts[0]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Hypergraph;
+    use proptest::prelude::*;
     use qo_bitset::NodeSet;
 
     fn ns(v: &[usize]) -> NodeSet {
@@ -258,5 +307,104 @@ mod tests {
 
     fn graph_connected(g: &Hypergraph, s: NodeSet) -> bool {
         crate::connectivity::is_connected(g, s)
+    }
+
+    #[test]
+    fn lower_bound_matches_the_closed_forms_of_trees() {
+        for n in 1..=128usize {
+            let mut b = Hypergraph::<2>::builder(n);
+            for i in 0..n - 1 {
+                b.add_simple_edge(i, i + 1);
+            }
+            let n = n as u128;
+            assert_eq!(
+                ccp_lower_bound(&b.build()),
+                Some((n.pow(3) - n) / 6),
+                "chain {n}"
+            );
+        }
+        for n in 2..=120usize {
+            let mut b = Hypergraph::<2>::builder(n);
+            for i in 1..n {
+                b.add_simple_edge(0, i);
+            }
+            let expected = (n as u128 - 1) << (n - 2);
+            assert_eq!(ccp_lower_bound(&b.build()), Some(expected), "star {n}");
+        }
+    }
+
+    #[test]
+    fn lower_bound_saturates_on_the_128_relation_star() {
+        let mut b = Hypergraph::<2>::builder(128);
+        for i in 1..128 {
+            b.add_simple_edge(0, i);
+        }
+        // 127 · 2^126 pairs exceed u128::MAX.
+        assert_eq!(ccp_lower_bound(&b.build()), Some(u128::MAX));
+    }
+
+    #[test]
+    fn lower_bound_needs_a_simple_edge_spanning_tree() {
+        // Fig. 2: the hyperedge is the only link between the two halves.
+        let mut b = Hypergraph::<1>::builder(6);
+        b.add_simple_edge(0, 1);
+        b.add_simple_edge(1, 2);
+        b.add_simple_edge(3, 4);
+        b.add_simple_edge(4, 5);
+        b.add_hyperedge(ns(&[0, 1, 2]), ns(&[3, 4, 5]));
+        assert_eq!(ccp_lower_bound(&b.build()), None);
+        assert_eq!(ccp_lower_bound(&chain(1)), Some(0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random trees: relation `i > 0` hangs off a random earlier relation.
+        #[test]
+        fn prop_lower_bound_is_exact_on_trees(
+            n in 1usize..17,
+            parents in proptest::collection::vec(0usize..1024, 16..17),
+        ) {
+            let mut b = Hypergraph::<1>::builder(n);
+            for (i, p) in parents.iter().enumerate().take(n).skip(1) {
+                b.add_simple_edge(p % i, i);
+            }
+            let g = b.build();
+            prop_assert_eq!(ccp_lower_bound(&g), Some(count_ccps(&g) as u128));
+        }
+
+        /// Random connected hypergraphs: a chain skeleton, extra simple edges and up to two
+        /// hyperedges, generated as in DPhyp's oracle property.
+        #[test]
+        fn prop_lower_bound_never_exceeds_the_count(
+            n in 2usize..13,
+            extra_edges in proptest::collection::vec((0usize..12, 0usize..12), 0..6),
+            hyper in proptest::collection::vec(
+                (proptest::collection::btree_set(0usize..12, 1..3),
+                 proptest::collection::btree_set(0usize..12, 1..3)),
+                0..2
+            ),
+        ) {
+            let mut b = Hypergraph::<1>::builder(n);
+            for i in 0..n - 1 {
+                b.add_simple_edge(i, i + 1);
+            }
+            for (a, c) in extra_edges {
+                let (a, c) = (a % n, c % n);
+                if a != c {
+                    b.add_simple_edge(a, c);
+                }
+            }
+            for (u, v) in hyper {
+                let u: NodeSet = u.into_iter().map(|x| x % n).collect();
+                let v: NodeSet = v.into_iter().map(|x| x % n).collect();
+                if !u.is_empty() && !v.is_empty() && u.is_disjoint(v) {
+                    b.add_hyperedge(u, v);
+                }
+            }
+            let g = b.build();
+            let bound = ccp_lower_bound(&g).expect("the chain skeleton spans the graph");
+            prop_assert!(bound <= count_ccps(&g) as u128);
+        }
     }
 }

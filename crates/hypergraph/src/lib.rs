@@ -19,7 +19,8 @@
 //! * connectivity in the sense of Def. 3 ([`connectivity`]),
 //! * a brute-force oracle for connected subgraphs and csg-cmp-pairs ([`count_ccps`] and friends)
 //!   used to validate the enumeration algorithms and to report the theoretical lower bound on
-//!   cost-function calls.
+//!   cost-function calls, plus [`ccp_lower_bound`], a linear-time lower bound on the ccp count
+//!   that lets a budgeted planner skip an enumeration certain to exceed its budget.
 
 mod count;
 mod edge;
@@ -29,7 +30,8 @@ mod neighborhood;
 pub mod connectivity;
 
 pub use count::{
-    count_ccps, count_connected_subgraphs, enumerate_ccps, enumerate_connected_subgraphs,
+    ccp_lower_bound, count_ccps, count_connected_subgraphs, enumerate_ccps,
+    enumerate_connected_subgraphs,
 };
 pub use edge::{EdgeId, Hyperedge};
 pub use graph::{Hypergraph, HypergraphBuilder};

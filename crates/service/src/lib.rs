@@ -470,4 +470,42 @@ mod tests {
         let results = service.plan_batch(&[spec]);
         assert_eq!(results[0].as_ref().unwrap_err(), &err);
     }
+
+    #[test]
+    fn invalid_cardinalities_are_named_in_the_callers_ids() {
+        // Canonicalization renumbers relations by shape; the error must still name R0.
+        let service = Service::default();
+        let mut b = QuerySpec::builder(3);
+        b.set_cardinality(0, f64::NAN);
+        b.set_cardinality(1, 10.0);
+        b.set_cardinality(2, 1e6);
+        b.add_simple_edge(0, 1, 0.1);
+        b.add_simple_edge(1, 2, 0.01);
+        let spec = b.build();
+        let err = service.plan_spec(&spec).unwrap_err();
+        assert_eq!(
+            err,
+            OptimizeError::InvalidCatalog("relation R0 has invalid cardinality NaN".to_string())
+        );
+        assert_eq!(
+            service.cache_stats().lookups(),
+            0,
+            "rejected before the cache"
+        );
+        assert_eq!(service.plan_batch(&[spec])[0].as_ref().unwrap_err(), &err);
+    }
+
+    #[test]
+    fn invalid_selectivities_are_named_in_the_callers_ids() {
+        let service = Service::default();
+        let mut b = QuerySpec::builder(3);
+        b.set_cardinality(0, 1e6);
+        b.add_simple_edge(0, 1, 0.1);
+        b.add_simple_edge(1, 2, 2.0);
+        let err = service.plan_spec(&b.build()).unwrap_err();
+        assert_eq!(
+            err,
+            OptimizeError::InvalidCatalog("edge e1 has invalid selectivity 2".to_string())
+        );
+    }
 }

@@ -30,6 +30,7 @@ pub(crate) struct ServiceMetrics {
     serve_recost_ns: Arc<Histogram>,
     serve_miss_ns: Arc<Histogram>,
     optimizer_exact_ccps: Arc<Counter>,
+    optimizer_exact_skipped: Arc<Counter>,
     optimizer_pruned_pairs: Arc<Counter>,
     optimizer_pruned_classes: Arc<Counter>,
     optimizer_seed_bound_ns: Arc<Histogram>,
@@ -69,6 +70,7 @@ impl ServiceMetrics {
             serve_recost_ns: registry.histogram("qo_serve_recost_ns"),
             serve_miss_ns: registry.histogram("qo_serve_miss_ns"),
             optimizer_exact_ccps: registry.counter("qo_optimizer_exact_ccps_total"),
+            optimizer_exact_skipped: registry.counter("qo_optimizer_exact_skipped_total"),
             optimizer_pruned_pairs: registry.counter("qo_optimizer_pruned_pairs_total"),
             optimizer_pruned_classes: registry.counter("qo_optimizer_pruned_classes_total"),
             optimizer_seed_bound_ns: registry.histogram("qo_optimizer_seed_bound_ns"),
@@ -113,6 +115,9 @@ impl ServiceMetrics {
     pub(crate) fn record_optimize(&self, result: &OptimizeResult) {
         let t = &result.telemetry;
         self.optimizer_exact_ccps.add(t.exact_ccps as u64);
+        if t.exact_skipped {
+            self.optimizer_exact_skipped.inc();
+        }
         self.optimizer_pruned_pairs.add(t.pruned_pairs as u64);
         self.optimizer_pruned_classes.add(t.pruned_classes as u64);
         if t.seed_bound_time > Duration::ZERO {
@@ -222,6 +227,10 @@ const HELP: &[(&str, &str)] = &[
     (
         "qo_optimizer_exact_ccps_total",
         "Csg-cmp-pairs processed by the exact DPhyp tier across cold optimizations.",
+    ),
+    (
+        "qo_optimizer_exact_skipped_total",
+        "Cold optimizations whose exact tier was skipped: its ccp lower bound exceeded the budget.",
     ),
     (
         "qo_optimizer_plans_exact_total",

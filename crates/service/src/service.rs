@@ -312,8 +312,8 @@ impl Service {
     /// The shared batch machinery: work-stealing over shape groups (see [`Service::plan_batch`]
     /// for the determinism argument). Validation and canonicalization happen once per item, up
     /// front — the grouping needs the shape hash anyway, and the workers serve the prepared
-    /// canonical form directly. An item with a malformed edge is answered with its error and
-    /// joins no group.
+    /// canonical form directly. A malformed item ([`QuerySpec::validate`]) is answered with its
+    /// error and joins no group.
     fn batch_with<T: Sync>(
         &self,
         items: &[T],
@@ -323,7 +323,7 @@ impl Service {
             .iter()
             .map(|item| {
                 let (spec, adaptive) = prepare(item);
-                spec.validate_edges()?;
+                spec.validate()?;
                 Ok((canonicalize(spec), adaptive))
             })
             .collect();
@@ -376,14 +376,15 @@ impl Service {
             .collect()
     }
 
-    /// The serving pipeline for one spec under explicit adaptive options. A malformed edge
-    /// ([`QuerySpec::validate_edges`]) is an error before anything else runs.
+    /// The serving pipeline for one spec under explicit adaptive options. A malformed spec
+    /// ([`QuerySpec::validate`]) is an error before anything else runs, named in the caller's
+    /// relation and edge ids.
     pub fn plan_spec_with(
         &self,
         spec: &QuerySpec,
         adaptive: AdaptiveOptions,
     ) -> Result<ServedPlan, OptimizeError> {
-        spec.validate_edges()?;
+        spec.validate()?;
         self.serve(&canonicalize(spec), adaptive)
     }
 

@@ -2,8 +2,10 @@
 //!
 //! A 96-relation star has `95·2^94 ≈ 10^30` csg-cmp-pairs — no exact enumerator will ever
 //! finish it. The adaptive driver handles it anyway: exact DPhyp runs under a budget and the
-//! driver degrades to IDP-k and greedy ordering when the budget is exhausted. This example
-//! optimizes the same star under three budgets and prints which tier answered.
+//! driver degrades to IDP-k and greedy ordering when the budget is exhausted — or, as for
+//! this star, before enumerating at all, when a lower bound on the pair count already exceeds
+//! the budget (`exact ccps` then reads 0). This example optimizes the same star under three
+//! budgets and prints which tier answered.
 //!
 //! ```text
 //! cargo run --release --example adaptive_budget

@@ -1,10 +1,15 @@
 //! Cross-crate integration tests of the adaptive optimization driver: the budget boundary, the
-//! tier ladder (exact → IDP → greedy), and the 96-relation star that motivated it.
+//! tier ladder (exact → IDP → greedy), skipping a doomed exact tier, and the 96-relation star
+//! that motivated it.
 
 use dphyp::{
-    optimize_adaptive, optimize_spec, AdaptiveOptimizer, AdaptiveOptions, PlanTier, QuerySpec,
+    optimize_adaptive, optimize_spec, AdaptiveOptimizer, AdaptiveOptions, CostModel, CostModelKind,
+    CoutCost, DpHyp, MixedCost, OptimizeResult, PlanTier, QuerySpec,
 };
-use qo_workloads::{chain_spec, huge_star_spec, star_spec};
+use qo_baselines::{goo, idp_with_strategy};
+use qo_catalog::{BudgetedHandler, CountingHandler};
+use qo_workloads::corpus::corpus;
+use qo_workloads::{chain_spec, clique_spec, cycle_spec, huge_star_spec, star_spec};
 
 const SEED: u64 = 2008;
 
@@ -49,8 +54,9 @@ fn budget_exactly_equal_to_the_true_ccp_count_stays_exact() {
 
     let one_short = with_budget(true_ccps - 1).optimize_spec(&spec).unwrap();
     assert_ne!(one_short.tier, PlanTier::Exact);
-    assert!(one_short.telemetry.exact_aborted);
-    assert_eq!(one_short.telemetry.exact_ccps, true_ccps - 1);
+    // A star is its own spanning tree: the lower bound is the true count, one over budget.
+    assert!(one_short.telemetry.exact_skipped && one_short.telemetry.exact_aborted);
+    assert_eq!(one_short.telemetry.exact_ccps, 0);
     // The fallback still covers every relation.
     assert_eq!(one_short.plan.scan_count(), 11);
 }
@@ -75,9 +81,9 @@ fn zero_and_one_budgets_return_valid_greedy_plans() {
 fn the_96_relation_star_plans_without_manual_algorithm_selection() {
     // PR 2's wall: 95·2^94 csg-cmp-pairs make the 96-star structurally out of reach of exact
     // DP, and the harness had to route it to GOO by hand. The adaptive driver now absorbs it
-    // through the same QuerySpec entry point as every other query. A reduced budget keeps the
-    // debug-mode test fast while exercising the identical abort + fallback path as the default
-    // budget (the release-mode reproduce harness runs the default-budget version).
+    // through the same QuerySpec entry point as every other query. Its spanning-tree lower
+    // bound is the true count, far over any budget, so the driver skips the exact tier and
+    // goes straight to IDP (the release-mode reproduce harness runs the default budget).
     let spec = huge_star_spec(SEED);
     assert_eq!(spec.node_count(), 96);
     let r = with_budget(20_000).optimize_spec(&spec).expect("plannable");
@@ -85,8 +91,11 @@ fn the_96_relation_star_plans_without_manual_algorithm_selection() {
     assert_eq!(r.tier, PlanTier::Idp);
     assert_eq!(r.plan.scan_count(), 96);
     assert_eq!(r.plan.join_count(), 95);
-    assert!(r.telemetry.exact_aborted);
-    assert_eq!(r.telemetry.exact_ccps, 20_000, "budget was honored exactly");
+    assert!(r.telemetry.exact_skipped && r.telemetry.exact_aborted);
+    assert_eq!(
+        r.telemetry.exact_ccps, 0,
+        "not one pair of a doomed enumeration"
+    );
     assert!(r.telemetry.idp_k >= 2);
 }
 
@@ -101,7 +110,8 @@ fn default_budget_enforces_a_hard_ceiling_on_enumeration_work() {
 
     let star = optimize_adaptive(&star_spec(24, SEED)).unwrap();
     assert_ne!(star.tier, PlanTier::Exact, "star-25 has ~100M pairs");
-    assert_eq!(star.telemetry.exact_ccps, defaults.ccp_budget);
+    assert!(star.telemetry.exact_skipped && star.telemetry.exact_aborted);
+    assert_eq!(star.telemetry.exact_ccps, 0);
     assert_eq!(star.plan.scan_count(), 25);
 }
 
@@ -149,4 +159,105 @@ fn handcrafted_specs_and_generated_specs_behave_identically() {
     let r = with_budget(5_000).optimize_spec(&spec).unwrap();
     assert_eq!(r.tier, PlanTier::Idp);
     assert_eq!(r.plan.scan_count(), 20);
+}
+
+#[test]
+fn a_bound_under_the_budget_still_aborts_inside_the_enumeration() {
+    // clique-8: the spanning tree (a star) has 7·2^6 = 448 pairs, the clique 3025. The bound
+    // cannot rule the exact tier out at a budget of 1000, so the budgeted handler aborts on
+    // the 1001st pair.
+    let r = with_budget(1_000)
+        .optimize_spec(&clique_spec(8, SEED))
+        .unwrap();
+    assert_ne!(r.tier, PlanTier::Exact);
+    assert!(r.telemetry.exact_aborted);
+    assert!(!r.telemetry.exact_skipped);
+    assert_eq!(r.telemetry.exact_ccps, 1_000);
+}
+
+/// The plan a skipped exact tier hands back must be the one an aborted enumeration would
+/// have reached: the exact tier really is over budget, and the fallback is the driver's IDP
+/// run (or GOO when no IDP block fits), bit for bit.
+fn assert_skip_is_sound<const W: usize>(
+    name: &str,
+    spec: &QuerySpec,
+    options: &AdaptiveOptions,
+    r: &OptimizeResult,
+) {
+    let (graph, catalog) = spec.instantiate::<W>();
+    let mut handler = BudgetedHandler::new(CountingHandler::new(), options.ccp_budget);
+    let _ = DpHyp::new(&graph, &mut handler).run();
+    assert!(
+        handler.aborted(),
+        "{name}: a skipped exact tier must be over budget"
+    );
+    let model: &dyn CostModel<W> = match options.cost_model {
+        CostModelKind::Cout => &CoutCost,
+        CostModelKind::Mixed => &MixedCost,
+    };
+    let k = r.telemetry.idp_k;
+    let expected = match r.tier {
+        PlanTier::Idp => idp_with_strategy(&graph, &catalog, model, k, options.idp_strategy),
+        _ => goo(&graph, &catalog, model),
+    }
+    .expect("the fallback plans");
+    assert_eq!(r.plan, expected.plan, "{name}: plan");
+    assert_eq!(r.cost.to_bits(), expected.cost.to_bits(), "{name}: cost");
+}
+
+/// Plans `spec`; when the exact tier was skipped, checks the skip and returns `true`.
+fn check_skip(name: &str, spec: &QuerySpec, options: AdaptiveOptions) -> bool {
+    let r = AdaptiveOptimizer::new(options)
+        .optimize_spec(spec)
+        .expect("plannable");
+    if !r.telemetry.exact_skipped {
+        return false;
+    }
+    assert!(r.telemetry.exact_aborted, "{name}");
+    assert_eq!(r.telemetry.exact_ccps, 0, "{name}");
+    assert_ne!(r.tier, PlanTier::Exact, "{name}");
+    if spec.node_count() <= 64 {
+        assert_skip_is_sound::<1>(name, spec, &options, &r);
+    } else {
+        assert_skip_is_sound::<2>(name, spec, &options, &r);
+    }
+    true
+}
+
+#[test]
+fn skipping_the_exact_tier_never_changes_a_plan() {
+    let mut skipped = Vec::new();
+    for q in corpus() {
+        if check_skip(&q.name, &q.spec, q.adaptive_options()) {
+            skipped.push(q.name.clone());
+        }
+    }
+    skipped.sort();
+    assert_eq!(
+        skipped,
+        ["dsb_grand_25", "dsb_snow_34", "dsb_wide_72", "job_syn_28"],
+        "exactly the IDP-tier corpus queries are skipped"
+    );
+
+    let shapes = [
+        ("star-21", star_spec(20, SEED)),
+        ("chain-20", chain_spec(20, SEED)),
+        ("cycle-16", cycle_spec(16, SEED)),
+        ("clique-10", clique_spec(10, SEED)),
+    ];
+    let default_budget = AdaptiveOptions::default().ccp_budget;
+    let mut skips = 0;
+    for (name, spec) in &shapes {
+        for budget in [10, 1_000, 10_000, default_budget] {
+            let options = AdaptiveOptions {
+                ccp_budget: budget,
+                ..Default::default()
+            };
+            skips += usize::from(check_skip(&format!("{name}/{budget}"), spec, options));
+        }
+    }
+    assert!(
+        skips >= 8,
+        "the synthetic shapes exercise the skip ({skips} skips)"
+    );
 }

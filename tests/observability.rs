@@ -12,7 +12,7 @@
 //!   `CacheStats` through the unified registry, and the Prometheus rendering has a stable
 //!   shape from the first serve (everything is pre-registered), pinned by a golden prefix.
 
-use dphyp::AdaptiveOptions;
+use dphyp::{AdaptiveOptions, PlanTier};
 use qo_obsv::{RecordingSink, Span};
 use qo_service::{PlanSource, Service};
 use qo_workloads::corpus::{corpus, corpus_query};
@@ -158,6 +158,25 @@ fn metrics_snapshot_unifies_cache_stats_and_serve_latencies() {
         .expect("pre-registered");
     assert!(ccps > 0, "the cold miss enumerated csg-cmp-pairs");
     assert_eq!(snap.counter("qo_optimizer_plans_exact_total"), Some(1));
+    assert_eq!(snap.counter("qo_optimizer_exact_skipped_total"), Some(0));
+}
+
+/// A query whose exact tier is skipped by the ccp lower bound counts as skipped, adds no
+/// csg-cmp-pairs, and its trace has no `enumerate` span.
+#[test]
+fn skipped_exact_tiers_are_counted_and_leave_no_enumerate_span() {
+    let service = Service::default();
+    let q = corpus_query("job_syn_28").expect("corpus query exists");
+    let sink = Arc::new(RecordingSink::new());
+    let served = qo_obsv::with_sink(sink.clone(), || service.plan_ingest(&q)).expect("plannable");
+    assert_eq!(served.tier, PlanTier::Idp);
+    let trace = sink.trace();
+    assert_eq!(trace.phase_count("enumerate"), 0, "{:?}", trace.spans);
+    assert!(trace.phase_count("idp") > 0);
+    let snap = service.metrics_snapshot();
+    assert_eq!(snap.counter("qo_optimizer_exact_skipped_total"), Some(1));
+    assert_eq!(snap.counter("qo_optimizer_exact_ccps_total"), Some(0));
+    assert_eq!(snap.counter("qo_optimizer_plans_idp_total"), Some(1));
 }
 
 /// The Prometheus rendering's shape is stable from the first snapshot on: every metric is
@@ -191,6 +210,7 @@ qo_cache_shape_hits_total 0
     );
     for name in [
         "qo_optimizer_exact_ccps_total",
+        "qo_optimizer_exact_skipped_total",
         "qo_optimizer_plans_exact_total",
         "qo_regret_cycles_total",
         "qo_regret_pins_total",

@@ -44,8 +44,8 @@ impl Counter {
     }
 
     /// Overwrites the value. Reserved for *view synchronization* — mirroring an external
-    /// monotone total (e.g. the service's `CacheStats` hit counts) into the registry at
-    /// snapshot time — not for hot-path use.
+    /// monotone total (e.g. the plan service's sampler admission counts or its regret
+    /// ledger's pin count) into the registry at snapshot time — not for hot-path use.
     pub fn store(&self, value: u64) {
         self.0.store(value, Ordering::Relaxed);
     }

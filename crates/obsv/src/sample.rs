@@ -117,7 +117,9 @@ pub struct SampledTrace {
     pub trace_id: u64,
     /// The serve's sequence number.
     pub seq: u64,
-    /// End-to-end serve latency in nanoseconds.
+    /// Serve latency in nanoseconds, as the caller measured it and passed to
+    /// [`SamplingSink::finish_serve`]. The plan service times from sampler admission (after
+    /// canonicalization) to its cache path's answer.
     pub latency_ns: u64,
     /// Why the serve was traced.
     pub trigger: SampleTrigger,

@@ -25,7 +25,6 @@ use qo_plan::PlanNode;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Sizing of the plan cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,12 +92,13 @@ pub(crate) enum Lookup {
 
 /// Aggregated telemetry of the plan cache (all counters since construction).
 ///
-/// Latency totals are wall-clock sums per outcome of fingerprint, lookup and the outcome's work
-/// (clone / re-cost / full optimization). They **exclude canonicalization**, which the entry
-/// points run before the clock starts, and the serve shell around it (sampling, regret pinning,
-/// flight recording). On a warm hit canonicalization is the largest layer, so
-/// [`avg_hit_ns`](Self::avg_hit_ns) sits well below the end-to-end latency a caller measures
-/// around `Service::plan_spec`.
+/// A view over the service's metrics registry, built by `Service::cache_stats`: the outcome
+/// counts are the live `qo_cache_*_total` counters, and the latency totals are the sums of the
+/// matching `qo_serve_*_ns` histograms. Each serve is timed by one clock, from sampler
+/// admission (after canonicalization) to the cache path's answer; it excludes
+/// canonicalization, regret pinning and flight recording. On a warm hit canonicalization is
+/// the largest layer, so [`avg_hit_ns`](Self::avg_hit_ns) sits well below the end-to-end
+/// latency a caller measures around `Service::plan_spec`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Full hits (plan served from cache unchanged).
@@ -128,21 +128,6 @@ impl CacheStats {
         self.hits + self.shape_hits + self.recost_fallbacks + self.misses
     }
 
-    /// Total time spent serving full hits.
-    pub fn hit_time(&self) -> Duration {
-        Duration::from_nanos(self.hit_ns)
-    }
-
-    /// Total time spent serving accepted re-costs.
-    pub fn recost_time(&self) -> Duration {
-        Duration::from_nanos(self.recost_ns)
-    }
-
-    /// Total time spent serving misses (including re-cost fallbacks).
-    pub fn miss_time(&self) -> Duration {
-        Duration::from_nanos(self.miss_ns)
-    }
-
     /// Count-weighted mean latency of a full hit, in nanoseconds (`hit_ns / hits`; 0 before
     /// the first hit). The raw totals stay available for callers aggregating across
     /// snapshots — dividing per snapshot and averaging the quotients would weight windows,
@@ -167,18 +152,6 @@ impl CacheStats {
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    hits: AtomicU64,
-    shape_hits: AtomicU64,
-    recost_fallbacks: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    hit_ns: AtomicU64,
-    recost_ns: AtomicU64,
-    miss_ns: AtomicU64,
-}
-
 /// One statistics variant inside a shape bucket.
 struct Slot {
     entry: Entry,
@@ -193,7 +166,6 @@ pub(crate) struct PlanCache {
     shard_capacity: usize,
     variants_per_shape: usize,
     tick: AtomicU64,
-    counters: Counters,
 }
 
 impl PlanCache {
@@ -204,7 +176,6 @@ impl PlanCache {
             shard_capacity: options.capacity.div_ceil(shards).max(1),
             variants_per_shape: options.variants_per_shape.max(1),
             tick: AtomicU64::new(0),
-            counters: Counters::default(),
         }
     }
 
@@ -216,8 +187,8 @@ impl PlanCache {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Looks up a canonicalized query. Outcome counters are recorded by the caller (which
-    /// knows how a `Shape` outcome resolved), not here.
+    /// Looks up a canonicalized query. The caller records the outcome (it knows how a `Shape`
+    /// outcome resolved).
     ///
     /// An exact variant (same options, same stats, same spec) is a [`Lookup::Hit`]; otherwise
     /// the most recently used same-options variant with the same skeleton seeds a
@@ -265,7 +236,8 @@ impl PlanCache {
     /// Inserts a statistics variant for a shape: replaces the variant with the same stats key
     /// (the refreshed epoch of one logical query), otherwise appends — evicting the
     /// least-recently-used variant of the bucket, then of the shard, when caps are exceeded.
-    pub(crate) fn insert(&self, shape: u64, entry: Entry) {
+    /// Returns the number of entries evicted.
+    pub(crate) fn insert(&self, shape: u64, entry: Entry) -> u64 {
         let tick = self.next_tick();
         let mut shard = self.shard(shape).lock().expect("cache shard poisoned");
         let bucket = shard.entry(shape).or_default();
@@ -279,8 +251,9 @@ impl PlanCache {
                 && same_shape(&s.entry.spec, &slot.entry.spec)
         }) {
             *existing = slot;
-            return;
+            return 0;
         }
+        let mut evicted = 0;
         bucket.push(slot);
         if bucket.len() > self.variants_per_shape {
             if let Some(oldest) = bucket
@@ -290,7 +263,7 @@ impl PlanCache {
                 .map(|(i, _)| i)
             {
                 bucket.swap_remove(oldest);
-                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+                evicted += 1;
             }
         }
         // Shard-level capacity: evict the globally least-recent slot of this shard.
@@ -313,44 +286,14 @@ impl PlanCache {
             if bucket.is_empty() {
                 shard.remove(&victim_shape);
             }
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+            evicted += 1;
         }
+        evicted
     }
 
-    pub(crate) fn record_hit(&self, elapsed: Duration) {
-        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .hit_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_shape_hit(&self, elapsed: Duration) {
-        self.counters.shape_hits.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .recost_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_recost_fallback(&self, elapsed: Duration) {
-        self.counters
-            .recost_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .miss_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_miss(&self, elapsed: Duration) {
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .miss_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough snapshot of the counters (relaxed loads; exact when quiescent).
-    pub(crate) fn stats(&self) -> CacheStats {
-        let entries = self
-            .shards
+    /// Plans currently cached (locks each shard in turn; exact when quiescent).
+    pub(crate) fn len(&self) -> u64 {
+        self.shards
             .iter()
             .map(|s| {
                 s.lock()
@@ -359,18 +302,6 @@ impl PlanCache {
                     .map(|b| b.len() as u64)
                     .sum::<u64>()
             })
-            .sum();
-        let c = &self.counters;
-        CacheStats {
-            hits: c.hits.load(Ordering::Relaxed),
-            shape_hits: c.shape_hits.load(Ordering::Relaxed),
-            recost_fallbacks: c.recost_fallbacks.load(Ordering::Relaxed),
-            misses: c.misses.load(Ordering::Relaxed),
-            evictions: c.evictions.load(Ordering::Relaxed),
-            entries,
-            hit_ns: c.hit_ns.load(Ordering::Relaxed),
-            recost_ns: c.recost_ns.load(Ordering::Relaxed),
-            miss_ns: c.miss_ns.load(Ordering::Relaxed),
-        }
+            .sum()
     }
 }

@@ -28,7 +28,9 @@ pub struct ServeRecord {
     pub tier: PlanTier,
     /// Which serving path answered (hit / re-cost / miss / re-cost fallback).
     pub source: PlanSource,
-    /// End-to-end serve latency in nanoseconds.
+    /// Serve latency in nanoseconds: the serve's one clock, from sampler admission (after
+    /// canonicalization) to the cache path's answer. Regret pinning and flight recording
+    /// are excluded. The same reading feeds the `qo_serve_*_ns` histograms.
     pub latency_ns: u64,
     /// The served plan's modeled cost.
     pub cost: f64,

@@ -28,7 +28,9 @@
 //!   canonical hypergraph shape, with the statistics (and cost model) digested separately —
 //!   so "same query, new stats" is distinguishable from "new query" by construction.
 //! * **Plan cache** ([`CacheStats`], [`CacheOptions`]): sharded and thread-safe; lookups lock
-//!   one shard briefly, optimizations never hold a lock. LRU eviction per shard.
+//!   one shard briefly, optimizations never hold a lock. LRU eviction per shard. The cache
+//!   keeps no counters: each serve is recorded once in the metrics registry, and
+//!   [`CacheStats`] is a view over it.
 //! * **Incremental re-optimization**: on a stats-only change the cached plan table is
 //!   re-costed bottom-up ([`dphyp::recost_spec`]) instead of re-enumerating csg-cmp-pairs —
 //!   bit-identical to a from-scratch optimization that picks the same join order — and a

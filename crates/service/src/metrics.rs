@@ -1,22 +1,23 @@
 //! The service's metrics registry: one place where the stack's scattered telemetry —
-//! [`CacheStats`], `BudgetTelemetry`, sampler counters, the regret
+//! serve outcomes, `BudgetTelemetry`, sampler counters, the regret
 //! ledger — unifies into named counters, gauges and latency histograms.
 //!
 //! Naming scheme: `qo_<subsystem>_<quantity>[_<unit|total>]`. Counters end in `_total`,
 //! latency histograms in `_ns` (log2-bucketed nanoseconds, integer-only on the hot path).
-//! Subsystems: `cache` (plan-cache outcomes, view-synced from [`CacheStats`] at snapshot
-//! time), `serve` (end-to-end per-path latencies recorded live, plus sampler admission
-//! counters), `optimizer` (budget and pruning telemetry accumulated across cold-path
-//! optimizations), `trace` (sampled-recording ring
-//! eviction), and `regret` (per-shape true-cost regret, view-synced from the
-//! [`RegretLedger`] — including one labeled series per observed shape,
+//! Subsystems: `cache` (plan-cache outcome and eviction counters recorded live, once per
+//! serve; [`CacheStats`] is a view over them and the `serve` histogram sums), `serve`
+//! (per-path serve latencies recorded live, plus sampler admission counters), `optimizer`
+//! (budget and pruning telemetry accumulated across cold-path optimizations), `trace`
+//! (sampled-recording ring eviction), and `regret` (per-shape true-cost regret, view-synced
+//! from the [`RegretLedger`] — including one labeled series per observed shape,
 //! `qo_regret_last{shape="…"}` / `qo_regret_cumulative{shape="…"}`).
 
 use crate::cache::CacheStats;
 use crate::regret::RegretLedger;
+use crate::service::PlanSource;
 use dphyp::OptimizeResult;
 use dphyp::PlanTier;
-use qo_obsv::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, SamplerStats};
+use qo_obsv::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, SamplerStats};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,6 +27,12 @@ use std::time::Duration;
 /// shape; only the per-shape regret series appear dynamically, as shapes are observed.
 pub(crate) struct ServiceMetrics {
     registry: MetricsRegistry,
+    cache_hits: Arc<Counter>,
+    cache_shape_hits: Arc<Counter>,
+    cache_recost_fallbacks: Arc<Counter>,
+    cache_misses: Arc<Counter>,
+    cache_evictions: Arc<Counter>,
+    cache_entries: Arc<Gauge>,
     serve_hit_ns: Arc<Histogram>,
     serve_recost_ns: Arc<Histogram>,
     serve_miss_ns: Arc<Histogram>,
@@ -44,14 +51,9 @@ pub(crate) struct ServiceMetrics {
 impl ServiceMetrics {
     pub(crate) fn new() -> ServiceMetrics {
         let registry = MetricsRegistry::new();
-        // Cache counters exist from the start too, even though their values are view-synced
-        // from `CacheStats` only at snapshot time.
+        // View-synced series exist from the start too, even though their values are set only
+        // at snapshot time.
         for name in [
-            "qo_cache_evictions_total",
-            "qo_cache_hits_total",
-            "qo_cache_misses_total",
-            "qo_cache_recost_fallbacks_total",
-            "qo_cache_shape_hits_total",
             "qo_regret_cycles_total",
             "qo_regret_pins_total",
             "qo_serve_sampled_total",
@@ -59,13 +61,19 @@ impl ServiceMetrics {
         ] {
             registry.counter(name);
         }
-        for name in ["qo_cache_entries", "qo_regret_shapes", "qo_regret_total"] {
+        for name in ["qo_regret_shapes", "qo_regret_total"] {
             registry.gauge(name);
         }
         for (family, help) in HELP {
             registry.describe(family, help);
         }
         ServiceMetrics {
+            cache_hits: registry.counter("qo_cache_hits_total"),
+            cache_shape_hits: registry.counter("qo_cache_shape_hits_total"),
+            cache_recost_fallbacks: registry.counter("qo_cache_recost_fallbacks_total"),
+            cache_misses: registry.counter("qo_cache_misses_total"),
+            cache_evictions: registry.counter("qo_cache_evictions_total"),
+            cache_entries: registry.gauge("qo_cache_entries"),
             serve_hit_ns: registry.histogram("qo_serve_hit_ns"),
             serve_recost_ns: registry.histogram("qo_serve_recost_ns"),
             serve_miss_ns: registry.histogram("qo_serve_miss_ns"),
@@ -83,20 +91,43 @@ impl ServiceMetrics {
         }
     }
 
-    /// A full-hit serve completed in `elapsed`.
-    pub(crate) fn observe_hit(&self, elapsed: Duration) {
-        self.serve_hit_ns.observe(elapsed.as_nanos() as u64);
+    /// Records one answered serve, once: the outcome counter of the cache path that answered
+    /// it and that path's latency histogram. Misses and re-cost fallbacks both run the full
+    /// optimizer and share `qo_serve_miss_ns`. `source` is the cache path's, taken before
+    /// regret pinning can replace it.
+    pub(crate) fn record_serve(&self, source: PlanSource, latency_ns: u64) {
+        let (outcome, latency) = match source {
+            PlanSource::CacheHit => (&self.cache_hits, &self.serve_hit_ns),
+            PlanSource::Recost => (&self.cache_shape_hits, &self.serve_recost_ns),
+            PlanSource::RecostFallback => (&self.cache_recost_fallbacks, &self.serve_miss_ns),
+            PlanSource::Miss => (&self.cache_misses, &self.serve_miss_ns),
+            PlanSource::Pinned => unreachable!("the cache path never answers `Pinned`"),
+        };
+        outcome.inc();
+        latency.observe(latency_ns);
     }
 
-    /// An accepted-re-cost serve completed in `elapsed`.
-    pub(crate) fn observe_recost(&self, elapsed: Duration) {
-        self.serve_recost_ns.observe(elapsed.as_nanos() as u64);
+    /// A cache insert evicted `evicted` entries.
+    pub(crate) fn record_evictions(&self, evicted: u64) {
+        if evicted > 0 {
+            self.cache_evictions.add(evicted);
+        }
     }
 
-    /// A full-optimization serve (miss or re-cost fallback — the pooling mirrors
-    /// [`CacheStats::miss_ns`]) completed in `elapsed`.
-    pub(crate) fn observe_miss(&self, elapsed: Duration) {
-        self.serve_miss_ns.observe(elapsed.as_nanos() as u64);
+    /// The [`CacheStats`] view: outcome counters plus latency-histogram sums, with `entries`
+    /// (the cache's own shard scan) alongside.
+    pub(crate) fn cache_stats(&self, entries: u64) -> CacheStats {
+        CacheStats {
+            hits: self.cache_hits.get(),
+            shape_hits: self.cache_shape_hits.get(),
+            recost_fallbacks: self.cache_recost_fallbacks.get(),
+            misses: self.cache_misses.get(),
+            evictions: self.cache_evictions.get(),
+            entries,
+            hit_ns: self.serve_hit_ns.sum(),
+            recost_ns: self.serve_recost_ns.sum(),
+            miss_ns: self.serve_miss_ns.sum(),
+        }
     }
 
     /// A bounded trace recording evicted `spans` spans and `events` events — silent ring
@@ -134,32 +165,17 @@ impl ServiceMetrics {
         }
     }
 
-    /// View-syncs the cache counters from `stats`, the sampler admission counters from
-    /// `sampler`, and the regret gauges (aggregate and one labeled series per observed
-    /// shape) from `regret`, then snapshots the whole registry. Regret values are `C_out`
-    /// cardinality sums; they are rendered rounded to integer gauges.
+    /// Sets the `qo_cache_entries` gauge to `cache_entries`, view-syncs the sampler
+    /// admission counters from `sampler` and the regret gauges (aggregate and one labeled
+    /// series per observed shape) from `regret`, then snapshots the whole registry. Regret
+    /// values are `C_out` cardinality sums; they are rendered rounded to integer gauges.
     pub(crate) fn snapshot(
         &self,
-        stats: CacheStats,
+        cache_entries: u64,
         sampler: SamplerStats,
         regret: &RegretLedger,
     ) -> MetricsSnapshot {
-        self.registry
-            .counter("qo_cache_evictions_total")
-            .store(stats.evictions);
-        self.registry
-            .counter("qo_cache_hits_total")
-            .store(stats.hits);
-        self.registry
-            .counter("qo_cache_misses_total")
-            .store(stats.misses);
-        self.registry
-            .counter("qo_cache_recost_fallbacks_total")
-            .store(stats.recost_fallbacks);
-        self.registry
-            .counter("qo_cache_shape_hits_total")
-            .store(stats.shape_hits);
-        self.registry.gauge("qo_cache_entries").set(stats.entries);
+        self.cache_entries.set(cache_entries);
         self.registry
             .counter("qo_serve_sampled_total")
             .store(sampler.sampled);
@@ -280,14 +296,17 @@ const HELP: &[(&str, &str)] = &[
         "qo_regret_total",
         "Cumulative true-cost regret summed over all shapes.",
     ),
-    ("qo_serve_hit_ns", "End-to-end latency of cache-hit serves."),
+    (
+        "qo_serve_hit_ns",
+        "Latency of cache-hit serves, from sampler admission to the cache path's answer.",
+    ),
     (
         "qo_serve_miss_ns",
-        "End-to-end latency of full-optimization serves (miss or re-cost fallback).",
+        "Latency of full-optimization serves (miss or re-cost fallback), from sampler admission to the cache path's answer.",
     ),
     (
         "qo_serve_recost_ns",
-        "End-to-end latency of accepted re-cost serves.",
+        "Latency of accepted re-cost serves, from sampler admission to the cache path's answer.",
     ),
     (
         "qo_serve_sampled_total",

@@ -200,9 +200,10 @@ impl Service {
         &self.options
     }
 
-    /// Cache telemetry: hits, shape hits (re-costs), misses, evictions, per-path latencies.
+    /// Cache telemetry: hits, shape hits (re-costs), misses, evictions, per-path latencies —
+    /// a view over the metrics registry's `qo_cache_*` counters and `qo_serve_*_ns` sums.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.metrics.cache_stats(self.cache.len())
     }
 
     /// The always-on trace sampler: exemplar span trees of the 1-in-N sampled serves (plus
@@ -243,14 +244,15 @@ impl Service {
         )
     }
 
-    /// A point-in-time copy of the unified metrics registry: cache outcome counters
-    /// (view-synced from [`CacheStats`]), per-path serve latency histograms, the
-    /// optimizer telemetry accumulated across cold-path optimizations, trace-ring
-    /// eviction counters, sampler admission counters, and the regret ledger's per-shape
-    /// gauges. Render it with [`MetricsSnapshot::render_prometheus`].
+    /// A point-in-time copy of the unified metrics registry: cache outcome and eviction
+    /// counters with their per-path serve latency histograms (each serve recorded once; the
+    /// same values [`Service::cache_stats`] reads), the cache's entry gauge, the optimizer
+    /// telemetry accumulated across cold-path optimizations, trace-ring eviction counters,
+    /// sampler admission counters, and the regret ledger's per-shape gauges. Render it with
+    /// [`MetricsSnapshot::render_prometheus`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics
-            .snapshot(self.cache.stats(), self.sampler.stats(), &self.regret)
+            .snapshot(self.cache.len(), self.sampler.stats(), &self.regret)
     }
 
     /// [`Service::metrics_snapshot`] rendered in the Prometheus text exposition format.
@@ -421,6 +423,11 @@ impl Service {
     /// 1-in-N, teeing into any ambient sink), [`serve_inner`](Self::serve_inner) does the
     /// actual work, and the completed serve lands in the flight recorder. The unsampled
     /// path adds two relaxed atomics and one ring push — sampling never changes the answer.
+    ///
+    /// One clock times the serve, from sampler admission to the cache path's answer (regret
+    /// pinning and flight recording excluded). Its reading feeds the sampler, the outcome's
+    /// counter and histogram — recorded once, under the cache path's source — and the flight
+    /// record.
     fn serve(
         &self,
         canonical: &CanonicalQuery,
@@ -448,6 +455,7 @@ impl Service {
                 .record_trace_drops(o.dropped_spans, o.dropped_events);
         }
         result.map(|mut served| {
+            self.metrics.record_serve(served.source, latency_ns);
             served.serve_seq = seq;
             served.trace_id = outcome.map(|o| o.trace_id);
             served.order_digest = served.plan.order_digest();
@@ -487,7 +495,6 @@ impl Service {
         adaptive: AdaptiveOptions,
     ) -> Result<ServedPlan, OptimizeError> {
         let _span = Span::enter("serve");
-        let start = Instant::now();
         let fp = Fingerprint::of(canonical);
         let opts_key = options_key(&adaptive);
 
@@ -510,9 +517,6 @@ impl Service {
                     order_digest: 0,
                     layout: 0,
                 };
-                let elapsed = start.elapsed();
-                self.cache.record_hit(elapsed);
-                self.metrics.observe_hit(elapsed);
                 Ok(served)
             }
             Lookup::Shape { table, tier } => {
@@ -530,7 +534,7 @@ impl Service {
                             order_digest: 0,
                             layout: 0,
                         };
-                        self.cache.insert(
+                        let evicted = self.cache.insert(
                             fp.shape,
                             Entry {
                                 spec: canonical.spec.clone(),
@@ -543,28 +547,17 @@ impl Service {
                                 tier,
                             },
                         );
-                        let elapsed = start.elapsed();
-                        self.cache.record_shape_hit(elapsed);
-                        self.metrics.observe_recost(elapsed);
+                        self.metrics.record_evictions(evicted);
                         return Ok(served);
                     }
                 }
                 let served = self.optimize_and_insert(canonical, fp, opts_key, adaptive)?;
-                let elapsed = start.elapsed();
-                self.cache.record_recost_fallback(elapsed);
-                self.metrics.observe_miss(elapsed);
                 Ok(ServedPlan {
                     source: PlanSource::RecostFallback,
                     ..served
                 })
             }
-            Lookup::Miss => {
-                let served = self.optimize_and_insert(canonical, fp, opts_key, adaptive)?;
-                let elapsed = start.elapsed();
-                self.cache.record_miss(elapsed);
-                self.metrics.observe_miss(elapsed);
-                Ok(served)
-            }
+            Lookup::Miss => self.optimize_and_insert(canonical, fp, opts_key, adaptive),
         }
     }
 
@@ -591,7 +584,7 @@ impl Service {
             order_digest: 0,
             layout: 0,
         };
-        self.cache.insert(
+        let evicted = self.cache.insert(
             fp.shape,
             Entry {
                 spec: canonical.spec.clone(),
@@ -604,6 +597,7 @@ impl Service {
                 tier: result.tier,
             },
         );
+        self.metrics.record_evictions(evicted);
         Ok(served)
     }
 

@@ -8,13 +8,14 @@
 //! * **Tracing never changes the answer** — plans, costs and telemetry are bit-identical
 //!   with `trace` on vs. off, on every corpus query; the trace rides on the result as pure
 //!   extra output. The `.jg` surface (`option trace = on`) lowers into the same knob.
-//! * **One metrics surface** — `Service::metrics_snapshot()` views the plan cache's
-//!   `CacheStats` through the unified registry, and the Prometheus rendering has a stable
-//!   shape from the first serve (everything is pre-registered), pinned by a golden prefix.
+//! * **One metrics surface** — each serve is recorded once, with one clock, in the unified
+//!   registry; `Service::cache_stats()` is a view over it, and the Prometheus rendering has a
+//!   stable shape from the first serve (everything is pre-registered), pinned by a golden
+//!   prefix.
 
-use dphyp::{AdaptiveOptions, PlanTier};
+use dphyp::{AdaptiveOptions, PlanTier, QuerySpec};
 use qo_obsv::{RecordingSink, Span};
-use qo_service::{PlanSource, Service};
+use qo_service::{PlanSource, Service, ServiceOptions};
 use qo_workloads::corpus::{corpus, corpus_query};
 use std::sync::Arc;
 use std::time::Instant;
@@ -131,33 +132,107 @@ fn ambient_sink_records_the_full_serving_pipeline() {
     assert!(qo_obsv::current_sink().is_none());
 }
 
-/// The unified registry views `CacheStats` without drift, and serve latencies land in the
-/// per-outcome histograms.
+/// A star query: relation 0 is the hub, every satellite joins it with selectivity `sel`.
+fn star_spec(hub: f64, sats: &[f64], sel: f64) -> QuerySpec {
+    let mut b = QuerySpec::builder(sats.len() + 1);
+    b.set_cardinality(0, hub);
+    for (i, &card) in sats.iter().enumerate() {
+        b.set_cardinality(i + 1, card);
+        b.add_simple_edge(0, i + 1, sel);
+    }
+    b.build()
+}
+
+/// One accounting per serve: `CacheStats` is a view over the registry, each serve path lands
+/// in its outcome counter and latency histogram exactly once, and the one clock that feeds
+/// the histograms is the one the flight recorder keeps.
 #[test]
 fn metrics_snapshot_unifies_cache_stats_and_serve_latencies() {
-    let service = Service::default();
+    let service = Service::new(ServiceOptions {
+        flight_capacity: 64,
+        ..ServiceOptions::default()
+    });
     let q = corpus_query("job_01a").expect("corpus query exists");
     let cold = service.plan_ingest(&q).expect("plannable");
     assert_eq!(cold.source, PlanSource::Miss);
     let warm = service.plan_ingest(&q).expect("plannable");
     assert_eq!(warm.source, PlanSource::CacheHit);
+    // Mild drift re-costs the cached order…
+    service
+        .plan_spec(&star_spec(1e6, &[10.0, 20.0, 30.0, 40.0], 0.001))
+        .expect("plannable");
+    let recost = service
+        .plan_spec(&star_spec(1e6, &[11.0, 21.0, 31.0, 41.0], 0.001))
+        .expect("plannable");
+    assert_eq!(recost.source, PlanSource::Recost);
+    // …while inverted statistics make it lose to greedy and fall back to a full optimization.
+    service
+        .plan_spec(&star_spec(1e6, &[2.0, 1e3, 1e3, 1e3, 1e3], 0.001))
+        .expect("plannable");
+    let fallback = service
+        .plan_spec(&star_spec(1e6, &[5e7, 1e3, 1e3, 1e3, 1e3], 0.001))
+        .expect("plannable");
+    assert_eq!(fallback.source, PlanSource::RecostFallback);
 
     let stats = service.cache_stats();
     let snap = service.metrics_snapshot();
-    assert_eq!(snap.counter("qo_cache_hits_total"), Some(stats.hits));
-    assert_eq!(snap.counter("qo_cache_misses_total"), Some(stats.misses));
+    assert_eq!(
+        (
+            stats.hits,
+            stats.shape_hits,
+            stats.misses,
+            stats.recost_fallbacks
+        ),
+        (1, 1, 3, 1)
+    );
+    for (name, value) in [
+        ("qo_cache_hits_total", stats.hits),
+        ("qo_cache_shape_hits_total", stats.shape_hits),
+        ("qo_cache_misses_total", stats.misses),
+        ("qo_cache_recost_fallbacks_total", stats.recost_fallbacks),
+        ("qo_cache_evictions_total", stats.evictions),
+    ] {
+        assert_eq!(snap.counter(name), Some(value), "{name}");
+    }
     assert_eq!(snap.gauge("qo_cache_entries"), Some(stats.entries));
+
     let hit = snap.histogram("qo_serve_hit_ns").expect("pre-registered");
+    let recost_ns = snap
+        .histogram("qo_serve_recost_ns")
+        .expect("pre-registered");
     let miss = snap.histogram("qo_serve_miss_ns").expect("pre-registered");
-    assert_eq!(hit.count, 1, "one warm hit was observed");
-    assert_eq!(miss.count, 1, "one cold miss was observed");
+    assert_eq!(hit.count, stats.hits);
+    assert_eq!(recost_ns.count, stats.shape_hits);
+    assert_eq!(miss.count, stats.misses + stats.recost_fallbacks);
+    assert_eq!(
+        (hit.sum, recost_ns.sum, miss.sum),
+        (stats.hit_ns, stats.recost_ns, stats.miss_ns)
+    );
     assert!(miss.sum > 0, "a miss takes measurable time");
-    // The optimizer counters absorbed the cold optimization's telemetry.
+
+    // The flight recorder kept every serve, timed by the same clock.
+    let records = service.flight_recorder().records();
+    assert_eq!(records.len() as u64, stats.lookups());
+    assert_eq!(
+        stats.hit_ns + stats.recost_ns + stats.miss_ns,
+        records.iter().map(|r| r.latency_ns).sum::<u64>(),
+        "the latency histograms and the flight records read one clock"
+    );
+    let count = |source| records.iter().filter(|r| r.source == source).count() as u64;
+    assert_eq!(count(PlanSource::CacheHit), stats.hits);
+    assert_eq!(count(PlanSource::Recost), stats.shape_hits);
+    assert_eq!(count(PlanSource::Miss), stats.misses);
+    assert_eq!(count(PlanSource::RecostFallback), stats.recost_fallbacks);
+
+    // The optimizer counters absorbed the cold optimizations' telemetry.
     let ccps = snap
         .counter("qo_optimizer_exact_ccps_total")
         .expect("pre-registered");
-    assert!(ccps > 0, "the cold miss enumerated csg-cmp-pairs");
-    assert_eq!(snap.counter("qo_optimizer_plans_exact_total"), Some(1));
+    assert!(ccps > 0, "the cold misses enumerated csg-cmp-pairs");
+    assert_eq!(
+        snap.counter("qo_optimizer_plans_exact_total"),
+        Some(stats.misses + stats.recost_fallbacks)
+    );
     assert_eq!(snap.counter("qo_optimizer_exact_skipped_total"), Some(0));
 }
 

@@ -115,7 +115,9 @@ pub fn dpsize_bounded<M: CostModel<W> + ?Sized, const W: usize>(
     let Some(class) = table.get(all) else {
         return Err(BaselineError::NoCompletePlan);
     };
-    let plan = table.reconstruct(all).expect("complete class reconstructs");
+    let plan = table
+        .reconstruct(all, graph)
+        .expect("complete class reconstructs");
     Ok((
         BaselineResult {
             cost: class.cost,

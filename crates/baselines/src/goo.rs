@@ -5,9 +5,7 @@
 //! dynamic-programming optimum that DPhyp/DPsize/DPsub all reach.
 
 use crate::result::{BaselineError, BaselineResult};
-use qo_catalog::{
-    Candidate, CandidateJoin, Catalog, CostModel, DpTable, JoinCombiner, SubPlanStats,
-};
+use qo_catalog::{Catalog, CostModel, DpTable, JoinCombiner, PlanClass, SubPlanStats};
 use qo_hypergraph::{EdgeId, Hypergraph};
 
 /// Runs greedy operator ordering: repeatedly merges the connected pair of classes whose join has
@@ -34,12 +32,9 @@ pub fn goo<M: CostModel<W> + ?Sized, const W: usize>(
     let mut pairs_tested = 0usize;
     let mut cost_calls = 0usize;
     let mut edge_buf: Vec<EdgeId> = Vec::new();
-    // Connecting edges of the current best pair; swapped (not cloned) with `edge_buf` whenever
-    // the best changes, so the winner can be offered without re-running the combiner.
-    let mut best_edges: Vec<EdgeId> = Vec::new();
 
     while live.len() > 1 {
-        let mut best: Option<(usize, usize, Candidate<'static, W>)> = None;
+        let mut best: Option<(usize, usize, PlanClass<W>)> = None;
         for i in 0..live.len() {
             for j in i + 1..live.len() {
                 pairs_tested += 1;
@@ -54,18 +49,7 @@ pub fn goo<M: CostModel<W> + ?Sized, const W: usize>(
                         None => true,
                     };
                     if better {
-                        // Detach the candidate from `edge_buf` (which later pairs overwrite) by
-                        // keeping its edges in `best_edges`; the join's predicate slice is
-                        // re-attached when the winner is offered below.
-                        let detached = Candidate {
-                            join: candidate.join.map(|join| CandidateJoin {
-                                predicates: &[],
-                                ..join
-                            }),
-                            ..candidate
-                        };
-                        best = Some((i, j, detached));
-                        std::mem::swap(&mut best_edges, &mut edge_buf);
+                        best = Some((i, j, candidate));
                     }
                 }
             }
@@ -74,13 +58,7 @@ pub fn goo<M: CostModel<W> + ?Sized, const W: usize>(
             return Err(BaselineError::NoCompletePlan);
         };
         let merged = winner.stats();
-        table.offer(Candidate {
-            join: winner.join.map(|join| CandidateJoin {
-                predicates: &best_edges,
-                ..join
-            }),
-            ..winner
-        });
+        table.offer(winner);
         // Remove the higher index first to keep the lower one valid.
         live.remove(j);
         live.remove(i);
@@ -89,7 +67,7 @@ pub fn goo<M: CostModel<W> + ?Sized, const W: usize>(
 
     let class = live.pop().expect("one class remains");
     let plan = table
-        .reconstruct(class.set)
+        .reconstruct(class.set, graph)
         .expect("greedy classes are reconstructible");
     Ok(BaselineResult {
         cost: class.cost,

@@ -129,7 +129,7 @@ pub fn idp_with_strategy<M: CostModel<W> + ?Sized, const W: usize>(
         .get(blocks[0].set)
         .expect("final block was offered to the table");
     let plan = table
-        .reconstruct(class.set)
+        .reconstruct(class.set, graph)
         .expect("merged blocks are reconstructible");
     Ok(BaselineResult {
         cost: class.cost,

@@ -10,6 +10,9 @@
 //!
 //! It is driven by the *same* DPhyp enumerator through the same [`CcpHandler`] trait, so a
 //! timing difference against [`dphyp::Optimizer`] isolates the memo-structure change. The
+//! reference collects its edges with the same incidence-bitset kernel as production
+//! ([`Hypergraph::connecting_edges`]), so a faster kernel speeds up both sides; it keeps the
+//! per-pair `Vec` and the owned predicate list per class, which production does without. The
 //! results (cost, ccp count, table size) must agree exactly — `reproduce --experiment table`
 //! asserts that.
 

@@ -15,8 +15,8 @@
 //!   the join-ordering literature) and [`MixedCost`] (a simple physical model distinguishing
 //!   hash joins from nested-loop/dependent joins),
 //! * [`table`]: the arena-based DP table ([`DpTable`]) — plan classes in a contiguous arena
-//!   behind a hand-rolled FxHash-style `NodeSet → u32` slot map, with interned predicate edge
-//!   lists,
+//!   behind a hand-rolled FxHash-style `NodeSet → u32` slot map; classes store no predicate
+//!   lists, which [`DpTable::reconstruct`] recollects from the hypergraph for the returned plan,
 //! * [`planner`]: the [`CcpHandler`] trait through which the enumeration algorithms report
 //!   csg-cmp-pairs, the cost-based handler that implements the paper's `EmitCsgCmp`
 //!   (monomorphized over the cost model), a counting handler used for search-space
@@ -43,7 +43,7 @@ pub use planner::{
     recost_table, BudgetedHandler, CcpHandler, CostBasedHandler, CountingHandler, EmitSignal,
     JoinCombiner, PruneCounters,
 };
-pub use table::{BestJoin, Candidate, CandidateJoin, DpTable, EdgeListRef, PlanClass};
+pub use table::{BestJoin, DpTable, PlanClass};
 
 pub use qo_bitset::{NodeId, NodeSet};
 pub use qo_hypergraph::EdgeId;

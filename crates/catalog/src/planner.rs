@@ -17,7 +17,7 @@
 use crate::catalog::Catalog;
 use crate::cost::{CostModel, SubPlanStats};
 use crate::node_set_set::NodeSetSet;
-pub use crate::table::{BestJoin, Candidate, CandidateJoin, DpTable, EdgeListRef, PlanClass};
+pub use crate::table::{BestJoin, DpTable, PlanClass};
 use qo_bitset::{NodeId, NodeSet};
 use qo_hypergraph::{EdgeId, Hypergraph};
 use qo_plan::JoinOp;
@@ -126,14 +126,14 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
     ///
     /// `edges` must be the connecting edges of `(a.set, b.set)` — the caller obtains them via
     /// [`Hypergraph::connecting_edges_into`] into a reused buffer so that the per-pair hot path
-    /// performs no allocation; the returned candidate borrows that buffer until it is offered
-    /// to the [`DpTable`] (which interns the list only if the offer is accepted).
-    pub fn combine<'e>(
+    /// performs no allocation. The candidate does not keep them: [`DpTable::reconstruct`]
+    /// recollects the same list for the joins of the returned plan.
+    pub fn combine(
         &self,
         a: &SubPlanStats<W>,
         b: &SubPlanStats<W>,
-        edges: &'e [EdgeId],
-    ) -> Option<Candidate<'e, W>> {
+        edges: &[EdgeId],
+    ) -> Option<PlanClass<W>> {
         debug_assert!(a.set.is_disjoint(b.set));
         debug_assert_eq!(edges, self.graph.connecting_edges(a.set, b.set).as_slice());
         if edges.is_empty() {
@@ -191,7 +191,7 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
             (NodeSet::EMPTY, NodeSet::EMPTY)
         };
 
-        let mut best: Option<Candidate<'e, W>> = None;
+        let mut best: Option<PlanClass<W>> = None;
         for (outer, inner) in orientations.into_iter().flatten() {
             if self.enforce_tes && !self.tes_orientation_ok(edges, outer.set, inner.set) {
                 continue;
@@ -228,15 +228,14 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
             let cost = self
                 .cost_model
                 .join_cost(actual_op, outer, inner, cardinality);
-            let candidate = Candidate {
+            let candidate = PlanClass {
                 set: union,
                 cardinality,
                 cost,
-                join: Some(CandidateJoin {
+                best_join: Some(BestJoin {
                     left: outer.set,
                     right: inner.set,
                     op: actual_op,
-                    predicates: edges,
                 }),
             };
             match &best {
@@ -613,9 +612,8 @@ pub fn recost_table<M: CostModel<W> + ?Sized, const W: usize>(
                 // The inputs were re-costed earlier in this pass (topological arena order).
                 let left = out.get(join.left)?.stats();
                 let right = out.get(join.right)?.stats();
-                // Recollect the connecting edges instead of trusting the interned list: the
-                // combiner's contract (and its orientation/operator recovery) is defined over
-                // exactly the graph's connecting edges of the pair.
+                // The combiner's contract (and its orientation/operator recovery) is defined
+                // over exactly the graph's connecting edges of the pair.
                 graph.connecting_edges_into(join.left, join.right, &mut edge_buf);
                 let candidate = combiner.combine(&left, &right, &edge_buf)?;
                 if candidate.set != class.set {
@@ -723,8 +721,9 @@ pub struct BudgetedHandler<H, const W: usize = 1> {
 
 impl<H: CcpHandler<W>, const W: usize> BudgetedHandler<H, W> {
     /// How many pairs pass between two wall-clock polls (a power of two; the check runs when
-    /// `ccp_count % INTERVAL == 0`). At roughly 10M pairs/s, 1024 pairs ≈ 100 µs of deadline
-    /// slack — far below any useful time budget.
+    /// `ccp_count % INTERVAL == 0`). At the 75–130 ns per cost-based pair measured on a 2-core
+    /// x86-64 VM (8–13M pairs/s), 1024 pairs ≈ 75–130 µs of deadline slack — far below any
+    /// useful time budget.
     pub const DEADLINE_CHECK_INTERVAL: usize = 1024;
 
     /// Wraps `inner`, allowing it to process at most `budget` csg-cmp-pairs.
@@ -816,16 +815,13 @@ mod tests {
         SubPlanStats::leaf(relation, cardinality)
     }
 
-    /// Combines two sub-plans the way the handler does, with a fresh edge buffer. Returns an
-    /// owned view `(candidate-as-stats, join)` so tests can chain combinations.
-    fn combine_pair<'e, M: CostModel + ?Sized>(
+    /// Combines two sub-plans the way the handler does, collecting the connecting edges first.
+    fn combine_pair<M: CostModel + ?Sized>(
         combiner: &JoinCombiner<'_, M>,
         a: &SubPlanStats,
         b: &SubPlanStats,
-        edges: &'e mut Vec<EdgeId>,
-    ) -> Option<Candidate<'e>> {
-        combiner.graph().connecting_edges_into(a.set, b.set, edges);
-        combiner.combine(a, b, edges)
+    ) -> Option<PlanClass> {
+        combiner.combine(a, b, &combiner.graph().connecting_edges(a.set, b.set))
     }
 
     /// Chain R0 - R1 - R2 with distinctive cardinalities.
@@ -858,7 +854,7 @@ mod tests {
         let _ = h.emit_ccp(ns(&[0]), ns(&[1, 2]));
         assert_eq!(h.ccp_count(), 4);
         let table = h.into_table();
-        let plan = table.reconstruct(ns(&[0, 1, 2])).expect("full plan");
+        let plan = table.reconstruct(ns(&[0, 1, 2]), &g).expect("full plan");
         assert_eq!(plan.relations(), ns(&[0, 1, 2]));
         assert_eq!(plan.join_count(), 2);
         assert_eq!(plan.applied_predicates(), vec![0, 1]);
@@ -868,7 +864,7 @@ mod tests {
             PlanShape::LeftDeep | PlanShape::RightDeep | PlanShape::ZigZag | PlanShape::Linear
         ));
         // Missing set → None.
-        assert!(table.reconstruct(ns(&[0, 2])).is_none());
+        assert!(table.reconstruct(ns(&[0, 2]), &g).is_none());
     }
 
     #[test]
@@ -892,9 +888,8 @@ mod tests {
         let combiner = JoinCombiner::new(&g, &c, &model);
         let a = leaf_stats(0, 10.0);
         let b = leaf_stats(2, 10.0);
-        let mut edges = Vec::new();
         assert!(
-            combine_pair(&combiner, &a, &b, &mut edges).is_none(),
+            combine_pair(&combiner, &a, &b).is_none(),
             "R0 and R2 are not adjacent"
         );
     }
@@ -906,15 +901,14 @@ mod tests {
         let combiner = JoinCombiner::new(&g, &c, &model);
         let a = leaf_stats(0, 10.0);
         let b = leaf_stats(1, 1000.0);
-        let mut edges = Vec::new();
-        let combined = combine_pair(&combiner, &a, &b, &mut edges).expect("adjacent");
+        let combined = combine_pair(&combiner, &a, &b).expect("adjacent");
         // 10 * 1000 * 0.01 = 100
         assert!((combined.cardinality - 100.0).abs() < 1e-9);
         assert!((combined.cost - 100.0).abs() < 1e-9);
         assert_eq!(combined.set, ns(&[0, 1]));
-        let join = combined.join.unwrap();
+        let join = combined.best_join.unwrap();
         assert_eq!(join.op, JoinOp::Inner);
-        assert_eq!(join.predicates, &[0]);
+        assert_eq!((join.left, join.right), (ns(&[0]), ns(&[1])));
     }
 
     #[test]
@@ -926,9 +920,8 @@ mod tests {
         let combiner = JoinCombiner::new(&g, &c, &model);
         let small = leaf_stats(0, 10.0);
         let big = leaf_stats(1, 1000.0);
-        let mut edges = Vec::new();
-        let combined = combine_pair(&combiner, &small, &big, &mut edges).unwrap();
-        let join = combined.join.unwrap();
+        let combined = combine_pair(&combiner, &small, &big).unwrap();
+        let join = combined.best_join.unwrap();
         assert_eq!(join.left, ns(&[1]), "large input should be the probe side");
         assert_eq!(join.right, ns(&[0]));
     }
@@ -950,9 +943,8 @@ mod tests {
         let r0 = leaf_stats(0, 10.0);
         let r1 = leaf_stats(1, 100.0);
         for (x, y) in [(&r0, &r1), (&r1, &r0)] {
-            let mut edges = Vec::new();
-            let combined = combine_pair(&combiner, x, y, &mut edges).unwrap();
-            let join = combined.join.unwrap();
+            let combined = combine_pair(&combiner, x, y).unwrap();
+            let join = combined.best_join.unwrap();
             assert_eq!(join.op, JoinOp::LeftOuter);
             assert_eq!(join.left, ns(&[0]));
             assert_eq!(join.right, ns(&[1]));
@@ -975,9 +967,8 @@ mod tests {
         let combiner = JoinCombiner::new(&g, &c, &model);
         let r0 = leaf_stats(0, 100.0);
         let r1 = leaf_stats(1, 5.0);
-        let mut edges = Vec::new();
-        let combined = combine_pair(&combiner, &r0, &r1, &mut edges).unwrap();
-        let join = combined.join.unwrap();
+        let combined = combine_pair(&combiner, &r0, &r1).unwrap();
+        let join = combined.best_join.unwrap();
         assert_eq!(
             join.op,
             JoinOp::DepJoin,
@@ -989,8 +980,8 @@ mod tests {
             "the referenced relation must be on the left"
         );
         // Same result regardless of argument order.
-        let combined2 = combine_pair(&combiner, &r1, &r0, &mut edges).unwrap();
-        assert_eq!(combined2.join.unwrap().op, JoinOp::DepJoin);
+        let combined2 = combine_pair(&combiner, &r1, &r0).unwrap();
+        assert_eq!(combined2.best_join.unwrap().op, JoinOp::DepJoin);
     }
 
     #[test]
@@ -1011,22 +1002,14 @@ mod tests {
         let model = CoutCost;
         let combiner = JoinCombiner::new(&g, &c, &model);
         // R0 ⋈ R1: reference to R2 is not touched by this join — stays a regular join.
-        let mut edges = Vec::new();
-        let r01 = combine_pair(
-            &combiner,
-            &leaf_stats(0, 10.0),
-            &leaf_stats(1, 10.0),
-            &mut edges,
-        )
-        .expect("adjacent");
-        assert_eq!(r01.join.as_ref().unwrap().op, JoinOp::Inner);
+        let r01 =
+            combine_pair(&combiner, &leaf_stats(0, 10.0), &leaf_stats(1, 10.0)).expect("adjacent");
+        assert_eq!(r01.best_join.as_ref().unwrap().op, JoinOp::Inner);
         let r01_stats = r01.stats();
         // ({R0,R1}) with R2: the only valid orientation places R2 (the referenced relation) on
         // the left and turns the operator into a dependent join.
-        let mut edges2 = Vec::new();
-        let combined = combine_pair(&combiner, &r01_stats, &leaf_stats(2, 10.0), &mut edges2)
-            .expect("adjacent");
-        let join = combined.join.unwrap();
+        let combined = combine_pair(&combiner, &r01_stats, &leaf_stats(2, 10.0)).expect("adjacent");
+        let join = combined.best_join.unwrap();
         assert_eq!(join.op, JoinOp::DepJoin);
         assert_eq!(join.left, ns(&[2]));
         assert_eq!(join.right, ns(&[0, 1]));
@@ -1050,34 +1033,23 @@ mod tests {
 
         let tes_combiner = JoinCombiner::new(&g, &c, &model).with_tes_enforcement(true);
         // {R0} vs {R1}: TES {0,2} not contained in the union → rejected.
-        let mut edges = Vec::new();
-        assert!(combine_pair(
-            &tes_combiner,
-            &leaf_stats(0, 100.0),
-            &leaf_stats(1, 100.0),
-            &mut edges
-        )
-        .is_none());
+        assert!(
+            combine_pair(&tes_combiner, &leaf_stats(0, 100.0), &leaf_stats(1, 100.0)).is_none()
+        );
         // {R0,R2} vs {R1}: satisfied.
         let r02 = SubPlanStats {
             set: ns(&[0, 2]),
             cardinality: 5000.0,
             cost: 5000.0,
         };
-        let combined = combine_pair(&tes_combiner, &r02, &leaf_stats(1, 100.0), &mut edges)
-            .expect("TES satisfied");
-        assert_eq!(combined.join.unwrap().op, JoinOp::LeftAnti);
+        let combined =
+            combine_pair(&tes_combiner, &r02, &leaf_stats(1, 100.0)).expect("TES satisfied");
+        assert_eq!(combined.best_join.unwrap().op, JoinOp::LeftAnti);
 
         // Without enforcement the incomplete pair is accepted (this is exactly the extra work
         // the generate-and-test variant wastes).
         let plain = JoinCombiner::new(&g, &c, &model);
-        assert!(combine_pair(
-            &plain,
-            &leaf_stats(0, 100.0),
-            &leaf_stats(1, 100.0),
-            &mut edges
-        )
-        .is_some());
+        assert!(combine_pair(&plain, &leaf_stats(0, 100.0), &leaf_stats(1, 100.0)).is_some());
     }
 
     #[test]
@@ -1188,8 +1160,8 @@ mod tests {
             );
         }
         assert_eq!(
-            recosted.reconstruct(g.all_nodes()),
-            table.reconstruct(g.all_nodes())
+            recosted.reconstruct(g.all_nodes(), &g),
+            table.reconstruct(g.all_nodes(), &g)
         );
     }
 
@@ -1246,14 +1218,14 @@ mod tests {
     fn plan_tables_round_trip_and_recost() {
         let (g, c) = chain3();
         let full = solve_chain3(&g, &c);
-        let plan = full.reconstruct(g.all_nodes()).expect("complete plan");
+        let plan = full.reconstruct(g.all_nodes(), &g).expect("complete plan");
         // The plan-derived table holds exactly the subtrees of the plan (2n − 1 classes) and
         // reconstructs the identical tree.
         let compact = DpTable::<1>::from_plan(&plan);
         assert_eq!(compact.len(), 2 * 3 - 1);
-        assert_eq!(compact.reconstruct(g.all_nodes()), Some(plan.clone()));
+        assert_eq!(compact.reconstruct(g.all_nodes(), &g), Some(plan.clone()));
         // Re-costing the compact table under the same stats reproduces the plan bit-for-bit.
         let recosted = recost_table(&compact, &g, &c, &CoutCost).expect("fits");
-        assert_eq!(recosted.reconstruct(g.all_nodes()), Some(plan));
+        assert_eq!(recosted.reconstruct(g.all_nodes(), &g), Some(plan));
     }
 }

@@ -9,41 +9,23 @@
 //!   open-addressing slot map from the raw set mask to a `u32` arena index, hashed with the
 //!   FxHash-style finalizer of [`NodeSet::hash64`] (which folds every mask word). Lookups touch
 //!   one flat array with linear probing — no SipHash rounds, no `(hash, key, value)` buckets.
-//! * **Per-offer `Vec<EdgeId>` clones.** The connecting-predicate list of a join is interned
-//!   into a shared arena ([`EdgeListRef`] is an 8-byte handle, hash-consed so equal lists are
-//!   stored once); a rejected [`DpTable::offer`] allocates nothing, and [`PlanClass`] becomes
-//!   `Copy`, which in turn lets every enumeration algorithm read table entries without cloning.
+//! * **Per-offer `Vec<EdgeId>` clones.** A class stores no predicate list at all: the
+//!   predicates of a join are exactly the connecting edges of its two inputs, a function of the
+//!   hypergraph, so [`DpTable::reconstruct`] recollects them for the `n − 1` joins of the
+//!   returned plan instead of every accepted offer storing them. An offer allocates nothing,
+//!   and [`PlanClass`] is `Copy`, which lets every enumeration algorithm read table entries
+//!   without cloning.
 //!
 //! Every type is generic over the mask width `W` (one word by default): a `DpTable<2>` memoizes
 //! plan classes for queries of up to 128 relations with the same layout and probing scheme.
 
 use crate::cost::SubPlanStats;
 use qo_bitset::{NodeId, NodeSet};
-use qo_hypergraph::EdgeId;
+use qo_hypergraph::Hypergraph;
 use qo_plan::{JoinOp, PlanNode};
 
-/// Handle to an interned predicate list; resolve with [`DpTable::edge_list`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct EdgeListRef {
-    offset: u32,
-    len: u32,
-}
-
-impl EdgeListRef {
-    /// Number of edges in the referenced list.
-    #[inline]
-    pub fn len(self) -> usize {
-        self.len as usize
-    }
-
-    /// Is the referenced list empty?
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        self.len == 0
-    }
-}
-
-/// The root join of the best plan of a [`PlanClass`].
+/// The root join of the best plan of a [`PlanClass`]. Its predicates are not stored: they are
+/// the connecting edges of `left` and `right`, recollected by [`DpTable::reconstruct`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BestJoin<const W: usize = 1> {
     /// Relations of the left input class.
@@ -52,15 +34,13 @@ pub struct BestJoin<const W: usize = 1> {
     pub right: NodeSet<W>,
     /// Operator applied at the root (already turned into its dependent variant if required).
     pub op: JoinOp,
-    /// Hyperedge ids whose predicates are evaluated at this join, interned in the owning
-    /// [`DpTable`].
-    pub predicates: EdgeListRef,
 }
 
-/// The best plan known for one set of relations (a "plan class").
+/// The best plan known for one set of relations (a "plan class"); the combiner's candidates
+/// have the same form before they are offered to the table.
 ///
-/// Plan classes are plain `Copy` values (48 bytes at the default width): enumeration algorithms
-/// read them out of the table by value instead of cloning heap-backed structs.
+/// Plan classes are plain `Copy` values: enumeration algorithms read them out of the table by
+/// value instead of cloning heap-backed structs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PlanClass<const W: usize = 1> {
     /// The relations covered by this class.
@@ -82,46 +62,6 @@ impl<const W: usize> PlanClass<W> {
             cost: self.cost,
         }
     }
-}
-
-/// A candidate plan class produced by the combiner, not yet memoized: its predicate list still
-/// borrows the caller's connecting-edge buffer and is only interned if the offer is accepted.
-#[derive(Clone, Copy, Debug)]
-pub struct Candidate<'e, const W: usize = 1> {
-    /// The relations covered by the candidate.
-    pub set: NodeSet<W>,
-    /// Estimated output cardinality.
-    pub cardinality: f64,
-    /// Cost of the candidate plan.
-    pub cost: f64,
-    /// The root join; `None` never occurs for combiner output but keeps the type parallel to
-    /// [`PlanClass`].
-    pub join: Option<CandidateJoin<'e, W>>,
-}
-
-impl<const W: usize> Candidate<'_, W> {
-    /// The candidate viewed as sub-plan statistics (for chaining combinations without going
-    /// through the table).
-    pub fn stats(&self) -> SubPlanStats<W> {
-        SubPlanStats {
-            set: self.set,
-            cardinality: self.cardinality,
-            cost: self.cost,
-        }
-    }
-}
-
-/// The root join of a [`Candidate`].
-#[derive(Clone, Copy, Debug)]
-pub struct CandidateJoin<'e, const W: usize = 1> {
-    /// Relations of the left input class.
-    pub left: NodeSet<W>,
-    /// Relations of the right input class.
-    pub right: NodeSet<W>,
-    /// Operator applied at the root.
-    pub op: JoinOp,
-    /// Hyperedge ids whose predicates are evaluated at this join.
-    pub predicates: &'e [EdgeId],
 }
 
 /// Open-addressing map from non-empty relation-set keys to `u32` arena indexes.
@@ -219,90 +159,6 @@ impl<const W: usize> SlotMap<W> {
     }
 }
 
-/// Hash-consing arena for predicate edge lists: equal lists share one storage slot, and
-/// rejected offers never touch it.
-#[derive(Clone, Debug)]
-struct EdgeListInterner {
-    data: Vec<EdgeId>,
-    /// Open addressing over interned refs; `len == 0` marks a vacant slot (interned lists are
-    /// never empty — a join always has at least one connecting predicate).
-    table: Vec<EdgeListRef>,
-    len: usize,
-    bits: u32,
-}
-
-impl EdgeListInterner {
-    const INITIAL_BITS: u32 = 6;
-
-    fn new() -> Self {
-        EdgeListInterner {
-            data: Vec::new(),
-            table: vec![EdgeListRef { offset: 0, len: 0 }; 1 << Self::INITIAL_BITS],
-            len: 0,
-            bits: Self::INITIAL_BITS,
-        }
-    }
-
-    #[inline]
-    fn resolve(&self, r: EdgeListRef) -> &[EdgeId] {
-        &self.data[r.offset as usize..r.offset as usize + r.len as usize]
-    }
-
-    fn hash(list: &[EdgeId]) -> u64 {
-        // Fx-style accumulate-and-mix over the edge ids.
-        let mut h: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-        for &e in list {
-            h = (h.rotate_left(5) ^ e as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-        // Final avalanche so short lists still fill the high bits.
-        h ^= h >> 32;
-        h.wrapping_mul(0xD6E8_FEB8_6659_FD93)
-    }
-
-    fn intern(&mut self, list: &[EdgeId]) -> EdgeListRef {
-        debug_assert!(!list.is_empty(), "joins always have a connecting predicate");
-        if (self.len + 1) * 4 > self.table.len() * 3 {
-            self.grow();
-        }
-        let cap_mask = self.table.len() - 1;
-        let mut i = (Self::hash(list) >> (64 - self.bits)) as usize;
-        loop {
-            let r = self.table[i];
-            if r.len == 0 {
-                let interned = EdgeListRef {
-                    offset: u32::try_from(self.data.len()).expect("edge arena fits in u32"),
-                    len: u32::try_from(list.len()).expect("edge list fits in u32"),
-                };
-                self.data.extend_from_slice(list);
-                self.table[i] = interned;
-                self.len += 1;
-                return interned;
-            }
-            if self.resolve(r) == list {
-                return r;
-            }
-            i = (i + 1) & cap_mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let old = std::mem::take(&mut self.table);
-        self.bits += 1;
-        let cap = 1 << self.bits;
-        self.table = vec![EdgeListRef { offset: 0, len: 0 }; cap];
-        let cap_mask = cap - 1;
-        for r in old {
-            if r.len != 0 {
-                let mut i = (Self::hash(self.resolve(r)) >> (64 - self.bits)) as usize;
-                while self.table[i].len != 0 {
-                    i = (i + 1) & cap_mask;
-                }
-                self.table[i] = r;
-            }
-        }
-    }
-}
-
 /// The dynamic programming table: best plan per connected set of relations.
 ///
 /// See the module documentation for the layout rationale. The public surface mirrors what the
@@ -312,7 +168,6 @@ impl EdgeListInterner {
 pub struct DpTable<const W: usize = 1> {
     map: SlotMap<W>,
     classes: Vec<PlanClass<W>>,
-    predicates: EdgeListInterner,
 }
 
 impl<const W: usize> Default for DpTable<W> {
@@ -327,7 +182,6 @@ impl<const W: usize> DpTable<W> {
         DpTable {
             map: SlotMap::new(),
             classes: Vec::new(),
-            predicates: EdgeListInterner::new(),
         }
     }
 
@@ -361,20 +215,6 @@ impl<const W: usize> DpTable<W> {
         self.classes.iter()
     }
 
-    /// Resolves an interned predicate list.
-    #[inline]
-    pub fn edge_list(&self, r: EdgeListRef) -> &[EdgeId] {
-        self.predicates.resolve(r)
-    }
-
-    /// The predicate edge ids of a class's best join (empty for leaf classes).
-    pub fn best_join_predicates(&self, class: &PlanClass<W>) -> &[EdgeId] {
-        match class.best_join {
-            Some(join) => self.edge_list(join.predicates),
-            None => &[],
-        }
-    }
-
     /// Inserts the access plan for a single relation. Re-inserting a relation resets its class
     /// to a fresh leaf (cost 0, no join).
     pub fn insert_leaf(&mut self, relation: NodeId, cardinality: f64) {
@@ -398,40 +238,22 @@ impl<const W: usize> DpTable<W> {
     /// Offers a candidate plan class; it replaces the memoized one if it is cheaper (or if the
     /// set was unknown). Returns `true` if the candidate was accepted. On equal cost the
     /// incumbent wins, so the first plan found at a given cost is kept.
-    pub fn offer(&mut self, candidate: Candidate<'_, W>) -> bool {
+    pub fn offer(&mut self, candidate: PlanClass<W>) -> bool {
         match self.map.get(candidate.set) {
             Some(i) => {
-                if candidate.cost < self.classes[i as usize].cost {
-                    let class = self.admit(candidate);
-                    self.classes[i as usize] = class;
-                    true
-                } else {
-                    false
+                let incumbent = &mut self.classes[i as usize];
+                let cheaper = candidate.cost < incumbent.cost;
+                if cheaper {
+                    *incumbent = candidate;
                 }
+                cheaper
             }
             None => {
-                let class = self.admit(candidate);
                 let i = u32::try_from(self.classes.len()).expect("class arena fits in u32");
-                self.classes.push(class);
+                self.classes.push(candidate);
                 self.map.insert(candidate.set, i);
                 true
             }
-        }
-    }
-
-    /// Interns an accepted candidate's predicate list and builds its stored class.
-    fn admit(&mut self, candidate: Candidate<'_, W>) -> PlanClass<W> {
-        let best_join = candidate.join.map(|j| BestJoin {
-            left: j.left,
-            right: j.right,
-            op: j.op,
-            predicates: self.predicates.intern(j.predicates),
-        });
-        PlanClass {
-            set: candidate.set,
-            cardinality: candidate.cardinality,
-            cost: candidate.cost,
-            best_join,
         }
     }
 
@@ -443,7 +265,8 @@ impl<const W: usize> DpTable<W> {
     /// 20-relation star holds half a million classes (tens of megabytes), but the winning plan
     /// tree describes only `2n − 1` of them — enough to re-cost the *chosen* join order
     /// bottom-up under drifted statistics (see [`recost_table`](crate::recost_table)) at `O(n)`
-    /// memory per cached query. The resulting table reconstructs `plan` exactly.
+    /// memory per cached query. The plan's predicate lists are not stored; over the graph the
+    /// plan was optimized for, the resulting table reconstructs `plan` exactly.
     ///
     /// # Panics
     /// Panics if a relation id of the plan does not fit the width `W`.
@@ -467,22 +290,21 @@ impl<const W: usize> DpTable<W> {
                 op,
                 left,
                 right,
-                predicates,
                 cardinality,
                 cost,
+                ..
             } => {
                 let left_set = self.absorb_plan(left);
                 let right_set = self.absorb_plan(right);
                 let set = left_set | right_set;
-                self.offer(Candidate {
+                self.offer(PlanClass {
                     set,
                     cardinality: *cardinality,
                     cost: *cost,
-                    join: Some(CandidateJoin {
+                    best_join: Some(BestJoin {
                         left: left_set,
                         right: right_set,
                         op: *op,
-                        predicates,
                     }),
                 });
                 set
@@ -490,8 +312,10 @@ impl<const W: usize> DpTable<W> {
         }
     }
 
-    /// Reconstructs the full plan tree for `set` from the memoized join decisions.
-    pub fn reconstruct(&self, set: NodeSet<W>) -> Option<PlanNode> {
+    /// Reconstructs the full plan tree for `set` from the memoized join decisions. Each join's
+    /// predicates are recollected from `graph`: the connecting edges of its two inputs, the
+    /// list every enumerator hands the combiner for that pair.
+    pub fn reconstruct(&self, set: NodeSet<W>, graph: &Hypergraph<W>) -> Option<PlanNode> {
         let class = self.get(set)?;
         match class.best_join {
             None => {
@@ -499,13 +323,13 @@ impl<const W: usize> DpTable<W> {
                 Some(PlanNode::scan(relation, class.cardinality))
             }
             Some(join) => {
-                let left = self.reconstruct(join.left)?;
-                let right = self.reconstruct(join.right)?;
+                let left = self.reconstruct(join.left, graph)?;
+                let right = self.reconstruct(join.right, graph)?;
                 Some(PlanNode::join(
                     join.op,
                     left,
                     right,
-                    self.edge_list(join.predicates).to_vec(),
+                    graph.connecting_edges(join.left, join.right),
                     class.cardinality,
                     class.cost,
                 ))
@@ -523,22 +347,23 @@ mod tests {
         v.iter().copied().collect()
     }
 
-    fn candidate<const W: usize>(
-        set: NodeSet<W>,
-        cost: f64,
-        predicates: &[EdgeId],
-    ) -> Candidate<'_, W> {
+    fn candidate<const W: usize>(set: NodeSet<W>, cost: f64) -> PlanClass<W> {
         let left = set.min_singleton();
-        Candidate {
-            set,
-            cardinality: 10.0,
+        join(left, set - left, JoinOp::Inner, 10.0, cost)
+    }
+
+    fn join<const W: usize>(
+        left: NodeSet<W>,
+        right: NodeSet<W>,
+        op: JoinOp,
+        cardinality: f64,
+        cost: f64,
+    ) -> PlanClass<W> {
+        PlanClass {
+            set: left | right,
+            cardinality,
             cost,
-            join: Some(CandidateJoin {
-                left,
-                right: set - left,
-                op: JoinOp::Inner,
-                predicates,
-            }),
+            best_join: Some(BestJoin { left, right, op }),
         }
     }
 
@@ -555,7 +380,6 @@ mod tests {
         assert_eq!(c.cardinality, 500.0);
         assert_eq!(c.cost, 0.0);
         assert!(c.best_join.is_none());
-        assert!(t.best_join_predicates(c).is_empty());
     }
 
     #[test]
@@ -563,7 +387,7 @@ mod tests {
         let mut t = DpTable::<1>::new();
         t.insert_leaf(0, 100.0);
         t.insert_leaf(1, 100.0);
-        assert!(t.offer(candidate(ns(&[0, 1]), 42.0, &[7])));
+        assert!(t.offer(candidate(ns(&[0, 1]), 42.0)));
         // Re-inserting a leaf must not create a duplicate class and must reset the stats.
         t.insert_leaf(0, 250.0);
         assert_eq!(t.len(), 3);
@@ -576,42 +400,24 @@ mod tests {
     #[test]
     fn offer_keeps_the_cheapest_and_breaks_ties_for_the_incumbent() {
         let mut t = DpTable::<1>::new();
-        assert!(t.offer(candidate(ns(&[0, 1]), 100.0, &[0])));
+        assert!(t.offer(candidate(ns(&[0, 1]), 100.0)));
         // Cheaper: replaces.
-        assert!(t.offer(candidate(ns(&[0, 1]), 10.0, &[1])));
+        assert!(t.offer(candidate(ns(&[0, 1]), 10.0)));
         assert_eq!(t.get(ns(&[0, 1])).unwrap().cost, 10.0);
         // Equal cost: the incumbent wins (deterministic tie-breaking on emission order).
-        let mut tied = candidate(ns(&[0, 1]), 10.0, &[2]);
+        let mut tied = candidate(ns(&[0, 1]), 10.0);
         tied.cardinality = 99.0;
         assert!(!t.offer(tied));
         let stored = t.get(ns(&[0, 1])).unwrap();
         assert_eq!(stored.cardinality, 10.0);
-        assert_eq!(t.best_join_predicates(stored), &[1]);
         // More expensive: rejected.
-        assert!(!t.offer(candidate(ns(&[0, 1]), 11.0, &[3])));
+        assert!(!t.offer(candidate(ns(&[0, 1]), 11.0)));
         assert_eq!(t.len(), 1);
     }
 
     #[test]
-    fn equal_edge_lists_are_interned_once() {
-        let mut t = DpTable::<1>::new();
-        assert!(t.offer(candidate(ns(&[0, 1]), 5.0, &[3, 8])));
-        assert!(t.offer(candidate(ns(&[0, 2]), 5.0, &[3, 8])));
-        assert!(t.offer(candidate(ns(&[1, 2]), 5.0, &[4])));
-        let a = t.get(ns(&[0, 1])).unwrap().best_join.unwrap().predicates;
-        let b = t.get(ns(&[0, 2])).unwrap().best_join.unwrap().predicates;
-        let c = t.get(ns(&[1, 2])).unwrap().best_join.unwrap().predicates;
-        assert_eq!(a, b, "identical lists must share one interned slot");
-        assert_ne!(a, c);
-        assert_eq!(t.edge_list(a), &[3, 8]);
-        assert_eq!(t.edge_list(c), &[4]);
-        // Arena stores the shared list once plus the distinct one.
-        assert_eq!(t.predicates.data.len(), 3);
-    }
-
-    #[test]
     fn slot_map_survives_growth_with_many_classes() {
-        // Enough classes to force several slot-map and interner growth steps.
+        // Enough classes to force several slot-map growth steps.
         let mut t = DpTable::<1>::new();
         for r in 0..16 {
             t.insert_leaf(r, 1.0 + r as f64);
@@ -622,8 +428,7 @@ mod tests {
             if s.is_singleton() || s.len() > 3 {
                 continue;
             }
-            let edges: Vec<EdgeId> = s.iter().collect();
-            assert!(t.offer(candidate(s, s.mask() as f64, &edges)));
+            assert!(t.offer(candidate(s, s.mask() as f64)));
             count += 1;
         }
         assert_eq!(t.len(), count);
@@ -634,46 +439,42 @@ mod tests {
             }
             let c = t.get(s).expect("class survived growth");
             assert_eq!(c.set, s);
-            if !s.is_singleton() {
-                let expect: Vec<EdgeId> = s.iter().collect();
-                assert_eq!(t.best_join_predicates(c), expect.as_slice());
-            }
+            let expect = (!s.is_singleton()).then(|| s.mask() as f64);
+            assert_eq!(c.best_join.map(|_| c.cost), expect);
         }
         assert!(!t.contains(NodeSet::from_mask(1 << 20)));
     }
 
     #[test]
-    fn reconstruct_resolves_interned_predicates() {
+    fn reconstruct_recollects_predicates_from_the_graph() {
+        // Triangle R0–R1 (e0), R1–R2 (e1), R0–R2 (e2): the root join ({R0,R1}, {R2}) applies
+        // both edges into R2, the inner join only e0.
+        let mut b = Hypergraph::<1>::builder(3);
+        b.add_simple_edge(0, 1);
+        b.add_simple_edge(1, 2);
+        b.add_simple_edge(0, 2);
+        let g = b.build();
         let mut t = DpTable::<1>::new();
         t.insert_leaf(0, 10.0);
         t.insert_leaf(1, 20.0);
         t.insert_leaf(2, 30.0);
-        assert!(t.offer(Candidate {
-            set: ns(&[0, 1]),
-            cardinality: 15.0,
-            cost: 15.0,
-            join: Some(CandidateJoin {
-                left: ns(&[0]),
-                right: ns(&[1]),
-                op: JoinOp::Inner,
-                predicates: &[0],
-            }),
-        }));
-        assert!(t.offer(Candidate {
-            set: ns(&[0, 1, 2]),
-            cardinality: 7.0,
-            cost: 22.0,
-            join: Some(CandidateJoin {
-                left: ns(&[0, 1]),
-                right: ns(&[2]),
-                op: JoinOp::LeftOuter,
-                predicates: &[1, 2],
-            }),
-        }));
-        let plan = t.reconstruct(ns(&[0, 1, 2])).expect("full plan");
+        assert!(t.offer(join(ns(&[0]), ns(&[1]), JoinOp::Inner, 15.0, 15.0)));
+        assert!(t.offer(join(ns(&[0, 1]), ns(&[2]), JoinOp::LeftOuter, 7.0, 22.0)));
+        let plan = t.reconstruct(ns(&[0, 1, 2]), &g).expect("full plan");
         assert_eq!(plan.relations(), ns(&[0, 1, 2]));
-        assert_eq!(plan.applied_predicates(), vec![0, 1, 2]);
-        assert!(t.reconstruct(ns(&[1, 2])).is_none());
+        let PlanNode::Join {
+            op,
+            left,
+            predicates,
+            ..
+        } = &plan
+        else {
+            panic!("root is a join")
+        };
+        assert_eq!(*op, JoinOp::LeftOuter);
+        assert_eq!(predicates, &[1, 2]);
+        assert_eq!(left.applied_predicates(), vec![0]);
+        assert!(t.reconstruct(ns(&[1, 2]), &g).is_none());
     }
 
     #[test]
@@ -683,7 +484,7 @@ mod tests {
         t.insert_leaf(63, 5.0);
         assert!(t.contains(NodeSet::single(63)));
         let full = NodeSet::first_n(64);
-        assert!(t.offer(candidate(full, 1.0, &[0])));
+        assert!(t.offer(candidate(full, 1.0)));
         assert!(t.contains(full));
         assert_eq!(t.get(full).unwrap().set, full);
     }
@@ -706,7 +507,7 @@ mod tests {
         assert!(t.contains(high_word_zero));
         assert_eq!(t.get(low_word_zero).unwrap().cardinality, 11.0);
         assert_eq!(t.get(high_word_zero).unwrap().cardinality, 22.0);
-        assert!(t.offer(candidate(straddling, 3.0, &[0])));
+        assert!(t.offer(candidate(straddling, 3.0)));
         assert!(t.contains(straddling));
         // Lookups of absent empty-adjacent keys terminate at a vacancy instead of cycling.
         assert!(!t.contains(NodeSet128::single(65)));
@@ -731,7 +532,7 @@ mod tests {
         // Pairs straddling the boundary remain addressable too.
         for r in 0..64 {
             let pair: NodeSet128 = [r, r + 64].into_iter().collect();
-            assert!(t.offer(candidate(pair, r as f64, &[r])));
+            assert!(t.offer(candidate(pair, r as f64)));
         }
         for r in 0..64 {
             let pair: NodeSet128 = [r, r + 64].into_iter().collect();
@@ -744,20 +545,15 @@ mod tests {
         let mut t = DpTable::<2>::new();
         t.insert_leaf(63, 10.0);
         t.insert_leaf(64, 20.0);
+        let mut b = Hypergraph::<2>::builder(65);
+        b.add_simple_edge(0, 1);
+        b.add_simple_edge(63, 64);
+        let g = b.build();
         let pair: NodeSet128 = [63, 64].into_iter().collect();
-        assert!(t.offer(Candidate {
-            set: pair,
-            cardinality: 5.0,
-            cost: 5.0,
-            join: Some(CandidateJoin {
-                left: NodeSet128::single(63),
-                right: NodeSet128::single(64),
-                op: JoinOp::Inner,
-                predicates: &[0],
-            }),
-        }));
-        let plan = t.reconstruct(pair).expect("plan reconstructs");
+        assert!(t.offer(candidate(pair, 5.0)));
+        let plan = t.reconstruct(pair, &g).expect("plan reconstructs");
         assert_eq!(plan.relations_wide::<2>(), pair);
         assert_eq!(plan.join_count(), 1);
+        assert_eq!(plan.applied_predicates(), vec![1]);
     }
 }

@@ -238,7 +238,7 @@ pub(crate) fn full_plan<const W: usize>(
         return Err(OptimizeError::NoCompletePlan { largest_covered });
     };
     let plan = table
-        .reconstruct(all)
+        .reconstruct(all, graph)
         .expect("class for the full relation set must reconstruct");
     Ok(FullPlan {
         plan,

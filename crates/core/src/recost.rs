@@ -153,7 +153,7 @@ fn recost_with_model<M: CostModel<W>, const W: usize>(
     let recosted = recost_table(table, graph, catalog, cost_model)?;
     let all = graph.all_nodes();
     let class = *recosted.get(all)?;
-    let plan = recosted.reconstruct(all)?;
+    let plan = recosted.reconstruct(all, graph)?;
     let greedy = goo(graph, catalog, cost_model).ok()?;
     Some((
         RecostedParts {

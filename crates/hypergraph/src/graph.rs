@@ -41,10 +41,10 @@ pub struct Hypergraph<const W: usize = 1> {
     edges: Vec<Hyperedge<W>>,
     /// For every node, the union of the opposite endpoints of all *simple* edges incident to it.
     simple_neighbors: Vec<NodeSet<W>>,
-    /// Ids of all non-simple (complex or generalized) edges.
+    /// Ids of all non-simple (complex or generalized) edges, ascending.
     complex_edges: Vec<EdgeId>,
-    /// Ids of all simple edges, per node (used when collecting connecting edges / predicates).
-    simple_edges_per_node: Vec<Vec<EdgeId>>,
+    /// Per node, `⌈E/64⌉` words flagging its incident *simple* edges by id (node-major).
+    simple_incidence: Vec<u64>,
 }
 
 impl<const W: usize> Hypergraph<W> {
@@ -135,29 +135,32 @@ impl<const W: usize> Hypergraph<W> {
     }
 
     /// Like [`Hypergraph::connecting_edges`], but clears and fills a caller-provided buffer so
-    /// the planner's hot path (one call per emitted csg-cmp-pair) does not allocate.
+    /// the planner's hot path (one call per emitted csg-cmp-pair) does not allocate. Per word of
+    /// 64 edge ids, the simple edges touching both sides are an AND of incidence bitsets, the
+    /// complex ones are tested with [`Hyperedge::connects`], and ids come out ascending.
     pub fn connecting_edges_into(&self, s1: NodeSet<W>, s2: NodeSet<W>, out: &mut Vec<EdgeId>) {
         out.clear();
-        // Simple edges incident to the smaller side.
-        let (probe, _other) = if s1.len() <= s2.len() {
-            (s1, s2)
-        } else {
-            (s2, s1)
+        // Only the smaller side's neighbors on the other side can end a simple edge between them.
+        let small = if s1.len() <= s2.len() { s1 } else { s2 };
+        let touched = self.simple_neighbors_of_set(small) & (s1 | s2);
+        let words = self.edges.len().div_ceil(64);
+        let incidence = |s: NodeSet<W>, w| {
+            s.iter()
+                .fold(0, |acc, v| acc | self.simple_incidence[v * words + w])
         };
-        for node in probe {
-            for &eid in &self.simple_edges_per_node[node] {
-                if self.edges[eid].connects(s1, s2) && !out.contains(&eid) {
-                    out.push(eid);
+        let mut complex = self.complex_edges.iter().peekable();
+        for w in 0..words {
+            let mut bits = incidence(small, w) & incidence(touched, w);
+            while let Some(&eid) = complex.next_if(|&&eid| eid < (w + 1) * 64) {
+                if self.edges[eid].connects(s1, s2) {
+                    bits |= 1 << (eid % 64);
                 }
             }
-        }
-        for &eid in &self.complex_edges {
-            if self.edges[eid].connects(s1, s2) {
-                out.push(eid);
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
         }
-        out.sort_unstable();
-        out.dedup();
     }
 
     /// All edge ids whose referenced nodes are fully contained in `s` (used by cardinality
@@ -237,8 +240,9 @@ impl<const W: usize> HypergraphBuilder<W> {
 
     /// Finalizes the graph, computing the per-node simple-edge indexes.
     pub fn build(self) -> Hypergraph<W> {
+        let words = self.edges.len().div_ceil(64);
         let mut simple_neighbors = vec![NodeSet::EMPTY; self.node_count];
-        let mut simple_edges_per_node = vec![Vec::new(); self.node_count];
+        let mut simple_incidence = vec![0u64; self.node_count * words];
         let mut complex_edges = Vec::new();
         for (id, e) in self.edges.iter().enumerate() {
             if e.is_simple() {
@@ -246,8 +250,8 @@ impl<const W: usize> HypergraphBuilder<W> {
                 let b = e.right().min_node().expect("non-empty");
                 simple_neighbors[a].insert(b);
                 simple_neighbors[b].insert(a);
-                simple_edges_per_node[a].push(id);
-                simple_edges_per_node[b].push(id);
+                simple_incidence[a * words + id / 64] |= 1 << (id % 64);
+                simple_incidence[b * words + id / 64] |= 1 << (id % 64);
             } else {
                 complex_edges.push(id);
             }
@@ -257,7 +261,7 @@ impl<const W: usize> HypergraphBuilder<W> {
             edges: self.edges,
             simple_neighbors,
             complex_edges,
-            simple_edges_per_node,
+            simple_incidence,
         }
     }
 }
@@ -340,6 +344,127 @@ mod tests {
             g.connecting_edges(NodeSet128::first_n(64), NodeSet128::range(64, 96)),
             vec![63]
         );
+    }
+
+    #[test]
+    fn connecting_edges_emit_complex_ids_in_words_without_simple_incidence() {
+        // Word 0 holds the simple chain edges 0..64 over R0..R64; word 1 starts with a hyperedge
+        // ({R0,R1}, {R2,R3}) — id 64 — while R0 and R1 have no simple edge in that word.
+        let mut b = Hypergraph::<2>::builder(70);
+        for i in 0..64 {
+            b.add_simple_edge(i, i + 1);
+        }
+        let wns = |v: &[usize]| -> NodeSet128 { v.iter().copied().collect() };
+        assert_eq!(b.add_hyperedge(wns(&[0, 1]), wns(&[2, 3])), 64);
+        b.add_simple_edge(65, 66);
+        b.add_simple_edge(2, 69);
+        let g = b.build();
+        assert_eq!(g.connecting_edges(wns(&[0, 1]), wns(&[2, 3])), vec![1, 64]);
+        assert_eq!(
+            g.connecting_edges(wns(&[0, 1, 69]), wns(&[2, 3])),
+            vec![1, 64, 66]
+        );
+        assert_eq!(
+            g.connecting_edges(wns(&[0]), wns(&[2, 3])),
+            Vec::<EdgeId>::new()
+        );
+    }
+
+    /// SplitMix64 step, the randomness behind [`random_graph`].
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A random graph over `n` relations with `edge_count` edges, about a quarter of them
+    /// complex or generalized and spread over every id word, plus random disjoint side pairs.
+    fn random_graph<const W: usize>(
+        seed: u64,
+        n: usize,
+        edge_count: usize,
+    ) -> (Hypergraph<W>, Vec<(NodeSet<W>, NodeSet<W>)>) {
+        let mut state = seed;
+        let mut b = Hypergraph::<W>::builder(n);
+        for _ in 0..edge_count {
+            let a = next(&mut state) as usize % n;
+            let c = (a + 1 + next(&mut state) as usize % (n - 1)) % n;
+            let kind = next(&mut state) % 8;
+            if kind > 1 {
+                b.add_simple_edge(a, c);
+                continue;
+            }
+            let (mut left, mut right, mut flex) =
+                (NodeSet::single(a), NodeSet::single(c), NodeSet::EMPTY);
+            for node in 0..n {
+                if node == a || node == c || !next(&mut state).is_multiple_of(8) {
+                    continue;
+                }
+                match next(&mut state) % 3 {
+                    0 => left.insert(node),
+                    1 => right.insert(node),
+                    _ if kind == 1 => flex.insert(node),
+                    _ => {}
+                }
+            }
+            b.add_edge(Hyperedge::generalized(left, right, flex));
+        }
+        let sides = (0..32)
+            .map(|_| {
+                let (mut s1, mut s2) = (NodeSet::EMPTY, NodeSet::EMPTY);
+                let density = 1 + next(&mut state) % 4;
+                for node in 0..n {
+                    match next(&mut state) % (2 * density) {
+                        0 => s1.insert(node),
+                        1 => s2.insert(node),
+                        _ => {}
+                    }
+                }
+                (s1, s2)
+            })
+            .collect();
+        (b.build(), sides)
+    }
+
+    fn assert_matches_brute_force<const W: usize>(seed: u64, n: usize, edge_count: usize) {
+        let (g, sides) = random_graph::<W>(seed, n, edge_count);
+        let mut buf = vec![usize::MAX];
+        for (s1, s2) in sides {
+            let expected: Vec<EdgeId> = g
+                .edges()
+                .filter(|(_, e)| e.connects(s1, s2))
+                .map(|(id, _)| id)
+                .collect();
+            g.connecting_edges_into(s1, s2, &mut buf);
+            assert_eq!(buf, expected, "{s1:?} vs {s2:?} in {g:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The incidence-bitset kernel equals an ascending scan of `connects` over all edges,
+        /// on one-word graphs with up to three id words.
+        #[test]
+        fn prop_connecting_edges_match_a_brute_force_scan(
+            seed in proptest::prelude::any::<u64>(),
+            n in 2usize..65,
+            edge_count in 1usize..200,
+        ) {
+            assert_matches_brute_force::<1>(seed, n, edge_count);
+        }
+
+        /// The same on two-word graphs, with more than 64 and more than 128 edges.
+        #[test]
+        fn prop_wide_connecting_edges_match_a_brute_force_scan(
+            seed in proptest::prelude::any::<u64>(),
+            n in 2usize..129,
+            edge_count in 65usize..300,
+        ) {
+            assert_matches_brute_force::<2>(seed, n, edge_count);
+        }
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! capacities are small) for the oldest variant.
 
 use crate::fingerprint::Fingerprint;
+use crate::lock_recovering;
 use dphyp::{same_shape, CachedTable, PlanTier, QuerySpec};
 use qo_plan::PlanNode;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Sizing of the plan cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -179,8 +180,25 @@ impl PlanCache {
         }
     }
 
-    fn shard(&self, shape: u64) -> &Mutex<Shard> {
-        &self.shards[(shape % self.shards.len() as u64) as usize]
+    /// Locks the shard holding `shape`. A shard poisoned by a panic under its lock is cleared:
+    /// it is only a cache, and the next serve of each of its shapes re-plans as a miss.
+    fn lock_shard(&self, shape: u64) -> MutexGuard<'_, Shard> {
+        let shard = &self.shards[(shape % self.shards.len() as u64) as usize];
+        lock_recovering(shard, Shard::clear)
+    }
+
+    /// Poisons the shard holding `shape` the way a serve that panics under its lock would.
+    #[cfg(test)]
+    pub(crate) fn poison_shard(&self, shape: u64) {
+        std::thread::scope(|scope| {
+            let panicked = scope
+                .spawn(|| {
+                    let _shard = self.lock_shard(shape);
+                    panic!("a serve panics while holding the shard lock");
+                })
+                .join();
+            assert!(panicked.is_err());
+        });
     }
 
     fn next_tick(&self) -> u64 {
@@ -202,7 +220,7 @@ impl PlanCache {
         canonical_spec: &QuerySpec,
     ) -> Lookup {
         let tick = self.next_tick();
-        let mut shard = self.shard(fp.shape).lock().expect("cache shard poisoned");
+        let mut shard = self.lock_shard(fp.shape);
         let Some(bucket) = shard.get_mut(&fp.shape) else {
             return Lookup::Miss;
         };
@@ -239,7 +257,7 @@ impl PlanCache {
     /// Returns the number of entries evicted.
     pub(crate) fn insert(&self, shape: u64, entry: Entry) -> u64 {
         let tick = self.next_tick();
-        let mut shard = self.shard(shape).lock().expect("cache shard poisoned");
+        let mut shard = self.lock_shard(shape);
         let bucket = shard.entry(shape).or_default();
         let slot = Slot {
             last_used: tick,
@@ -296,8 +314,7 @@ impl PlanCache {
         self.shards
             .iter()
             .map(|s| {
-                s.lock()
-                    .expect("cache shard poisoned")
+                lock_recovering(s, Shard::clear)
                     .values()
                     .map(|b| b.len() as u64)
                     .sum::<u64>()

@@ -10,12 +10,13 @@
 //! ring is bounded, so an unattended service never grows.
 
 use crate::fingerprint::Fingerprint;
+use crate::lock_recovering;
 use crate::service::PlanSource;
 use dphyp::{ExecutionFeedback, PlanTier};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// One serve, as the flight recorder remembers it.
 #[derive(Clone, Copy, Debug)]
@@ -61,9 +62,14 @@ impl FlightRecorder {
         }
     }
 
+    /// The ring, taken as-is even after a panic under its lock (every record is written whole).
+    fn lock(&self) -> MutexGuard<'_, VecDeque<ServeRecord>> {
+        lock_recovering(&self.ring, |_| {})
+    }
+
     /// Appends one serve, evicting the oldest record when full.
     pub(crate) fn record(&self, record: ServeRecord) {
-        let mut ring = self.ring.lock().expect("flight recorder poisoned");
+        let mut ring = self.lock();
         if ring.len() == self.capacity {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -74,7 +80,7 @@ impl FlightRecorder {
     /// Attaches execution feedback to the retained record of serve `seq` (a no-op when the
     /// record has already been evicted). Returns whether a record was annotated.
     pub(crate) fn annotate(&self, seq: u64, feedback: &ExecutionFeedback) -> bool {
-        let mut ring = self.ring.lock().expect("flight recorder poisoned");
+        let mut ring = self.lock();
         // Newest-first: feedback almost always concerns a very recent serve.
         for r in ring.iter_mut().rev() {
             if r.seq == seq {
@@ -88,26 +94,17 @@ impl FlightRecorder {
 
     /// The retained records, oldest first.
     pub fn records(&self) -> Vec<ServeRecord> {
-        self.ring
-            .lock()
-            .expect("flight recorder poisoned")
-            .iter()
-            .copied()
-            .collect()
+        self.lock().iter().copied().collect()
     }
 
     /// The most recent record, if any.
     pub fn last(&self) -> Option<ServeRecord> {
-        self.ring
-            .lock()
-            .expect("flight recorder poisoned")
-            .back()
-            .copied()
+        self.lock().back().copied()
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.ring.lock().expect("flight recorder poisoned").len()
+        self.lock().len()
     }
 
     /// Whether nothing has been recorded (or everything was evicted).

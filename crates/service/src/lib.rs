@@ -80,6 +80,21 @@ pub use service::{
     effective_batch_threads, PlanSource, ServedPlan, Service, ServiceError, ServiceOptions,
 };
 
+/// Locks `mutex` even when a thread panicked while holding it: a poisoned lock's state is
+/// handed to `recover`, the poison is cleared and the guard returned, so a panic under one
+/// serve's lock never turns into a panic for every later serve that takes the same lock.
+pub(crate) fn lock_recovering<T>(
+    mutex: &std::sync::Mutex<T>,
+    recover: impl FnOnce(&mut T),
+) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poisoned| {
+        let mut guard = poisoned.into_inner();
+        recover(&mut guard);
+        mutex.clear_poison();
+        guard
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

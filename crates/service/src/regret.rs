@@ -41,11 +41,12 @@
 //! while labeling their relations differently, and a pinned order is only ever handed to a
 //! serve whose layout matches — cross-layout serves fall back to the model's candidate.
 
+use crate::lock_recovering;
 use dphyp::PlanTier;
 use qo_plan::PlanNode;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Relative margin a measured candidate must exceed the best-known true cost by before it is
 /// vetoed — ties and float noise must not cause churn between equivalent plans.
@@ -123,11 +124,17 @@ impl RegretLedger {
         RegretLedger::default()
     }
 
+    /// The per-shape states, taken as-is even after a panic under their lock: every update
+    /// leaves them valid at each step (a plan record exists before `best_digest` names it).
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<u64, ShapeState>> {
+        lock_recovering(&self.shapes, |_| {})
+    }
+
     /// The pinning decision for one about-to-be-served candidate (see the module docs):
     /// `Some` when the candidate must be replaced by the proven-best order. Only orders
     /// measured under the same `layout` are ever handed out.
     pub(crate) fn pin(&self, shape: u64, layout: u64, candidate_digest: u64) -> Option<PinnedPlan> {
-        let shapes = self.shapes.lock().expect("regret ledger poisoned");
+        let shapes = self.lock();
         let state = shapes.get(&shape)?;
         let best_digest = state.best_digest?;
         if best_digest == candidate_digest {
@@ -171,7 +178,7 @@ impl RegretLedger {
         plan: &PlanNode,
         true_cost: f64,
     ) -> f64 {
-        let mut shapes = self.shapes.lock().expect("regret ledger poisoned");
+        let mut shapes = self.lock();
         let state = shapes.entry(shape).or_insert_with(|| ShapeState {
             regret: ShapeRegret {
                 shape,
@@ -212,38 +219,22 @@ impl RegretLedger {
 
     /// The per-shape entries, ordered by shape fingerprint.
     pub fn shapes(&self) -> Vec<ShapeRegret> {
-        self.shapes
-            .lock()
-            .expect("regret ledger poisoned")
-            .values()
-            .map(|s| s.regret)
-            .collect()
+        self.lock().values().map(|s| s.regret).collect()
     }
 
     /// The entry for one shape, if observed.
     pub fn shape(&self, shape: u64) -> Option<ShapeRegret> {
-        self.shapes
-            .lock()
-            .expect("regret ledger poisoned")
-            .get(&shape)
-            .map(|s| s.regret)
+        self.lock().get(&shape).map(|s| s.regret)
     }
 
     /// Total observations across all shapes.
     pub fn cycles(&self) -> u64 {
-        self.shapes
-            .lock()
-            .expect("regret ledger poisoned")
-            .values()
-            .map(|s| s.regret.cycles)
-            .sum()
+        self.lock().values().map(|s| s.regret.cycles).sum()
     }
 
     /// Sum of cumulative regrets across all shapes.
     pub fn total_regret(&self) -> f64 {
-        self.shapes
-            .lock()
-            .expect("regret ledger poisoned")
+        self.lock()
             .values()
             .map(|s| s.regret.cumulative_regret)
             .sum()
@@ -252,12 +243,7 @@ impl RegretLedger {
     /// Sum of the most recent per-shape regrets — "how far from best-known is the fleet
     /// right now".
     pub fn last_cycle_regret(&self) -> f64 {
-        self.shapes
-            .lock()
-            .expect("regret ledger poisoned")
-            .values()
-            .map(|s| s.regret.last_regret)
-            .sum()
+        self.lock().values().map(|s| s.regret.last_regret).sum()
     }
 }
 

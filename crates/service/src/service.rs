@@ -3,6 +3,7 @@
 use crate::cache::{CacheOptions, CacheStats, Entry, Lookup, PlanCache};
 use crate::fingerprint::{options_key, Fingerprint};
 use crate::flight::{FlightRecorder, ServeRecord};
+use crate::lock_recovering;
 use crate::metrics::ServiceMetrics;
 use crate::regret::{PinnedPlan, RegretLedger};
 use dphyp::{
@@ -14,7 +15,7 @@ use qo_obsv::{MetricsSnapshot, SamplerOptions, SamplingSink, Span};
 use qo_plan::PlanNode;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Configuration of a [`Service`].
@@ -365,14 +366,14 @@ impl Service {
                     let Some(group) = groups.get(g) else { break };
                     for &i in group {
                         let r = serve(i);
-                        results.lock().expect("batch results poisoned")[i] = Some(r);
+                        lock_recovering(&results, |_| {})[i] = Some(r);
                     }
                 });
             }
         });
         results
             .into_inner()
-            .expect("batch results poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .into_iter()
             .map(|r| r.expect("every index was planned"))
             .collect()
@@ -654,4 +655,38 @@ fn layout_digest(canonical: &CanonicalQuery) -> u64 {
         h = (h ^ e as u64).wrapping_mul(PRIME);
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_poisoned_cache_shard_is_cleared_and_serves_on() {
+        let service = Service::default();
+        let mut b = QuerySpec::builder(4);
+        for r in 0..4 {
+            b.set_cardinality(r, 100.0 * (r + 1) as f64);
+        }
+        for r in 0..3 {
+            b.add_simple_edge(r, r + 1, 0.01);
+        }
+        let spec = b.build();
+        let cold = service.plan_spec(&spec).unwrap();
+        assert_eq!(
+            service.plan_spec(&spec).unwrap().source,
+            PlanSource::CacheHit
+        );
+
+        service.cache.poison_shard(cold.fingerprint.shape);
+        // The shard was cleared, not trusted: the next serve re-plans, the one after hits.
+        let replanned = service.plan_spec(&spec).unwrap();
+        assert_eq!(replanned.source, PlanSource::Miss);
+        assert_eq!(replanned.plan, cold.plan);
+        assert_eq!(
+            service.plan_spec(&spec).unwrap().source,
+            PlanSource::CacheHit
+        );
+        assert_eq!(service.cache_stats().entries, 1);
+    }
 }

@@ -2,7 +2,7 @@
 
 use crate::result::{BaselineError, BaselineResult};
 use qo_bitset::NodeSet;
-use qo_catalog::{Catalog, CostModel, DpTable, JoinCombiner, PruneCounters};
+use qo_catalog::{Catalog, CostModel, DpTable, JoinCombiner};
 use qo_hypergraph::{EdgeId, Hypergraph};
 
 /// Runs DPsize over the hypergraph.
@@ -21,26 +21,6 @@ pub fn dpsize<M: CostModel<W> + ?Sized, const W: usize>(
     catalog: &Catalog<W>,
     cost_model: &M,
 ) -> Result<BaselineResult, BaselineError> {
-    dpsize_bounded(graph, catalog, cost_model, f64::INFINITY).map(|(r, _)| r)
-}
-
-/// DPsize with a branch-and-bound upper `bound` — the cost of some known complete plan (or
-/// `f64::INFINITY` to disable pruning, which makes this identical to [`dpsize`]).
-///
-/// Candidates whose accumulated cost strictly exceeds the bound are discarded instead of
-/// memoized; a set all of whose candidates were discarded never enters the size lists, so no
-/// later pair is built from it at all. Under a monotone, non-negative cost model
-/// ([`CostModel::supports_pruning`]) the surviving optimum — plan, cost *and* join order — is
-/// identical to the unpruned run; the savings appear directly in the returned
-/// [`BaselineResult::pairs_tested`] / [`BaselineResult::cost_calls`] (so
-/// [`PruneCounters::pruned_pairs`] stays `0` here, unlike the enumerators that must visit the
-/// pair to discover a pruned input).
-pub fn dpsize_bounded<M: CostModel<W> + ?Sized, const W: usize>(
-    graph: &Hypergraph<W>,
-    catalog: &Catalog<W>,
-    cost_model: &M,
-    bound: f64,
-) -> Result<(BaselineResult, PruneCounters), BaselineError> {
     catalog
         .validate_for(graph)
         .map_err(BaselineError::InvalidCatalog)?;
@@ -56,7 +36,6 @@ pub fn dpsize_bounded<M: CostModel<W> + ?Sized, const W: usize>(
 
     let mut pairs_tested = 0usize;
     let mut cost_calls = 0usize;
-    let mut prune = PruneCounters::default();
     let mut edge_buf: Vec<EdgeId> = Vec::new();
 
     for size in 2..=n {
@@ -91,13 +70,6 @@ pub fn dpsize_bounded<M: CostModel<W> + ?Sized, const W: usize>(
                     graph.connecting_edges_into(left_set, right_set, &mut edge_buf);
                     if let Some(candidate) = combiner.combine(&a, &b, &edge_buf) {
                         cost_calls += 1;
-                        // Strictly over the bound: no completion of this sub-plan can beat the
-                        // plan the bound came from (monotone model). Ties survive, keeping the
-                        // winner identical to the unpruned run.
-                        if candidate.cost > bound {
-                            prune.pruned_classes += 1;
-                            continue;
-                        }
                         let set = candidate.set;
                         let was_new = !table.contains(set);
                         table.offer(candidate);
@@ -118,17 +90,14 @@ pub fn dpsize_bounded<M: CostModel<W> + ?Sized, const W: usize>(
     let plan = table
         .reconstruct(all, graph)
         .expect("complete class reconstructs");
-    Ok((
-        BaselineResult {
-            cost: class.cost,
-            cardinality: class.cardinality,
-            plan,
-            cost_calls,
-            pairs_tested,
-            dp_entries: table.len(),
-        },
-        prune,
-    ))
+    Ok(BaselineResult {
+        cost: class.cost,
+        cardinality: class.cardinality,
+        plan,
+        cost_calls,
+        pairs_tested,
+        dp_entries: table.len(),
+    })
 }
 
 #[cfg(test)]
@@ -201,28 +170,6 @@ mod tests {
             dpsize(&g, &c, &CoutCost),
             Err(BaselineError::NoCompletePlan)
         ));
-    }
-
-    #[test]
-    fn bounded_run_matches_the_unpruned_optimum() {
-        let (g, c) = chain(8, 500.0, 0.01);
-        let free = dpsize(&g, &c, &CoutCost).unwrap();
-        // Seed the bound the way the adaptive driver does: from a heuristic complete plan.
-        let seed = crate::goo(&g, &c, &CoutCost).unwrap().cost;
-        let (pruned, counters) = dpsize_bounded(&g, &c, &CoutCost, seed).unwrap();
-        assert_eq!(pruned.cost, free.cost, "bit-identical optimal cost");
-        assert_eq!(pruned.plan, free.plan, "bit-identical join order");
-        assert!(pruned.pairs_tested <= free.pairs_tested);
-        assert!(pruned.dp_entries <= free.dp_entries);
-        assert_eq!(counters.bound_updates, 0, "the bound stays static here");
-        // The exact optimum itself as the bound is the tightest sound setting (ties survive).
-        let (tight, _) = dpsize_bounded(&g, &c, &CoutCost, free.cost).unwrap();
-        assert_eq!(tight.cost, free.cost);
-        assert_eq!(tight.plan, free.plan);
-        // An infinite bound degenerates to the plain algorithm, counter-free.
-        let (infinite, c0) = dpsize_bounded(&g, &c, &CoutCost, f64::INFINITY).unwrap();
-        assert_eq!(infinite, free);
-        assert_eq!(c0, PruneCounters::default());
     }
 
     #[test]

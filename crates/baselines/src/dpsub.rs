@@ -1,7 +1,7 @@
 //! DPsub: subset-driven dynamic programming, hypergraph-aware (Sec. 4.1 of the paper).
 
 use crate::result::{BaselineError, BaselineResult};
-use qo_catalog::{Catalog, CostModel, DpTable, JoinCombiner, NodeSetSet, PruneCounters};
+use qo_catalog::{Catalog, CostModel, DpTable, JoinCombiner};
 use qo_hypergraph::{EdgeId, Hypergraph};
 
 /// Runs DPsub over the hypergraph.
@@ -16,26 +16,6 @@ pub fn dpsub<M: CostModel<W> + ?Sized, const W: usize>(
     catalog: &Catalog<W>,
     cost_model: &M,
 ) -> Result<BaselineResult, BaselineError> {
-    dpsub_bounded(graph, catalog, cost_model, f64::INFINITY).map(|(r, _)| r)
-}
-
-/// DPsub with a branch-and-bound upper `bound` — the cost of some known complete plan (or
-/// `f64::INFINITY` to disable pruning, which makes this identical to [`dpsub`]).
-///
-/// Candidates strictly over the bound are discarded instead of memoized
-/// ([`PruneCounters::pruned_classes`]); splits one of whose halves only ever produced discarded
-/// candidates skip their cost evaluation entirely ([`PruneCounters::pruned_pairs`]). Under a
-/// monotone, non-negative cost model ([`CostModel::supports_pruning`]) the optimum — plan, cost
-/// *and* join order — is identical to the unpruned run: every subset's candidates are all
-/// offered before the subset is ever used as an input (increasing mask order), and removing
-/// only strictly-over-bound candidates never changes a class's first-arriving minimum when that
-/// minimum is within the bound, which it is for every class on the optimal plan's path.
-pub fn dpsub_bounded<M: CostModel<W> + ?Sized, const W: usize>(
-    graph: &Hypergraph<W>,
-    catalog: &Catalog<W>,
-    cost_model: &M,
-    bound: f64,
-) -> Result<(BaselineResult, PruneCounters), BaselineError> {
     catalog
         .validate_for(graph)
         .map_err(BaselineError::InvalidCatalog)?;
@@ -48,10 +28,6 @@ pub fn dpsub_bounded<M: CostModel<W> + ?Sized, const W: usize>(
 
     let mut pairs_tested = 0usize;
     let mut cost_calls = 0usize;
-    let mut prune = PruneCounters::default();
-    // Sets every candidate of which was over the bound; their absence from the table is a
-    // pruning effect, not a connectivity miss, and is counted separately.
-    let mut pruned_sets = NodeSetSet::new();
     let mut edge_buf: Vec<EdgeId> = Vec::new();
     let all = graph.all_nodes();
 
@@ -69,9 +45,6 @@ pub fn dpsub_bounded<M: CostModel<W> + ?Sized, const W: usize>(
             debug_assert!(s1.is_superset_of(min));
             pairs_tested += 1;
             let (Some(a), Some(b)) = (table.get(s1), table.get(s2)) else {
-                if pruned_sets.contains(s1) || pruned_sets.contains(s2) {
-                    prune.pruned_pairs += 1;
-                }
                 continue;
             };
             if !graph.has_connecting_edge(s1, s2) {
@@ -81,15 +54,6 @@ pub fn dpsub_bounded<M: CostModel<W> + ?Sized, const W: usize>(
             graph.connecting_edges_into(s1, s2, &mut edge_buf);
             if let Some(candidate) = combiner.combine(&a, &b, &edge_buf) {
                 cost_calls += 1;
-                // Strictly over the bound: discard (ties survive, keeping the winner
-                // identical to the unpruned run).
-                if candidate.cost > bound {
-                    prune.pruned_classes += 1;
-                    if !table.contains(candidate.set) {
-                        pruned_sets.insert(candidate.set);
-                    }
-                    continue;
-                }
                 table.offer(candidate);
             }
         }
@@ -101,17 +65,14 @@ pub fn dpsub_bounded<M: CostModel<W> + ?Sized, const W: usize>(
     let plan = table
         .reconstruct(all, graph)
         .expect("complete class reconstructs");
-    Ok((
-        BaselineResult {
-            cost: class.cost,
-            cardinality: class.cardinality,
-            plan,
-            cost_calls,
-            pairs_tested,
-            dp_entries: table.len(),
-        },
-        prune,
-    ))
+    Ok(BaselineResult {
+        cost: class.cost,
+        cardinality: class.cardinality,
+        plan,
+        cost_calls,
+        pairs_tested,
+        dp_entries: table.len(),
+    })
 }
 
 #[cfg(test)]
@@ -183,32 +144,6 @@ mod tests {
             dpsub(&g, &c, &CoutCost),
             Err(BaselineError::NoCompletePlan)
         ));
-    }
-
-    #[test]
-    fn bounded_run_matches_the_unpruned_optimum() {
-        // A clique collapses hard under pruning: every size-k subset multiplies k(k-1)/2
-        // selectivities, so most partial plans already exceed a heuristic full-plan cost.
-        let mut b = Hypergraph::<1>::builder(8);
-        for i in 0..8 {
-            for j in (i + 1)..8 {
-                b.add_simple_edge(i, j);
-            }
-        }
-        let g = b.build();
-        let c = Catalog::uniform(8, 1000.0, 28, 0.01);
-        let free = dpsub(&g, &c, &CoutCost).unwrap();
-        let seed = crate::goo(&g, &c, &CoutCost).unwrap().cost;
-        let (pruned, counters) = dpsub_bounded(&g, &c, &CoutCost, seed).unwrap();
-        assert_eq!(pruned.cost, free.cost, "bit-identical optimal cost");
-        assert_eq!(pruned.plan, free.plan, "bit-identical join order");
-        assert!(pruned.cost_calls <= free.cost_calls);
-        assert!(pruned.dp_entries <= free.dp_entries);
-        assert_eq!(counters.bound_updates, 0, "the bound stays static here");
-        // An infinite bound degenerates to the plain algorithm, counter-free.
-        let (infinite, c0) = dpsub_bounded(&g, &c, &CoutCost, f64::INFINITY).unwrap();
-        assert_eq!(infinite, free);
-        assert_eq!(c0, qo_catalog::PruneCounters::default());
     }
 
     #[test]

@@ -14,13 +14,6 @@
 //!   optimization driver of the `dphyp` crate when a query's csg-cmp-pair count exceeds its
 //!   budget.
 //!
-//! [`dpsize_bounded`] and [`dpsub_bounded`] are branch-and-bound variants of the two exact
-//! baselines: given an upper bound (the cost of any known complete plan, e.g. a [`goo`] run),
-//! they discard every candidate whose accumulated cost strictly exceeds it. Under the monotone,
-//! non-negative cost models used throughout ([`qo_catalog::CostModel::supports_pruning`]) the
-//! returned optimum — plan, cost and join order — is identical to the unpruned run, while the
-//! suppressed classes shrink the search the later sizes/subsets have to grind through.
-//!
 //! DPccp (the paper's predecessor algorithm for simple graphs) is not implemented separately:
 //! as the paper notes in Sec. 4.4, "DPhyp performs exactly like DPccp on regular graphs", so the
 //! regular-graph experiments use DPhyp directly.
@@ -36,11 +29,10 @@ mod goo;
 mod idp;
 mod result;
 
-pub use dpsize::{dpsize, dpsize_bounded};
-pub use dpsub::{dpsub, dpsub_bounded};
+pub use dpsize::dpsize;
+pub use dpsub::dpsub;
 pub use goo::goo;
 pub use idp::{idp, idp_with_strategy, IdpStrategy, MAX_IDP_BLOCK_SIZE};
-pub use qo_catalog::PruneCounters;
 pub use result::{BaselineError, BaselineResult};
 
 pub use qo_bitset::{NodeId, NodeSet};

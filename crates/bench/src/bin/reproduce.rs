@@ -12,7 +12,7 @@
 //!   experiment, for smoke runs (CI) where wall-clock matters more than measurement depth.
 //! * `--experiment <id>` restricts the run to one experiment; ids: `e1`, `fig5a`, `fig5b`, `e4`,
 //!   `fig6a`, `fig6b`, `fig7`, `fig8a`, `fig8b`, `ccp`, `table`, `adaptive`, `ingest`,
-//!   `service`, `pruning`, `feedback`, `obsv`.
+//!   `service`, `feedback`, `obsv`.
 //! * `--baseline [path]` skips the experiment tables and instead writes a machine-readable
 //!   snapshot (`BENCH_baseline.json` by default): ccp counts and wall-clock per graph family
 //!   plus the arena-vs-HashMap DP-table comparison, so future changes have a perf trajectory.
@@ -30,7 +30,7 @@ use qo_bench::{
     Algorithm, TableComparison,
 };
 use qo_workloads::{
-    chain_query, chain_spec, clique_query, clique_spec, cycle_query, cycle_with_hyperedge_splits,
+    chain_query, chain_spec, clique_query, cycle_query, cycle_with_hyperedge_splits,
     cycle_with_outer_joins, huge_star_spec, max_splits, star_query, star_spec, star_with_antijoins,
     star_with_hyperedge_splits, wide_chain_query, Workload,
 };
@@ -42,7 +42,7 @@ const SEED: u64 = 2008;
 /// Schema version of `BENCH_baseline.json`. Bump whenever a section is added, removed or
 /// reshaped; `write_baseline` refuses to overwrite a file carrying a different version unless
 /// forced, and readers should reject versions they do not understand.
-const SCHEMA_VERSION: u32 = 11;
+const SCHEMA_VERSION: u32 = 12;
 
 /// Measurement budget per timed point in baseline/table modes; long enough to average out
 /// noise on fast workloads, short enough that the multi-second star-20 runs once.
@@ -151,260 +151,12 @@ fn main() {
     if want("service") {
         service_experiment();
     }
-    if want("pruning") {
-        pruning_experiment();
-    }
     if want("feedback") {
         feedback_experiment(quick);
     }
     if want("obsv") {
         obsv_experiment(quick);
     }
-}
-
-/// The enumeration-heavy workload specs: name, spec, and an ample ccp budget that keeps each
-/// query inside the exact tier. star-20 and clique-14 are the enumeration-heavy single-word
-/// points; chain-96 exercises the two-word (`W = 2`) node-set width.
-fn exact_heavy_specs() -> Vec<(&'static str, QuerySpec, usize)> {
-    vec![
-        ("star-20", star_spec(19, SEED), 8_000_000),
-        ("clique-14", clique_spec(14, SEED), 8_000_000),
-        ("chain-96", chain_spec(96, SEED), 8_000_000),
-    ]
-}
-
-/// One workload point of the pruning sweep: the same query planned with pruning off and on.
-/// The plans are asserted identical — the bound is only ever allowed to save cost work.
-struct PruningRow {
-    name: String,
-    /// Emitted csg-cmp-pairs — identical with pruning off and on (asserted).
-    exact_ccps: usize,
-    /// Pairs whose cost was actually evaluated under pruning (`exact_ccps` minus the pairs
-    /// skipped because an input class had been discarded as over-bound).
-    evaluated: usize,
-    /// Candidates evaluated but discarded instead of memoized (strictly over the bound).
-    pruned_classes: usize,
-    /// Full-plan improvements that tightened the bound mid-enumeration.
-    bound_updates: usize,
-    wall_off_ms: f64,
-    wall_on_ms: f64,
-}
-
-impl PruningRow {
-    /// Fraction of the emitted pairs whose cost evaluation the bound skipped.
-    fn reduction_pct(&self) -> f64 {
-        if self.exact_ccps == 0 {
-            return 0.0;
-        }
-        100.0 * (self.exact_ccps - self.evaluated) as f64 / self.exact_ccps as f64
-    }
-}
-
-/// Plans `spec` with pruning off and on, asserts cost, join order, tier and emitted pair
-/// count identical, and returns the measured savings.
-fn pruning_row(name: &str, spec: &QuerySpec, options: AdaptiveOptions) -> PruningRow {
-    let (t_off, off) = time_once(|| {
-        AdaptiveOptimizer::new(options)
-            .optimize_spec(spec)
-            .expect("pruning sweep workload plannable")
-    });
-    let (t_on, on) = time_once(|| {
-        AdaptiveOptimizer::new(AdaptiveOptions {
-            pruning: true,
-            ..options
-        })
-        .optimize_spec(spec)
-        .expect("pruning sweep workload plannable")
-    });
-    assert_eq!(
-        on.cost, off.cost,
-        "{name}: pruning must not change the optimal cost"
-    );
-    assert_eq!(
-        on.plan, off.plan,
-        "{name}: pruning must not change the join order"
-    );
-    assert_eq!(
-        on.tier, off.tier,
-        "{name}: pruning must not change the tier"
-    );
-    assert_eq!(
-        on.telemetry.exact_ccps, off.telemetry.exact_ccps,
-        "{name}: pruning must not change the emitted pair sequence"
-    );
-    PruningRow {
-        name: name.to_string(),
-        exact_ccps: on.telemetry.exact_ccps,
-        evaluated: on.telemetry.exact_ccps - on.telemetry.pruned_pairs,
-        pruned_classes: on.telemetry.pruned_classes,
-        bound_updates: on.telemetry.bound_updates,
-        wall_off_ms: t_off.as_secs_f64() * 1e3,
-        wall_on_ms: t_on.as_secs_f64() * 1e3,
-    }
-}
-
-/// The enumeration-heavy sweep points (star-20 / clique-14 / chain-96, all inside the exact
-/// tier).
-fn pruning_rows() -> Vec<PruningRow> {
-    exact_heavy_specs()
-        .into_iter()
-        .map(|(name, spec, budget)| {
-            pruning_row(
-                name,
-                &spec,
-                AdaptiveOptions {
-                    ccp_budget: budget,
-                    ..Default::default()
-                },
-            )
-        })
-        .collect()
-}
-
-/// Aggregate of the pruning sweep over the embedded corpus: every query planned with pruning
-/// off and on (each plan asserted identical), the saved evaluations summed.
-struct PruningCorpus {
-    queries: usize,
-    exact_ccps: usize,
-    evaluated: usize,
-    pruned_classes: usize,
-    wall_off_ms: f64,
-    wall_on_ms: f64,
-}
-
-impl PruningCorpus {
-    fn reduction_pct(&self) -> f64 {
-        if self.exact_ccps == 0 {
-            return 0.0;
-        }
-        100.0 * (self.exact_ccps - self.evaluated) as f64 / self.exact_ccps as f64
-    }
-}
-
-fn pruning_corpus() -> PruningCorpus {
-    let queries = qo_workloads::corpus::corpus();
-    let (t_off, off) = time_once(|| {
-        queries
-            .iter()
-            .map(|q| {
-                AdaptiveOptimizer::new(q.adaptive_options())
-                    .optimize_spec(&q.spec)
-                    .expect("corpus query plannable")
-            })
-            .collect::<Vec<_>>()
-    });
-    let (t_on, on) = time_once(|| {
-        queries
-            .iter()
-            .map(|q| {
-                AdaptiveOptimizer::new(AdaptiveOptions {
-                    pruning: true,
-                    ..q.adaptive_options()
-                })
-                .optimize_spec(&q.spec)
-                .expect("corpus query plannable")
-            })
-            .collect::<Vec<_>>()
-    });
-    let mut exact_ccps = 0usize;
-    let mut evaluated = 0usize;
-    let mut pruned_classes = 0usize;
-    for ((q, off), on) in queries.iter().zip(&off).zip(&on) {
-        assert_eq!(on.cost, off.cost, "{}: corpus cost under pruning", q.name);
-        assert_eq!(on.plan, off.plan, "{}: corpus plan under pruning", q.name);
-        assert_eq!(
-            on.telemetry.exact_ccps, off.telemetry.exact_ccps,
-            "{}: corpus pair count under pruning",
-            q.name
-        );
-        exact_ccps += on.telemetry.exact_ccps;
-        evaluated += on.telemetry.exact_ccps - on.telemetry.pruned_pairs;
-        pruned_classes += on.telemetry.pruned_classes;
-    }
-    PruningCorpus {
-        queries: queries.len(),
-        exact_ccps,
-        evaluated,
-        pruned_classes,
-        wall_off_ms: t_off.as_secs_f64() * 1e3,
-        wall_on_ms: t_on.as_secs_f64() * 1e3,
-    }
-}
-
-/// The headline pruning claim, asserted where the statistics make it sound to assert: on the
-/// *collapsing* clique-14 (every size-k subset multiplies k(k-1)/2 selectivities, so most
-/// partial plans are already over any complete-plan bound) the bound must skip at least 30%
-/// of all cost evaluations. star-20 under the seeded statistics is an *exploding* query —
-/// most satellite factors `card x sel` exceed 1, so nearly every partial plan costs less
-/// than the complete one and a sound bound can barely prune; its reduction is recorded but
-/// only required to be nonnegative (see ARCHITECTURE.md for the regime analysis).
-fn assert_pruning_reduction(rows: &[PruningRow]) {
-    let clique = rows
-        .iter()
-        .find(|r| r.name == "clique-14")
-        .expect("the sweep includes clique-14");
-    assert!(
-        clique.reduction_pct() >= 30.0,
-        "clique-14 under pruning must evaluate >= 30% fewer pairs, got {:.1}%",
-        clique.reduction_pct()
-    );
-    println!(
-        "clique-14 pruning reduction: {:.1}% >= 30% (asserted)",
-        clique.reduction_pct()
-    );
-}
-
-/// The corpus statistics are fixed (embedded `.jg` sources), so its aggregate reduction is
-/// deterministic — around 44% — and asserted at the same 30% floor as clique-14.
-fn assert_corpus_pruning_reduction(c: &PruningCorpus) {
-    assert!(
-        c.reduction_pct() >= 30.0,
-        "the corpus under pruning must evaluate >= 30% fewer pairs, got {:.1}%",
-        c.reduction_pct()
-    );
-    println!(
-        "corpus pruning reduction: {:.1}% >= 30% (asserted)",
-        c.reduction_pct()
-    );
-}
-
-/// B1: cost-bounded branch-and-bound pruning — the enumeration-heavy workloads and the
-/// corpus planned with pruning off and on, every plan asserted bit-identical, the saved
-/// cost evaluations tabulated.
-fn pruning_experiment() {
-    println!("== B1: cost-bounded pruning (branch-and-bound over the exact tier) ==");
-    println!(
-        "{:>10} {:>12} {:>12} {:>10} {:>8} {:>12} {:>12}",
-        "workload", "exact ccps", "evaluated", "saved", "bound+", "off (ms)", "on (ms)"
-    );
-    let rows = pruning_rows();
-    for r in &rows {
-        println!(
-            "{:>10} {:>12} {:>12} {:>9.1}% {:>8} {:>12.3} {:>12.3}",
-            r.name,
-            r.exact_ccps,
-            r.evaluated,
-            r.reduction_pct(),
-            r.bound_updates,
-            r.wall_off_ms,
-            r.wall_on_ms
-        );
-    }
-    let c = pruning_corpus();
-    println!(
-        "{:>10} {:>12} {:>12} {:>9.1}% {:>8} {:>12.3} {:>12.3}",
-        format!("corpus/{}", c.queries),
-        c.exact_ccps,
-        c.evaluated,
-        c.reduction_pct(),
-        "-",
-        c.wall_off_ms,
-        c.wall_on_ms
-    );
-    println!("every row above is asserted bit-identical in cost and plan to the unpruned run");
-    assert_pruning_reduction(&rows);
-    assert_corpus_pruning_reduction(&c);
-    println!();
 }
 
 /// F1: the cardinality-feedback loop over the embedded corpus — execute each query's chosen
@@ -650,7 +402,7 @@ fn run_feedback_rows(quick: bool) -> FeedbackRows {
 }
 
 /// O1: the observability layer measured over the corpus — per-phase wall-clock (parse, lower,
-/// canonicalize, seed-bound, enumerate, IDP, greedy, serve) harvested from an ambient
+/// canonicalize, enumerate, IDP, greedy, serve) harvested from an ambient
 /// [`qo_obsv::RecordingSink`], plus the two acceptance checks of the instrumentation itself:
 /// planning stays bit-identical with tracing on vs. off, and an uninstalled sink (the
 /// [`qo_obsv::NoopSink`] default) keeps `Span::enter` within noise of pre-instrumentation.
@@ -661,23 +413,22 @@ fn obsv_experiment(quick: bool) {
         o.rows.len()
     );
     println!(
-        "{:>18} {:>5} {:>9} {:>9} {:>9} {:>9} {:>11} {:>9}",
-        "query", "rels", "parse", "lower", "canon", "seed", "enumerate", "total"
+        "{:>18} {:>5} {:>9} {:>9} {:>9} {:>11} {:>9}",
+        "query", "rels", "parse", "lower", "canon", "enumerate", "total"
     );
     println!(
-        "{:>18} {:>5} {:>9} {:>9} {:>9} {:>9} {:>11} {:>9}",
-        "", "", "(us)", "(us)", "(us)", "(us)", "(us)", "(us)"
+        "{:>18} {:>5} {:>9} {:>9} {:>9} {:>11} {:>9}",
+        "", "", "(us)", "(us)", "(us)", "(us)", "(us)"
     );
     for r in &o.rows {
         let us = |ns: u64| ns as f64 / 1e3;
         println!(
-            "{:>18} {:>5} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>11.1} {:>9.1}",
+            "{:>18} {:>5} {:>9.1} {:>9.1} {:>9.1} {:>11.1} {:>9.1}",
             r.name,
             r.relations,
             us(r.parse_ns),
             us(r.lower_ns),
             us(r.canonicalize_ns),
-            us(r.seed_bound_ns),
             us(r.enumerate_ns + r.idp_ns + r.greedy_ns),
             us(r.total_ns),
         );
@@ -738,7 +489,6 @@ struct ObsvRow {
     parse_ns: u64,
     lower_ns: u64,
     canonicalize_ns: u64,
-    seed_bound_ns: u64,
     enumerate_ns: u64,
     idp_ns: u64,
     greedy_ns: u64,
@@ -863,7 +613,6 @@ fn run_obsv_rows(quick: bool) -> ObsvRows {
                 parse_ns,
                 lower_ns,
                 canonicalize_ns: trace.phase_ns("canonicalize"),
-                seed_bound_ns: trace.phase_ns("seed_bound"),
                 enumerate_ns: trace.phase_ns("enumerate"),
                 idp_ns: trace.phase_ns("idp"),
                 greedy_ns: trace.phase_ns("greedy"),
@@ -1649,62 +1398,6 @@ fn write_baseline(path: &str) {
         ));
     }
 
-    // Pruning trajectory: saved cost evaluations per enumeration-heavy workload plus the
-    // corpus aggregate, every point asserted plan-identical to the unpruned run.
-    let mut pruning_json_rows = Vec::new();
-    let rows = pruning_rows();
-    for r in &rows {
-        println!(
-            "  {:>10}: {:>9} ccps, {:>9} evaluated ({:>5.1}% saved), off {:.3} ms / on {:.3} ms",
-            r.name,
-            r.exact_ccps,
-            r.evaluated,
-            r.reduction_pct(),
-            r.wall_off_ms,
-            r.wall_on_ms
-        );
-        pruning_json_rows.push(format!(
-            concat!(
-                "      {{\"name\": \"{}\", \"exact_ccps\": {}, \"evaluated\": {}, ",
-                "\"pruned_classes\": {}, \"bound_updates\": {}, \"reduction_pct\": {:.2}, ",
-                "\"wall_off_ms\": {:.4}, \"wall_on_ms\": {:.4}}}"
-            ),
-            r.name,
-            r.exact_ccps,
-            r.evaluated,
-            r.pruned_classes,
-            r.bound_updates,
-            r.reduction_pct(),
-            r.wall_off_ms,
-            r.wall_on_ms
-        ));
-    }
-    assert_pruning_reduction(&rows);
-    let pc = pruning_corpus();
-    println!(
-        "  {:>10}: {:>9} ccps, {:>9} evaluated ({:>5.1}% saved) over {} queries",
-        "corpus",
-        pc.exact_ccps,
-        pc.evaluated,
-        pc.reduction_pct(),
-        pc.queries
-    );
-    assert_corpus_pruning_reduction(&pc);
-    let pruning_corpus_json = format!(
-        concat!(
-            "    \"corpus\": {{\"queries\": {}, \"exact_ccps\": {}, \"evaluated\": {}, ",
-            "\"pruned_classes\": {}, \"reduction_pct\": {:.2}, \"wall_off_ms\": {:.4}, ",
-            "\"wall_on_ms\": {:.4}}}"
-        ),
-        pc.queries,
-        pc.exact_ccps,
-        pc.evaluated,
-        pc.pruned_classes,
-        pc.reduction_pct(),
-        pc.wall_off_ms,
-        pc.wall_on_ms
-    );
-
     // Service trajectory: cold/warm/drift serving of the corpus through the plan cache.
     let s = run_service_rows();
     println!(
@@ -1811,7 +1504,7 @@ fn write_baseline(path: &str) {
             format!(
                 concat!(
                     "      {{\"name\": \"{}\", \"relations\": {}, \"parse_ns\": {}, ",
-                    "\"lower_ns\": {}, \"canonicalize_ns\": {}, \"seed_bound_ns\": {}, ",
+                    "\"lower_ns\": {}, \"canonicalize_ns\": {}, ",
                     "\"enumerate_ns\": {}, \"idp_ns\": {}, \"greedy_ns\": {}, ",
                     "\"serve_ns\": {}, \"total_ns\": {}}}"
                 ),
@@ -1820,7 +1513,6 @@ fn write_baseline(path: &str) {
                 r.parse_ns,
                 r.lower_ns,
                 r.canonicalize_ns,
-                r.seed_bound_ns,
                 r.enumerate_ns,
                 r.idp_ns,
                 r.greedy_ns,
@@ -1851,7 +1543,7 @@ fn write_baseline(path: &str) {
             "\"sampled_serves\": {}, \"total_serves\": {},\n",
             "    \"exemplars\": [\n{}\n    ],\n",
             "    \"phase_totals_ns\": {{\"parse\": {}, \"lower\": {}, \"canonicalize\": {}, ",
-            "\"seed_bound\": {}, \"enumerate\": {}, \"idp\": {}, \"greedy\": {}, ",
+            "\"enumerate\": {}, \"idp\": {}, \"greedy\": {}, ",
             "\"serve\": {}}},\n",
             "    \"per_query\": [\n{}\n    ]"
         ),
@@ -1866,7 +1558,6 @@ fn write_baseline(path: &str) {
         phase_total(|r| r.parse_ns),
         phase_total(|r| r.lower_ns),
         phase_total(|r| r.canonicalize_ns),
-        phase_total(|r| r.seed_bound_ns),
         phase_total(|r| r.enumerate_ns),
         phase_total(|r| r.idp_ns),
         phase_total(|r| r.greedy_ns),
@@ -1903,7 +1594,6 @@ fn write_baseline(path: &str) {
         "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"generated_by\": \"reproduce --baseline\",\n  \
          \"seed\": {SEED},\n  \"workloads\": [\n{}\n  ],\n  \"adaptive_tiers\": [\n{}\n  ],\n  \
          \"ingest\": [\n{}\n  ],\n  \"service\": {{\n{}\n  }},\n  \
-         \"pruning\": {{\n    \"workloads\": [\n{}\n    ],\n{}\n  }},\n  \
          \"feedback\": {{\n{}\n  }},\n  \
          \"obsv\": {{\n{}\n  }},\n  \
          \"regret\": {{\n{}\n  }},\n  \
@@ -1912,8 +1602,6 @@ fn write_baseline(path: &str) {
         adaptive_json_rows.join(",\n"),
         ingest_json_rows.join(",\n"),
         service_json,
-        pruning_json_rows.join(",\n"),
-        pruning_corpus_json,
         feedback_json,
         obsv_json,
         regret_json,

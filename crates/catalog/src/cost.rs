@@ -50,19 +50,6 @@ pub trait CostModel<const W: usize = 1> {
 
     /// Human-readable name of the model.
     fn name(&self) -> &'static str;
-
-    /// Branch-and-bound precondition: are this model's costs *non-negative* and *monotone in
-    /// composition* — every candidate costs at least as much as either input sub-plan?
-    ///
-    /// Under that invariant a sub-plan whose accumulated cost already exceeds the cost of a
-    /// known complete plan can never participate in a cheaper complete plan, so cost-bounded
-    /// pruning (`dphyp`'s `AdaptiveOptions::pruning`) may skip registering it without losing
-    /// the optimum. Defaults to `true` because the DP optimality contract above already
-    /// demands monotone models; experimental models that violate it (negative costs, discounts
-    /// for larger plans) must override this to `false`, which disables pruning for them.
-    fn supports_pruning(&self) -> bool {
-        true
-    }
 }
 
 /// The classic `C_out` cost function: the sum of the cardinalities of all intermediate results.

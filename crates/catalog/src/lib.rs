@@ -22,14 +22,11 @@
 //!   (monomorphized over the cost model), a counting handler used for search-space
 //!   statistics, and the [`BudgetedHandler`] decorator that aborts an enumeration from inside
 //!   `EmitCsgCmp` once a csg-cmp-pair budget is exhausted (the adaptive driver's early-exit
-//!   signal, see [`EmitSignal`]),
-//! * [`NodeSetSet`]: the payload-free membership set that holds cost-bounded pruning's
-//!   tombstones.
+//!   signal, see [`EmitSignal`]).
 
 mod cardinality;
 mod catalog;
 mod cost;
-mod node_set_set;
 mod observed;
 pub mod planner;
 pub mod table;
@@ -37,11 +34,10 @@ pub mod table;
 pub use cardinality::CardinalityEstimator;
 pub use catalog::{Catalog, CatalogBuilder, EdgeAnnotation, StatsEpoch};
 pub use cost::{CostModel, CoutCost, MixedCost, SubPlanStats};
-pub use node_set_set::NodeSetSet;
 pub use observed::{ExecutionFeedback, ObservedStats};
 pub use planner::{
     recost_table, BudgetedHandler, CcpHandler, CostBasedHandler, CountingHandler, EmitSignal,
-    JoinCombiner, PruneCounters,
+    JoinCombiner,
 };
 pub use table::{BestJoin, DpTable, PlanClass};
 

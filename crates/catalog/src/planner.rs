@@ -16,7 +16,6 @@
 
 use crate::catalog::Catalog;
 use crate::cost::{CostModel, SubPlanStats};
-use crate::node_set_set::NodeSetSet;
 pub use crate::table::{BestJoin, DpTable, PlanClass};
 use qo_bitset::{NodeId, NodeSet};
 use qo_hypergraph::{EdgeId, Hypergraph};
@@ -246,78 +245,10 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
         best
     }
 
-    /// Does [`combine`](Self::combine) on this pair return a candidate? `true` whenever
-    /// [`always_combines`](Self::always_combines) holds; otherwise this replays exactly the
-    /// structural rejections of `combine` — empty edge list, TES violation, no orientation
-    /// surviving the lateral-dependency checks — without touching cardinality or cost.
-    ///
-    /// Pruning uses this to tombstone only those unions the unpruned handler would have
-    /// registered, so that every membership answer the enumerator sees stays unchanged.
-    pub fn feasible(&self, a_set: NodeSet<W>, b_set: NodeSet<W>, edges: &[EdgeId]) -> bool {
-        debug_assert!(a_set.is_disjoint(b_set));
-        if edges.is_empty() {
-            return false;
-        }
-        if self.enforce_tes && !self.tes_satisfied(edges, a_set, b_set) {
-            return false;
-        }
-        // Recover the operator exactly as `combine` does — it decides the orientations.
-        let mut op = JoinOp::Inner;
-        let mut defining_edge: Option<EdgeId> = None;
-        for &e in edges {
-            let ann = self.catalog.edge_annotation(e);
-            if !ann.op.is_inner() {
-                op = ann.op;
-                defining_edge = Some(e);
-            } else if defining_edge.is_none() {
-                defining_edge = Some(e);
-            }
-        }
-        let mut orientations: [Option<(NodeSet<W>, NodeSet<W>)>; 2] = [None, None];
-        if op.is_commutative() {
-            orientations[0] = Some((a_set, b_set));
-            orientations[1] = Some((b_set, a_set));
-        } else {
-            let e = self.graph.edge(defining_edge.expect("non-empty edge list"));
-            if e.left().is_subset_of(a_set) && e.right().is_subset_of(b_set) {
-                orientations[0] = Some((a_set, b_set));
-            } else {
-                orientations[0] = Some((b_set, a_set));
-            }
-        }
-        let (ft_a, ft_b) = if self.catalog.has_lateral_refs() {
-            (
-                self.catalog.free_tables(a_set),
-                self.catalog.free_tables(b_set),
-            )
-        } else {
-            (NodeSet::EMPTY, NodeSet::EMPTY)
-        };
-        for (outer, inner) in orientations.into_iter().flatten() {
-            if self.enforce_tes && !self.tes_orientation_ok(edges, outer, inner) {
-                continue;
-            }
-            let (ft_outer, ft_inner) = if outer == a_set {
-                (ft_a, ft_b)
-            } else {
-                (ft_b, ft_a)
-            };
-            if ft_outer.intersects(inner) {
-                continue;
-            }
-            if ft_inner.intersects(outer) && !ft_inner.is_subset_of(outer) {
-                continue;
-            }
-            // Past these checks, `combine` always produces a candidate for this orientation.
-            return true;
-        }
-        false
-    }
-
     /// `true` when [`combine`](Self::combine) succeeds for *every* connected csg-cmp-pair: with
-    /// TES enforcement off and no lateral references, no orientation is ever skipped. Callers
-    /// that only need membership (pruning's tombstones) can then drop the per-pair
-    /// connecting-edge collection and [`feasible`](Self::feasible) call entirely.
+    /// TES enforcement off and no lateral references, no orientation is ever skipped. The
+    /// adaptive driver's doomed-tier check relies on it: only then does a lower bound on the
+    /// connected pairs bound the pairs the exact tier will emit.
     pub fn always_combines(&self) -> bool {
         !self.enforce_tes && !self.catalog.has_lateral_refs()
     }
@@ -342,57 +273,12 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
     }
 }
 
-/// Observable effect of cost-bounded branch-and-bound pruning on one enumeration.
-///
-/// Reported by [`CostBasedHandler::prune_counters`] and surfaced through the adaptive driver's
-/// telemetry; all three counters are zero when pruning is disabled.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PruneCounters {
-    /// Csg-cmp-pairs skipped *without any cost evaluation* because at least one input class
-    /// had already been pruned (every plan through it is over the bound). `exact_ccps -
-    /// pruned_pairs` is the number of pairs actually costed.
-    pub pruned_pairs: usize,
-    /// Evaluated candidates denied registration because their accumulated cost exceeded the
-    /// bound.
-    pub pruned_classes: usize,
-    /// Times a completed plan improved on — and tightened — the upper bound.
-    pub bound_updates: usize,
-}
-
-/// Branch-and-bound state of a pruning [`CostBasedHandler`].
-///
-/// Pruned sets are recorded as *tombstones* in a separate membership set rather than being
-/// registered in the DP table: the enumerator's `contains` queries keep answering exactly as
-/// they would without pruning (so the emission sequence — and with it every ccp count, budget
-/// decision and adaptive-tier outcome — is bit-identical), while the costing work for plans
-/// through pruned classes is skipped. A tombstoned set can later be resurrected by a cheaper
-/// split that fits the bound; the table entry then takes precedence.
-struct PruneState<const W: usize> {
-    /// Current upper bound: the cost of the best complete plan known so far (seeded from a
-    /// heuristic full plan, tightened whenever enumeration completes a cheaper one). Candidates
-    /// strictly above the bound are pruned; ties survive, which keeps the winning plan — join
-    /// order included — identical to the unpruned enumeration even when the seed is optimal.
-    bound: f64,
-    /// The full relation set, whose candidates tighten the bound.
-    full: NodeSet<W>,
-    /// Sets whose every candidate so far was over the bound: "member" for the enumerator,
-    /// absent from the table.
-    tombstones: NodeSetSet<W>,
-    counters: PruneCounters,
-}
-
 /// The standard cost-based handler: reacts to each csg-cmp-pair exactly like the paper's
 /// `EmitCsgCmp`, i.e. builds the candidate plan(s) for `S1 ∪ S2` and memoizes the cheapest.
 ///
 /// Generic over the cost model like [`JoinCombiner`]; a concrete `M` makes the whole
 /// pair-processing path — connecting-edge collection into a reused buffer, candidate
 /// construction, cost call, table offer — free of virtual dispatch and allocation.
-///
-/// [`with_bound`](Self::with_bound) additionally enables cost-bounded branch-and-bound
-/// pruning: candidates whose accumulated cost exceeds a known complete-plan cost are not
-/// registered (sound because the cost models are monotone and non-negative — see
-/// [`CostModel::supports_pruning`]), and the bound tightens whenever enumeration completes a
-/// cheaper full plan.
 pub struct CostBasedHandler<'a, M: ?Sized = dyn CostModel, const W: usize = 1>
 where
     M: CostModel<W>,
@@ -402,8 +288,6 @@ where
     /// Reused connecting-edge buffer; one `emit_ccp` at a time borrows it.
     edge_buf: Vec<EdgeId>,
     ccps: usize,
-    /// Branch-and-bound state; `None` when pruning is off.
-    prune: Option<PruneState<W>>,
 }
 
 impl<'a, M: CostModel<W> + ?Sized, const W: usize> CostBasedHandler<'a, M, W> {
@@ -414,30 +298,6 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> CostBasedHandler<'a, M, W> {
             table: DpTable::new(),
             edge_buf: Vec::new(),
             ccps: 0,
-            prune: None,
-        }
-    }
-
-    /// Creates a handler that prunes against the upper bound `bound` (the cost of some known
-    /// complete plan, e.g. from a greedy pre-pass; `f64::INFINITY` disables all pruning while
-    /// keeping the counters at zero).
-    ///
-    /// The caller must ensure the cost model satisfies the branch-and-bound precondition
-    /// ([`CostModel::supports_pruning`]); the handler debug-asserts monotonicity on every
-    /// evaluated candidate.
-    pub fn with_bound(combiner: JoinCombiner<'a, M, W>, bound: f64) -> Self {
-        let full = combiner.graph().all_nodes();
-        CostBasedHandler {
-            combiner,
-            table: DpTable::new(),
-            edge_buf: Vec::new(),
-            ccps: 0,
-            prune: Some(PruneState {
-                bound,
-                full,
-                tombstones: NodeSetSet::new(),
-                counters: PruneCounters::default(),
-            }),
         }
     }
 
@@ -455,76 +315,6 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> CostBasedHandler<'a, M, W> {
     pub fn combiner(&self) -> &JoinCombiner<'a, M, W> {
         &self.combiner
     }
-
-    /// The pruning counters (all zero when the handler was built without a bound).
-    pub fn prune_counters(&self) -> PruneCounters {
-        self.prune.as_ref().map(|p| p.counters).unwrap_or_default()
-    }
-
-    /// Processes one pair under the branch-and-bound regime. `self.prune` is `Some`.
-    fn emit_ccp_bounded(&mut self, s1: NodeSet<W>, s2: NodeSet<W>) -> EmitSignal {
-        let (a, b) = match (self.table.get(s1), self.table.get(s2)) {
-            (Some(a), Some(b)) => (a.stats(), b.stats()),
-            _ => {
-                // At least one input class was pruned, so every plan through this pair is over
-                // the bound already: skip the cost evaluation entirely. Membership of the
-                // union must still match the unpruned enumeration, so a structurally
-                // infeasible pair (which would create no class) leaves no tombstone.
-                let prune = self.prune.as_mut().expect("bounded path");
-                debug_assert!(
-                    prune.tombstones.contains(s1) || prune.tombstones.contains(s2),
-                    "emit_ccp called before both classes exist: {s1:?}, {s2:?}"
-                );
-                prune.counters.pruned_pairs += 1;
-                let union = s1 | s2;
-                if !self.table.contains(union) && !prune.tombstones.contains(union) {
-                    let feasible = self.combiner.always_combines() || {
-                        self.combiner
-                            .graph()
-                            .connecting_edges_into(s1, s2, &mut self.edge_buf);
-                        self.combiner.feasible(s1, s2, &self.edge_buf)
-                    };
-                    if feasible {
-                        prune.tombstones.insert(union);
-                    }
-                }
-                return EmitSignal::Continue;
-            }
-        };
-        self.combiner
-            .graph()
-            .connecting_edges_into(s1, s2, &mut self.edge_buf);
-        if let Some(candidate) = self.combiner.combine(&a, &b, &self.edge_buf) {
-            debug_assert!(
-                candidate.cost >= a.cost.max(b.cost).max(0.0),
-                "cost model violates the branch-and-bound precondition \
-                 (CostModel::supports_pruning): candidate {} < inputs {} / {}",
-                candidate.cost,
-                a.cost,
-                b.cost
-            );
-            let prune = self.prune.as_mut().expect("bounded path");
-            if candidate.cost > prune.bound {
-                // Over the bound: skip registration. Only tombstone sets with no real class —
-                // an earlier, cheaper split may already have admitted this union.
-                prune.counters.pruned_classes += 1;
-                if !self.table.contains(candidate.set) {
-                    prune.tombstones.insert(candidate.set);
-                }
-            } else {
-                let set = candidate.set;
-                self.table.offer(candidate);
-                if set == prune.full {
-                    let best = self.table.get(set).expect("offered").cost;
-                    if best < prune.bound {
-                        prune.bound = best;
-                        prune.counters.bound_updates += 1;
-                    }
-                }
-            }
-        }
-        EmitSignal::Continue
-    }
 }
 
 impl<M: CostModel<W> + ?Sized, const W: usize> CcpHandler<W> for CostBasedHandler<'_, M, W> {
@@ -535,17 +325,10 @@ impl<M: CostModel<W> + ?Sized, const W: usize> CcpHandler<W> for CostBasedHandle
 
     fn contains(&self, set: NodeSet<W>) -> bool {
         self.table.contains(set)
-            || self
-                .prune
-                .as_ref()
-                .is_some_and(|p| p.tombstones.contains(set))
     }
 
     fn emit_ccp(&mut self, s1: NodeSet<W>, s2: NodeSet<W>) -> EmitSignal {
         self.ccps += 1;
-        if self.prune.is_some() {
-            return self.emit_ccp_bounded(s1, s2);
-        }
         let (a, b) = match (self.table.get(s1), self.table.get(s2)) {
             (Some(a), Some(b)) => (a.stats(), b.stats()),
             _ => {

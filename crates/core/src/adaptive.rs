@@ -16,8 +16,8 @@
 //!    Before enumerating, the driver computes [`qo_hypergraph::ccp_lower_bound`], the exact
 //!    pair count of a spanning tree of the simple edges, in linear time. When it is strictly
 //!    above the budget and the query has no lateral references (so DPhyp emits every pair of
-//!    the graph), the exact tier is certain to abort and is skipped: no `seed_bound`, no
-//!    `enumerate`, `exact_ccps = 0` and [`BudgetTelemetry::exact_skipped`] set. The fallback
+//!    the graph), the exact tier is certain to abort and is skipped: no `enumerate` span,
+//!    `exact_ccps = 0` and [`BudgetTelemetry::exact_skipped`] set. The fallback
 //!    that follows is exactly the one an aborted enumeration would have reached, so without a
 //!    time budget the tier and plan are unchanged. With one, a skipped query always gets the
 //!    IDP tier, where a deadline firing mid-enumeration used to force greedy ordering.
@@ -110,17 +110,6 @@ pub struct AdaptiveOptions {
     /// forming densely connected subgraphs and tie-breaks by cardinality. On uniformly
     /// connected shapes (stars, chains) the two are identical by construction.
     pub idp_strategy: IdpStrategy,
-    /// Cost-bounded branch-and-bound pruning of the exact tier. When enabled, the driver first
-    /// seeds an upper bound from the cheap heuristics (GOO, plus a small-block IDP on larger
-    /// queries) and then skips *costing and registering* any plan class whose accumulated cost
-    /// already exceeds the best known complete plan — safe because the built-in cost models are
-    /// monotone and non-negative ([`CostModel::supports_pruning`]); models that are not opt out
-    /// and silently disable pruning. The optimal plan, its cost, its join order, the emitted
-    /// csg-cmp-pair sequence and therefore the budget/tier decisions are all unchanged — only
-    /// cost-function evaluations and DP-table insertions are saved
-    /// ([`BudgetTelemetry::pruned_pairs`] / [`BudgetTelemetry::pruned_classes`]). Defaults to
-    /// `false`.
-    pub pruning: bool,
     /// Structured tracing of this optimization. When enabled, the driver installs a
     /// [`RecordingSink`] for the duration of the run (shadowing any ambient
     /// [`qo_obsv::ObsvSink`] on this thread) and attaches the harvested per-phase
@@ -150,7 +139,6 @@ impl Default for AdaptiveOptions {
             time_budget: None,
             cost_model: CostModelKind::Cout,
             idp_strategy: IdpStrategy::default(),
-            pruning: false,
             trace: false,
             sample_rate: None,
         }
@@ -201,20 +189,6 @@ pub struct BudgetTelemetry {
     pub idp_k: usize,
     /// Cost-function calls made by the fallback tier (`0` in the exact tier).
     pub fallback_cost_calls: usize,
-    /// Csg-cmp-pairs whose cost evaluation the branch-and-bound upper bound skipped (at least
-    /// one input class was pruned). All zero unless [`AdaptiveOptions::pruning`] is on.
-    pub pruned_pairs: usize,
-    /// Candidate plan classes discarded because their accumulated cost exceeded the bound.
-    pub pruned_classes: usize,
-    /// How often a completed full plan tightened the upper bound below the heuristic seed.
-    pub bound_updates: usize,
-    /// Wall time spent seeding the branch-and-bound upper bound (GOO plus, on 8+-relation
-    /// queries, a small-block IDP) before the exact tier started. [`Duration::ZERO`] when
-    /// pruning is off, the cost model opts out or the exact tier was skipped — the heuristics
-    /// then never ran. Pruning
-    /// speedup claims must charge this time to the pruned configuration: the seed run is
-    /// part of its end-to-end cost.
-    pub seed_bound_time: Duration,
 }
 
 /// The result of an adaptive optimization: the plan, which tier produced it, and the budget
@@ -321,42 +295,19 @@ impl AdaptiveOptimizer {
         // `budget + 1`-th pair, the one the budgeted handler aborts on.
         let doomed = combiner.always_combines()
             && ccp_lower_bound(graph).is_some_and(|b| b > self.options.ccp_budget as u128);
-        let mut telemetry = if doomed {
-            BudgetTelemetry {
-                ccp_budget: self.options.ccp_budget,
-                exact_ccps: 0,
-                exact_aborted: true,
-                exact_skipped: true,
-                exact_time_exceeded: false,
-                idp_k: 0,
-                fallback_cost_calls: 0,
-                pruned_pairs: 0,
-                pruned_classes: 0,
-                bound_updates: 0,
-                seed_bound_time: Duration::ZERO,
-            }
-        } else {
-            // Branch-and-bound upper bound: the best heuristic full-plan cost, seeded before
-            // the exact tier so every enumerator starts with a finite bound. Only meaningful
-            // for monotone, non-negative models — others silently run unbounded.
-            let mut seed_bound_time = Duration::ZERO;
-            let bound = if self.options.pruning && cost_model.supports_pruning() {
-                let span = Span::enter("seed_bound");
-                let seed_started = Instant::now();
-                let b = seed_bound(graph, catalog, cost_model, self.options.idp_strategy);
-                seed_bound_time = seed_started.elapsed();
-                drop(span);
-                Some(b)
-            } else {
-                None
-            };
-
+        let mut telemetry = BudgetTelemetry {
+            ccp_budget: self.options.ccp_budget,
+            exact_ccps: 0,
+            exact_aborted: doomed,
+            exact_skipped: doomed,
+            exact_time_exceeded: false,
+            idp_k: 0,
+            fallback_cost_calls: 0,
+        };
+        if !doomed {
             // Tier 1: exact DPhyp under the pair budget and, when configured, the deadline.
-            let cost_handler = match bound {
-                Some(b) => CostBasedHandler::with_bound(combiner, b),
-                None => CostBasedHandler::new(combiner),
-            };
-            let mut handler = BudgetedHandler::new(cost_handler, self.options.ccp_budget);
+            let mut handler =
+                BudgetedHandler::new(CostBasedHandler::new(combiner), self.options.ccp_budget);
             if let Some(d) = deadline {
                 handler = handler.with_deadline(d);
             }
@@ -364,20 +315,9 @@ impl AdaptiveOptimizer {
             let _ = DpHyp::new(graph, &mut handler).run();
             drop(span);
             qo_obsv::event("exact_ccps", handler.ccp_count() as u64);
-            let prune = handler.inner().prune_counters();
-            let telemetry = BudgetTelemetry {
-                ccp_budget: self.options.ccp_budget,
-                exact_ccps: handler.ccp_count(),
-                exact_aborted: handler.aborted(),
-                exact_skipped: false,
-                exact_time_exceeded: handler.deadline_exceeded(),
-                idp_k: 0,
-                fallback_cost_calls: 0,
-                pruned_pairs: prune.pruned_pairs,
-                pruned_classes: prune.pruned_classes,
-                bound_updates: prune.bound_updates,
-                seed_bound_time,
-            };
+            telemetry.exact_ccps = handler.ccp_count();
+            telemetry.exact_aborted = handler.aborted();
+            telemetry.exact_time_exceeded = handler.deadline_exceeded();
             if !telemetry.exact_aborted {
                 let exact = full_plan(&handler.into_inner().into_table(), graph)?;
                 return Ok(OptimizeResult {
@@ -390,8 +330,7 @@ impl AdaptiveOptimizer {
                     trace: None,
                 });
             }
-            telemetry
-        };
+        }
 
         // Tier 2: IDP with the block size shrunk until one round's worst case (3^k splits)
         // fits the same budget. Skipped when the wall clock has already run out — IDP rounds
@@ -432,33 +371,6 @@ impl AdaptiveOptimizer {
             .take_while(|&k| 3usize.pow(k as u32) <= self.options.ccp_budget)
             .last()
     }
-}
-
-/// Block size of the bound-seeding IDP run: one round costs at most `3^4 = 81` subset-splits
-/// per block, negligible next to the exact enumeration it is about to bound.
-const SEED_IDP_K: usize = 4;
-
-/// Seeds the branch-and-bound upper bound: the cheapest complete-plan cost the heuristics can
-/// find. GOO always runs; on queries of 8+ relations a small-block IDP runs too (below that,
-/// IDP-4 degenerates to near-exact DP and adds nothing GOO misses at that size). Returns
-/// `f64::INFINITY` when no heuristic completes a plan — the exact tier then runs unbounded and
-/// surfaces its own `NoCompletePlan`.
-fn seed_bound<M: CostModel<W>, const W: usize>(
-    graph: &Hypergraph<W>,
-    catalog: &Catalog<W>,
-    cost_model: &M,
-    idp_strategy: IdpStrategy,
-) -> f64 {
-    let mut bound = f64::INFINITY;
-    if let Ok(r) = goo(graph, catalog, cost_model) {
-        bound = r.cost;
-    }
-    if graph.node_count() >= 8 {
-        if let Ok(r) = idp_with_strategy(graph, catalog, cost_model, SEED_IDP_K, idp_strategy) {
-            bound = bound.min(r.cost);
-        }
-    }
-    bound
 }
 
 fn finish_fallback(r: BaselineResult, tier: PlanTier, mut t: BudgetTelemetry) -> OptimizeResult {

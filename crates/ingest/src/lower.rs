@@ -36,9 +36,6 @@ pub struct QueryOptions {
     pub cost_model: Option<CostModelKind>,
     /// `option idp_strategy = smallest | connected` — block selection of the IDP fallback.
     pub idp_strategy: Option<IdpStrategy>,
-    /// `option pruning = on | off` — cost-bounded branch-and-bound pruning of the exact tier.
-    /// Plans are bit-identical at every setting; only cost evaluations are saved.
-    pub pruning: Option<bool>,
     /// `option trace = on | off` — per-phase span tracing of the optimization, attached to
     /// `OptimizeResult::trace`. Plans are bit-identical at every setting; only wall times
     /// are observed.
@@ -58,7 +55,6 @@ impl QueryOptions {
             time_budget: self.time_budget.or(base.time_budget),
             cost_model: self.cost_model.unwrap_or(base.cost_model),
             idp_strategy: self.idp_strategy.unwrap_or(base.idp_strategy),
-            pruning: self.pruning.unwrap_or(base.pruning),
             trace: self.trace.unwrap_or(base.trace),
             sample_rate: self.sample_rate.or(base.sample_rate),
         }
@@ -331,7 +327,6 @@ fn lower_options(q: &QueryDecl) -> Result<QueryOptions, JgError> {
             "time_budget_ms" => opts.time_budget.is_some(),
             "cost_model" => opts.cost_model.is_some(),
             "idp_strategy" => opts.idp_strategy.is_some(),
-            "pruning" => opts.pruning.is_some(),
             "trace" => opts.trace.is_some(),
             "sample_rate" => opts.sample_rate.is_some(),
             _ => false,
@@ -390,11 +385,6 @@ fn lower_options(q: &QueryDecl) -> Result<QueryOptions, JgError> {
                     ))
                 }
             },
-            "pruning" => match &o.value {
-                OptionValue::Symbol(s) if s.text == "on" => opts.pruning = Some(true),
-                OptionValue::Symbol(s) if s.text == "off" => opts.pruning = Some(false),
-                v => return Err(JgError::new("`pruning` expects `on` or `off`", v.span())),
-            },
             "trace" => match &o.value {
                 OptionValue::Symbol(s) if s.text == "on" => opts.trace = Some(true),
                 OptionValue::Symbol(s) if s.text == "off" => opts.trace = Some(false),
@@ -409,7 +399,7 @@ fn lower_options(q: &QueryDecl) -> Result<QueryOptions, JgError> {
                     format!(
                         "unknown option `{other}` (expected one of: ccp_budget, \
                          idp_block_size, time_budget_ms, cost_model, idp_strategy, \
-                         pruning, trace, sample_rate)"
+                         trace, sample_rate)"
                     ),
                     o.key.span,
                 ))
@@ -600,39 +590,19 @@ mod tests {
     #[test]
     fn retired_parallelism_option_is_an_unknown_key() {
         // A retired key gets the ordinary spanned unknown-option diagnostic.
-        let key = "parallelism";
-        let src = format!("query t {{\nrelation a cardinality=1\noption {key} = 4\n}}");
-        let err = parse_queries(&src).unwrap_err();
-        assert!(
-            err.message.contains(&format!("unknown option `{key}`")),
-            "{}",
-            err.message
-        );
-        assert_eq!(err.span.start, src.find(key).unwrap());
-        let valid_keys = err.message.split_once("expected one of:").unwrap().1;
-        assert!(valid_keys.contains("pruning"));
-        assert!(!valid_keys.contains(key), "{}", err.message);
-    }
-
-    #[test]
-    fn pruning_option_lowers_and_validates() {
-        let ok = &q("relation a cardinality=1\noption pruning = on").unwrap()[0];
-        assert_eq!(ok.options.pruning, Some(true));
-        assert!(ok.adaptive_options().pruning);
-        let ok = &q("relation a cardinality=1\noption pruning = off").unwrap()[0];
-        assert_eq!(ok.options.pruning, Some(false));
-        assert!(!ok.adaptive_options().pruning);
-        let err = q("relation a cardinality=1\noption pruning = 1").unwrap_err();
-        assert!(err.message.contains("`on` or `off`"));
-        let err = q("relation a cardinality=1\noption pruning = maybe").unwrap_err();
-        assert!(err.message.contains("`on` or `off`"));
-        let src = "query t {\nrelation a cardinality=1\noption pruning = on\n\
-                   option pruning = off\n}";
-        let err = parse_queries(src).unwrap_err();
-        assert!(err.message.contains("duplicate option `pruning`"));
-        // Unset leaves the driver default (unpruned) in place.
-        let ok = &q("relation a cardinality=1").unwrap()[0];
-        assert!(!ok.adaptive_options().pruning);
+        for (key, value) in [("parallelism", "4"), ("pruning", "on")] {
+            let src = format!("query t {{\nrelation a cardinality=1\noption {key} = {value}\n}}");
+            let err = parse_queries(&src).unwrap_err();
+            assert!(
+                err.message.contains(&format!("unknown option `{key}`")),
+                "{}",
+                err.message
+            );
+            assert_eq!(err.span.start, src.find(key).unwrap());
+            let valid_keys = err.message.split_once("expected one of:").unwrap().1;
+            assert!(valid_keys.contains("ccp_budget"));
+            assert!(!valid_keys.contains(key), "{}", err.message);
+        }
     }
 
     #[test]

@@ -75,11 +75,6 @@ fn random_query(seed: u64) -> IngestQuery {
             1 => Some(IdpStrategy::SmallestCardinality),
             _ => Some(IdpStrategy::ConnectedSmallest),
         },
-        pruning: match rng.random_range(0u32..3) {
-            0 => None,
-            1 => Some(false),
-            _ => Some(true),
-        },
         trace: match rng.random_range(0u32..3) {
             0 => None,
             1 => Some(false),

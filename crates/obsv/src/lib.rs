@@ -19,7 +19,7 @@
 //! bounded reservoir.
 //!
 //! The planner phases instrumented across the workspace are, in pipeline order:
-//! `parse` → `lower` → `canonicalize` → `seed_bound` → `enumerate` (with an `exact_ccps`
+//! `parse` → `lower` → `canonicalize` → `enumerate` (with an `exact_ccps`
 //! event) → `idp` / `greedy` → `recost` → `feedback`. See ARCHITECTURE.md's "Observability" section for the full hierarchy.
 
 pub mod metrics;

@@ -19,10 +19,6 @@
 //! reused — verbatim *or* as a re-cost seed — by requests with the identical options key: a
 //! plan produced under a 1-pair budget must never satisfy a caller paying for exact
 //! enumeration, and an options change is neither a hit nor a drift but a fresh optimization.
-//! [`AdaptiveOptions::pruning`] is deliberately *excluded*: cost-bounded pruning changes only
-//! how much work the exact tier performs — never the produced plan, its cost, or the tier the
-//! driver lands in. A plan produced with pruning on is exactly the plan it would produce off,
-//! so callers with different pruning preferences share one cache entry.
 
 use dphyp::{AdaptiveOptions, CanonicalQuery, CostModelKind, IdpStrategy, QuerySpec};
 use qo_catalog::StatsEpoch;
@@ -71,9 +67,9 @@ fn stats_hash(spec: &QuerySpec) -> u64 {
 /// Digests every [`AdaptiveOptions`] field that can change which plan an optimization
 /// produces. Entries are only reusable by requests with an equal key.
 ///
-/// `pruning`, `trace` and `sample_rate` are intentionally left out: plans are bit-identical
-/// across pruning settings, tracing settings and sampling rates (see the crate docs), so
-/// keying on any of them would only fragment the cache.
+/// `trace` and `sample_rate` are intentionally left out: plans are bit-identical across
+/// tracing settings and sampling rates (see the crate docs), so keying on either would only
+/// fragment the cache.
 pub fn options_key(options: &AdaptiveOptions) -> u64 {
     let model_rank = match options.cost_model {
         CostModelKind::Cout => 0u64,
@@ -153,17 +149,6 @@ mod tests {
             },
         ] {
             assert_ne!(key, options_key(&changed), "{changed:?}");
-        }
-    }
-
-    #[test]
-    fn pruning_never_fragments_the_options_key() {
-        // Pruned enumeration produces the identical plan, cost and tier — only fewer cost
-        // evaluations — so both settings must map onto the same cache entry.
-        let base = AdaptiveOptions::default();
-        let key = options_key(&base);
-        for pruning in [false, true] {
-            assert_eq!(key, options_key(&AdaptiveOptions { pruning, ..base }));
         }
     }
 

@@ -7,7 +7,7 @@
 //! Subsystems: `cache` (plan-cache outcome and eviction counters recorded live, once per
 //! serve; [`CacheStats`] is a view over them and the `serve` histogram sums), `serve`
 //! (per-path serve latencies recorded live, plus sampler admission counters), `optimizer`
-//! (budget and pruning telemetry accumulated across cold-path optimizations), `trace`
+//! (budget telemetry accumulated across cold-path optimizations), `trace`
 //! (sampled-recording ring eviction), and `regret` (per-shape true-cost regret, view-synced
 //! from the [`RegretLedger`] — including one labeled series per observed shape,
 //! `qo_regret_last{shape="…"}` / `qo_regret_cumulative{shape="…"}`).
@@ -19,7 +19,6 @@ use dphyp::OptimizeResult;
 use dphyp::PlanTier;
 use qo_obsv::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, SamplerStats};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Pre-registered handles into the service's [`MetricsRegistry`]. Everything static is
 /// registered up front in [`ServiceMetrics::new`], so a snapshot of a fresh service already
@@ -38,9 +37,6 @@ pub(crate) struct ServiceMetrics {
     serve_miss_ns: Arc<Histogram>,
     optimizer_exact_ccps: Arc<Counter>,
     optimizer_exact_skipped: Arc<Counter>,
-    optimizer_pruned_pairs: Arc<Counter>,
-    optimizer_pruned_classes: Arc<Counter>,
-    optimizer_seed_bound_ns: Arc<Histogram>,
     optimizer_plans_exact: Arc<Counter>,
     optimizer_plans_idp: Arc<Counter>,
     optimizer_plans_greedy: Arc<Counter>,
@@ -79,9 +75,6 @@ impl ServiceMetrics {
             serve_miss_ns: registry.histogram("qo_serve_miss_ns"),
             optimizer_exact_ccps: registry.counter("qo_optimizer_exact_ccps_total"),
             optimizer_exact_skipped: registry.counter("qo_optimizer_exact_skipped_total"),
-            optimizer_pruned_pairs: registry.counter("qo_optimizer_pruned_pairs_total"),
-            optimizer_pruned_classes: registry.counter("qo_optimizer_pruned_classes_total"),
-            optimizer_seed_bound_ns: registry.histogram("qo_optimizer_seed_bound_ns"),
             optimizer_plans_exact: registry.counter("qo_optimizer_plans_exact_total"),
             optimizer_plans_idp: registry.counter("qo_optimizer_plans_idp_total"),
             optimizer_plans_greedy: registry.counter("qo_optimizer_plans_greedy_total"),
@@ -148,12 +141,6 @@ impl ServiceMetrics {
         self.optimizer_exact_ccps.add(t.exact_ccps as u64);
         if t.exact_skipped {
             self.optimizer_exact_skipped.inc();
-        }
-        self.optimizer_pruned_pairs.add(t.pruned_pairs as u64);
-        self.optimizer_pruned_classes.add(t.pruned_classes as u64);
-        if t.seed_bound_time > Duration::ZERO {
-            self.optimizer_seed_bound_ns
-                .observe(t.seed_bound_time.as_nanos() as u64);
         }
         match result.tier {
             PlanTier::Exact => self.optimizer_plans_exact.inc(),
@@ -259,18 +246,6 @@ const HELP: &[(&str, &str)] = &[
     (
         "qo_optimizer_plans_idp_total",
         "Cold optimizations that fell back to iterative dynamic programming.",
-    ),
-    (
-        "qo_optimizer_pruned_classes_total",
-        "Plan classes discarded by cost-bounded branch-and-bound pruning.",
-    ),
-    (
-        "qo_optimizer_pruned_pairs_total",
-        "Csg-cmp-pairs whose costing was skipped by branch-and-bound pruning.",
-    ),
-    (
-        "qo_optimizer_seed_bound_ns",
-        "Wall time spent seeding the branch-and-bound upper bound.",
     ),
     (
         "qo_regret_cumulative",

@@ -299,7 +299,6 @@ qo_cache_shape_hits_total 0
         "qo_serve_hit_ns",
         "qo_serve_recost_ns",
         "qo_serve_miss_ns",
-        "qo_optimizer_seed_bound_ns",
     ] {
         assert!(
             text.contains(&format!("# TYPE {name} ")),

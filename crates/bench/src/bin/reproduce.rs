@@ -1,6 +1,7 @@
-//! Single-shot reproduction harness: prints, for every table and figure of the paper's
-//! evaluation, the same rows / series the paper reports (optimization time in milliseconds per
-//! algorithm and workload point).
+//! Reproduction harness: prints, for every table and figure of the paper's evaluation, the same
+//! rows / series the paper reports (single-shot optimization times in milliseconds and
+//! csg-cmp-pair counts per algorithm and workload point), and writes the deterministic
+//! `BENCH_baseline.json` snapshot.
 //!
 //! ```text
 //! reproduce [--full] [--quick] [--experiment <id>] [--baseline [path]] [--baseline-force]
@@ -13,21 +14,26 @@
 //! * `--experiment <id>` restricts the run to one experiment; ids: `e1`, `fig5a`, `fig5b`, `e4`,
 //!   `fig6a`, `fig6b`, `fig7`, `fig8a`, `fig8b`, `ccp`, `table`, `adaptive`, `ingest`,
 //!   `service`, `feedback`, `obsv`.
-//! * `--baseline [path]` skips the experiment tables and instead writes a machine-readable
-//!   snapshot (`BENCH_baseline.json` by default): ccp counts and wall-clock per graph family
-//!   plus the arena-vs-HashMap DP-table comparison, so future changes have a perf trajectory.
-//!   A snapshot with a *different* `schema_version` at the target path is never overwritten
-//!   silently — the run aborts with an explanatory error unless `--baseline-force` is given,
-//!   so stale-schema files cannot masquerade as regenerated ones.
+//! * `--baseline [path]` skips the experiment tables and instead writes a clock-free snapshot
+//!   (`BENCH_baseline.json` by default): ccp counts, DP-table sizes, tiers, cache counters, the
+//!   feedback and regret results and the arena-vs-HashMap table agreement. It holds no timing,
+//!   so two runs write identical files and `diff` against the committed file shows exactly
+//!   what a change moved; timing distributions are measured by `servebench/`. A snapshot with
+//!   a *different* `schema_version` at the target path is never overwritten silently — the
+//!   run aborts with an explanatory error unless `--baseline-force` is given, so stale-schema
+//!   files cannot masquerade as regenerated ones.
 //!
-//! Absolute numbers depend on the machine; the claims to check are the *relative* ones (who
+//! An unknown argument or experiment id exits with status 2 and the usage.
+//!
+//! Absolute times depend on the machine; the claims to check are the *relative* ones (who
 //! wins, by how much, and how the curves move with the workload parameter).
 
 use dphyp::{AdaptiveOptimizer, AdaptiveOptions, ConflictEncoding, PlanTier, QuerySpec};
 use qo_algebra::derive_query;
+use qo_bench::json::Json;
 use qo_bench::{
-    compare_tables, format_ms, run_algorithm, run_tree_pipeline, time_mean_ms, time_once,
-    Algorithm, TableComparison,
+    compare_tables, format_ms, json_obj, run_algorithm, run_tree_pipeline, time_once, time_tables,
+    Algorithm,
 };
 use qo_workloads::{
     chain_query, chain_spec, clique_query, cycle_query, cycle_with_hyperedge_splits,
@@ -42,41 +48,118 @@ const SEED: u64 = 2008;
 /// Schema version of `BENCH_baseline.json`. Bump whenever a section is added, removed or
 /// reshaped; `write_baseline` refuses to overwrite a file carrying a different version unless
 /// forced, and readers should reject versions they do not understand.
-const SCHEMA_VERSION: u32 = 12;
+const SCHEMA_VERSION: u32 = 13;
 
-/// Measurement budget per timed point in baseline/table modes; long enough to average out
-/// noise on fast workloads, short enough that the multi-second star-20 runs once.
+/// Measurement budget per timed point of the table experiment; long enough to average out
+/// noise on chain-20, short enough that the multi-second star-20 runs once.
 const BUDGET: Duration = Duration::from_millis(300);
 
+/// An experiment id and its runner.
+type Experiment = (&'static str, fn(&Args));
+
+/// Every experiment `--experiment` can select, in the order a bare run executes them.
+const EXPERIMENTS: [Experiment; 16] = [
+    ("e1", |a| {
+        let title = "E1 / Sec 4.2 table: cycle, 4 relations";
+        hyperedge_split_experiment(title, cycle(4), a.full, usize::MAX)
+    }),
+    ("fig5a", |a| {
+        let title = "E2 / Fig 5 (left): cycle, 8 relations";
+        hyperedge_split_experiment(title, cycle(8), a.full, usize::MAX)
+    }),
+    ("fig5b", |a| {
+        let title = "E3 / Fig 5 (right): cycle, 16 relations";
+        hyperedge_split_experiment(title, cycle(16), a.full, 3)
+    }),
+    ("e4", |a| {
+        let title = "E4 / Sec 4.3 table: star, 4 satellites";
+        hyperedge_split_experiment(title, star(4), a.full, usize::MAX)
+    }),
+    ("fig6a", |a| {
+        let title = "E5 / Fig 6 (left): star, 8 satellites";
+        hyperedge_split_experiment(title, star(8), a.full, usize::MAX)
+    }),
+    ("fig6b", |a| {
+        let title = "E6 / Fig 6 (right): star, 16 satellites";
+        hyperedge_split_experiment(title, star(16), a.full, 0)
+    }),
+    ("fig7", |a| regular_graphs(a.full)),
+    ("fig8a", |_| antijoin_star()),
+    ("fig8b", |_| outer_join_cycle()),
+    ("ccp", |_| ccp_counts()),
+    ("table", |_| table_comparison()),
+    ("adaptive", |_| adaptive_tiers()),
+    ("ingest", |_| ingest_corpus()),
+    ("service", |_| service_experiment()),
+    ("feedback", |a| feedback_experiment(a.quick)),
+    ("obsv", |a| obsv_experiment(a.quick)),
+];
+
+/// The parsed command line (see the module docs).
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    full: bool,
+    quick: bool,
+    experiment: Option<String>,
+    baseline: Option<String>,
+    baseline_force: bool,
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut args = args.iter().peekable();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--full" => parsed.full = true,
+            "--quick" => parsed.quick = true,
+            "--baseline-force" => parsed.baseline_force = true,
+            "--baseline" => {
+                let path = args.next_if(|p| !p.starts_with("--"));
+                parsed.baseline =
+                    Some(path.map_or("BENCH_baseline.json".to_string(), String::clone));
+            }
+            "--experiment" => match args.next() {
+                Some(id) if EXPERIMENTS.iter().any(|(known, _)| known == id) => {
+                    parsed.experiment = Some(id.clone())
+                }
+                Some(id) => return Err(format!("unknown experiment id `{id}`")),
+                None => return Err("`--experiment` needs an id".to_string()),
+            },
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(parsed)
+}
+
+fn usage() -> String {
+    format!(
+        "usage: reproduce [--full] [--quick] [--experiment <id>] [--baseline [path]] \
+         [--baseline-force]\nexperiment ids: {}",
+        EXPERIMENTS.map(|(id, _)| id).join(", ")
+    )
+}
+
 fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let quick = args.iter().any(|a| a == "--quick");
-    let only: Option<String> = args
-        .iter()
-        .position(|a| a == "--experiment")
-        .and_then(|i| args.get(i + 1).cloned());
-    if let Some(i) = args.iter().position(|a| a == "--baseline") {
-        let path = args
-            .get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_baseline.json".to_string());
-        let force = args.iter().any(|a| a == "--baseline-force");
-        if let Err(message) = check_baseline_schema(&path, force) {
+    let args = match parse_args(&env::args().skip(1).collect::<Vec<_>>()) {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("error: {message}\n{}", usage());
+            std::process::exit(2);
+        }
+    };
+    if let Some(path) = &args.baseline {
+        if let Err(message) = check_baseline_schema(path, args.baseline_force) {
             eprintln!("error: {message}");
             std::process::exit(2);
         }
-        write_baseline(&path);
+        write_baseline(path);
         return;
     }
-
-    let want = |id: &str| only.as_deref().is_none_or(|o| o == id);
 
     println!("DPhyp reproduction harness (single-shot timings, milliseconds)");
     println!(
         "mode: {}",
-        if full {
+        if args.full {
             "full"
         } else {
             "quick (use --full for the large baselines)"
@@ -84,78 +167,10 @@ fn main() {
     );
     println!();
 
-    if want("e1") {
-        hyperedge_split_experiment(
-            "E1 / Sec 4.2 table: cycle, 4 relations",
-            cycle(4),
-            full,
-            usize::MAX,
-        );
-    }
-    if want("fig5a") {
-        hyperedge_split_experiment(
-            "E2 / Fig 5 (left): cycle, 8 relations",
-            cycle(8),
-            full,
-            usize::MAX,
-        );
-    }
-    if want("fig5b") {
-        hyperedge_split_experiment(
-            "E3 / Fig 5 (right): cycle, 16 relations",
-            cycle(16),
-            full,
-            3,
-        );
-    }
-    if want("e4") {
-        hyperedge_split_experiment(
-            "E4 / Sec 4.3 table: star, 4 satellites",
-            star(4),
-            full,
-            usize::MAX,
-        );
-    }
-    if want("fig6a") {
-        hyperedge_split_experiment(
-            "E5 / Fig 6 (left): star, 8 satellites",
-            star(8),
-            full,
-            usize::MAX,
-        );
-    }
-    if want("fig6b") {
-        hyperedge_split_experiment("E6 / Fig 6 (right): star, 16 satellites", star(16), full, 0);
-    }
-    if want("fig7") {
-        regular_graphs(full);
-    }
-    if want("fig8a") {
-        antijoin_star();
-    }
-    if want("fig8b") {
-        outer_join_cycle();
-    }
-    if want("ccp") {
-        ccp_counts();
-    }
-    if want("table") {
-        table_comparison();
-    }
-    if want("adaptive") {
-        adaptive_tiers();
-    }
-    if want("ingest") {
-        ingest_corpus();
-    }
-    if want("service") {
-        service_experiment();
-    }
-    if want("feedback") {
-        feedback_experiment(quick);
-    }
-    if want("obsv") {
-        obsv_experiment(quick);
+    for (id, run) in EXPERIMENTS {
+        if args.experiment.as_deref().is_none_or(|only| only == id) {
+            run(&args);
+        }
     }
 }
 
@@ -402,7 +417,7 @@ fn run_feedback_rows(quick: bool) -> FeedbackRows {
 }
 
 /// O1: the observability layer measured over the corpus — per-phase wall-clock (parse, lower,
-/// canonicalize, enumerate, IDP, greedy, serve) harvested from an ambient
+/// canonicalize, enumerate, IDP, greedy) harvested from an ambient
 /// [`qo_obsv::RecordingSink`], plus the two acceptance checks of the instrumentation itself:
 /// planning stays bit-identical with tracing on vs. off, and an uninstalled sink (the
 /// [`qo_obsv::NoopSink`] default) keeps `Span::enter` within noise of pre-instrumentation.
@@ -492,7 +507,6 @@ struct ObsvRow {
     enumerate_ns: u64,
     idp_ns: u64,
     greedy_ns: u64,
-    serve_ns: u64,
     /// End-to-end wall clock of the serving call (a superset of the phases).
     total_ns: u64,
 }
@@ -616,7 +630,6 @@ fn run_obsv_rows(quick: bool) -> ObsvRows {
                 enumerate_ns: trace.phase_ns("enumerate"),
                 idp_ns: trace.phase_ns("idp"),
                 greedy_ns: trace.phase_ns("greedy"),
-                serve_ns: trace.phase_ns("serve"),
                 total_ns: wall.as_nanos() as u64,
             });
         }
@@ -919,8 +932,8 @@ fn service_experiment() {
         );
     }
     println!(
-        "warm speedup: {:.1}x; drift outcomes: {} re-costed, {} fell back to full \
-         re-optimization",
+        "warm speedup: {:.1}x (median of {WARM_PAIRS} cold->warm pairs); drift outcomes: {} \
+         re-costed, {} fell back to full re-optimization",
         rows.warm_speedup, rows.recosts, rows.recost_fallbacks
     );
     println!(
@@ -941,14 +954,20 @@ fn service_experiment() {
     println!();
 }
 
+/// Cold->warm pairs the warm-speedup gate takes the median of. One pair divides two passes of a
+/// few milliseconds each, so a single scheduling stall can move it by several x.
+const WARM_PAIRS: usize = 7;
+
 /// The service experiment's measured facts, shared by the printed table and the baseline
 /// snapshot. Asserts the headline acceptance claims (bit-identical warm plans, ≥10x warm
-/// speedup, batch == sequential) so both consumers get *checked* numbers.
+/// speedup, batch == sequential) so both consumers get *checked* numbers. The cache counters
+/// are those of one cold/warm/drift sequence on one service.
 struct ServiceRows {
     queries: usize,
     cold_ms: f64,
     warm_ms: f64,
     drift_ms: f64,
+    /// Median over [`WARM_PAIRS`] cold->warm pairs, each on a fresh service.
     warm_speedup: f64,
     recosts: u64,
     recost_fallbacks: u64,
@@ -968,14 +987,20 @@ fn run_service_rows() -> ServiceRows {
     let queries = qo_workloads::corpus::corpus();
     let n = queries.len();
 
+    let serve_all = |service: &Service| {
+        time_once(|| {
+            queries
+                .iter()
+                .map(|q| service.plan_ingest(q).expect("corpus query plannable"))
+                .collect::<Vec<_>>()
+        })
+    };
+    let speedup =
+        |cold: Duration, warm: Duration| cold.as_secs_f64() / warm.as_secs_f64().max(1e-12);
+
     let service = Service::default();
     // Cold pass: every shape is new.
-    let (t_cold, cold) = time_once(|| {
-        queries
-            .iter()
-            .map(|q| service.plan_ingest(q).expect("corpus query plannable"))
-            .collect::<Vec<_>>()
-    });
+    let (t_cold, cold) = serve_all(&service);
     for (q, served) in queries.iter().zip(&cold) {
         // Most cold queries miss outright; JOB-style corpora also contain *isomorphic* queries
         // (same join graph, different constants), which warm-start from their twin's entry via
@@ -990,12 +1015,7 @@ fn run_service_rows() -> ServiceRows {
     }
 
     // Warm pass: identical resubmission must hit, bit-identically.
-    let (t_warm, warm) = time_once(|| {
-        queries
-            .iter()
-            .map(|q| service.plan_ingest(q).expect("corpus query plannable"))
-            .collect::<Vec<_>>()
-    });
+    let (t_warm, warm) = serve_all(&service);
     for ((q, c), w) in queries.iter().zip(&cold).zip(&warm) {
         assert_eq!(w.source, PlanSource::CacheHit, "{}: warm must hit", q.name);
         assert_eq!(
@@ -1005,10 +1025,21 @@ fn run_service_rows() -> ServiceRows {
         );
         assert_eq!(w.plan, c.plan, "{}: warm plan must be identical", q.name);
     }
-    let warm_speedup = t_cold.as_secs_f64() / t_warm.as_secs_f64().max(1e-12);
+    // The gate reads the median over this pair and fresh ones; the extra services leave this
+    // service's counters alone.
+    let mut speedups = vec![speedup(t_cold, t_warm)];
+    speedups.extend((1..WARM_PAIRS).map(|_| {
+        let fresh = Service::default();
+        let (cold, _) = serve_all(&fresh);
+        let (warm, _) = serve_all(&fresh);
+        speedup(cold, warm)
+    }));
+    speedups.sort_by(f64::total_cmp);
+    let warm_speedup = speedups[WARM_PAIRS / 2];
     assert!(
         warm_speedup >= 10.0,
-        "warm-cache serving must be >= 10x faster than cold, got {warm_speedup:.1}x"
+        "warm-cache serving must be >= 10x faster than cold, got a median of \
+         {warm_speedup:.1}x over {WARM_PAIRS} cold->warm pairs ({speedups:.1?})"
     );
 
     // Statistics drift: same shapes, cardinalities drifted a few percent.
@@ -1253,7 +1284,8 @@ fn table_workloads() -> [Workload; 2] {
 }
 
 /// T1: arena DP table vs the pre-refactor std-HashMap reference, same DPhyp enumerator and
-/// cost model on both sides (costs asserted equal inside [`compare_tables`]).
+/// cost model on both sides (costs, ccp counts and table sizes asserted equal inside
+/// [`compare_tables`]).
 fn table_comparison() {
     println!("== T1: arena DpTable vs std-HashMap reference (same DPhyp enumeration) ==");
     println!(
@@ -1261,354 +1293,150 @@ fn table_comparison() {
         "workload", "arena (ms)", "hashmap (ms)", "speedup", "#ccp"
     );
     for w in table_workloads() {
-        let cmp = compare_tables(&w.graph, &w.catalog, BUDGET);
+        let cmp = compare_tables(&w.graph, &w.catalog);
+        let (arena_ms, hashmap_ms) = time_tables(&w.graph, &w.catalog, BUDGET);
         println!(
             "{:>10} {:>12.3} {:>14.3} {:>8.2}x {:>12}",
             w.name,
-            cmp.arena_ms,
-            cmp.hashmap_ms,
-            cmp.speedup(),
+            arena_ms,
+            hashmap_ms,
+            hashmap_ms / arena_ms,
             cmp.ccp_count
         );
     }
     println!();
 }
 
-/// Writes the machine-readable baseline snapshot consumed by future perf comparisons.
+/// Writes the clock-free baseline snapshot: every field is a count, a tier, a flag or a
+/// deterministic derived quantity, so two runs write byte-identical files and `diff` shows what
+/// a change moved. Each section runs the same checked code path as its experiment.
 fn write_baseline(path: &str) {
-    use dphyp::optimize;
-
     println!("writing baseline snapshot to {path} ...");
-    let workloads = [
+    let mut workloads: Vec<Json> = [
         chain_query(20, SEED),
         cycle_query(20, SEED),
         star_query(19, SEED),
         clique_query(14, SEED),
-    ];
-    let mut workload_rows = Vec::new();
-    for w in &workloads {
-        let result = optimize(&w.graph, &w.catalog).expect("baseline workload plannable");
-        let wall_ms = time_mean_ms(BUDGET, || {
-            optimize(&w.graph, &w.catalog).expect("plannable").cost
-        });
-        println!(
-            "  {:>10}: {:>9} ccps, {:>7} dp entries, {:>10.3} ms",
-            w.name, result.ccp_count, result.dp_entries, wall_ms
-        );
-        workload_rows.push(format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"relations\": {}, \"ccp_count\": {}, ",
-                "\"dp_entries\": {}, \"wall_ms\": {:.4}}}"
-            ),
-            w.name,
-            w.relations(),
-            result.ccp_count,
-            result.dp_entries,
-            wall_ms
-        ));
-    }
+    ]
+    .iter()
+    .map(workload_row)
+    .collect();
+    // chain-96 runs on the two-word (`W = 2`) node-set width through the same `optimize` entry
+    // point, so the wide path is covered too.
+    workloads.push(workload_row(&wide_chain_query(96, SEED)));
 
-    // The >64-relation tier: the 96-relation chain runs on the two-word (`W = 2`) node-set
-    // width through the same `optimize` entry point, so the wide path gets a perf trajectory
-    // of its own in the snapshot.
-    let wide = wide_chain_query(96, SEED);
-    let wide_result = optimize(&wide.graph, &wide.catalog).expect("wide baseline plannable");
-    let wide_ms = time_mean_ms(BUDGET, || {
-        optimize(&wide.graph, &wide.catalog)
-            .expect("plannable")
-            .cost
-    });
-    println!(
-        "  {:>10}: {:>9} ccps, {:>7} dp entries, {:>10.3} ms (two-word tier)",
-        wide.name, wide_result.ccp_count, wide_result.dp_entries, wide_ms
-    );
-    workload_rows.push(format!(
-        concat!(
-            "    {{\"name\": \"{}\", \"relations\": {}, \"ccp_count\": {}, ",
-            "\"dp_entries\": {}, \"wall_ms\": {:.4}}}"
-        ),
-        wide.name,
-        wide.relations(),
-        wide_result.ccp_count,
-        wide_result.dp_entries,
-        wide_ms
-    ));
+    let adaptive: Vec<Json> = adaptive_rows()
+        .into_iter()
+        .map(|(name, spec, budget)| {
+            let (_, r) = run_adaptive_row(&spec, budget);
+            json_obj! {
+                "name": name, "budget": budget.map_or("default".to_string(), |b| b.to_string()),
+                "tier": r.tier.to_string(), "exact_ccps": r.telemetry.exact_ccps,
+                "exact_skipped": r.telemetry.exact_skipped,
+            }
+        })
+        .collect();
 
-    // Adaptive-tier trajectory: which tier answers each workload/budget pair and how fast.
-    let mut adaptive_json_rows = Vec::new();
-    for (name, spec, budget) in adaptive_rows() {
-        let (wall_ms, r) = run_adaptive_row(&spec, budget);
-        let tier = r.tier;
-        let budget_col = budget.map_or("default".to_string(), |b| b.to_string());
-        println!("  {name:>10} (budget {budget_col:>9}): tier {tier:>7}, {wall_ms:>10.3} ms");
-        adaptive_json_rows.push(format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"budget\": \"{}\", \"tier\": \"{}\", ",
-                "\"exact_ccps\": {}, \"exact_skipped\": {}, \"wall_ms\": {:.4}}}"
-            ),
-            name, budget_col, tier, r.telemetry.exact_ccps, r.telemetry.exact_skipped, wall_ms
-        ));
-    }
+    let ingest: Vec<Json> = qo_workloads::corpus::corpus()
+        .iter()
+        .map(|q| {
+            let row = run_ingest_row(q);
+            json_obj! {
+                "name": q.name.as_str(), "relations": row.relations, "edges": row.edges,
+                "ccp_budget": row.budget, "tier": row.tier.to_string(),
+                "exact_ccps": row.exact_ccps, "exact_skipped": row.exact_skipped,
+            }
+        })
+        .collect();
 
-    // Ingest trajectory: the embedded .jg corpus planned end to end, one row per query.
-    let mut ingest_json_rows = Vec::new();
-    for q in qo_workloads::corpus::corpus() {
-        let row = run_ingest_row(&q);
-        println!(
-            "  {:>18}: {:>2} rels, tier {:>7}, {:>10.3} ms",
-            q.name, row.relations, row.tier, row.wall_ms
-        );
-        ingest_json_rows.push(format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"relations\": {}, \"edges\": {}, ",
-                "\"ccp_budget\": {}, \"tier\": \"{}\", \"exact_ccps\": {}, ",
-                "\"exact_skipped\": {}, \"wall_ms\": {:.4}}}"
-            ),
-            q.name,
-            row.relations,
-            row.edges,
-            row.budget,
-            row.tier,
-            row.exact_ccps,
-            row.exact_skipped,
-            row.wall_ms
-        ));
-    }
-
-    let mut table_rows = Vec::new();
-    for w in table_workloads() {
-        let cmp: TableComparison = compare_tables(&w.graph, &w.catalog, BUDGET);
-        println!(
-            "  {:>10}: arena {:.3} ms vs hashmap {:.3} ms ({:.2}x)",
-            w.name,
-            cmp.arena_ms,
-            cmp.hashmap_ms,
-            cmp.speedup()
-        );
-        table_rows.push(format!(
-            concat!(
-                "    {{\"workload\": \"{}\", \"arena_ms\": {:.4}, \"hashmap_ms\": {:.4}, ",
-                "\"speedup\": {:.3}, \"ccp_count\": {}}}"
-            ),
-            w.name,
-            cmp.arena_ms,
-            cmp.hashmap_ms,
-            cmp.speedup(),
-            cmp.ccp_count
-        ));
-    }
-
-    // Service trajectory: cold/warm/drift serving of the corpus through the plan cache.
     let s = run_service_rows();
-    println!(
-        "  service: cold {:.3} ms, warm {:.3} ms ({:.1}x), drift {:.3} ms \
-         ({} recost / {} fallback)",
-        s.cold_ms, s.warm_ms, s.warm_speedup, s.drift_ms, s.recosts, s.recost_fallbacks
-    );
-    let service_json = format!(
-        concat!(
-            "    \"queries\": {}, \"cold_ms\": {:.4}, \"warm_ms\": {:.4}, ",
-            "\"drift_ms\": {:.4}, \"warm_speedup\": {:.2}, \"recosts\": {}, ",
-            "\"recost_fallbacks\": {}, \"hits\": {}, \"shape_hits\": {}, \"misses\": {}, ",
-            "\"evictions\": {}, \"batch_matches_sequential\": {}, ",
-            "\"avg_hit_ns\": {}, \"avg_recost_ns\": {}, \"avg_miss_ns\": {}"
-        ),
-        s.queries,
-        s.cold_ms,
-        s.warm_ms,
-        s.drift_ms,
-        s.warm_speedup,
-        s.recosts,
-        s.recost_fallbacks,
-        s.hits,
-        s.shape_hits,
-        s.misses,
-        s.evictions,
-        s.batch_matches,
-        s.avg_hit_ns,
-        s.avg_recost_ns,
-        s.avg_miss_ns,
-    );
+    let service = json_obj! {
+        "queries": s.queries, "recosts": s.recosts, "recost_fallbacks": s.recost_fallbacks,
+        "hits": s.hits, "shape_hits": s.shape_hits, "misses": s.misses,
+        "evictions": s.evictions, "batch_matches_sequential": s.batch_matches,
+    };
 
-    // Feedback trajectory: the full loop — execute, observe, re-optimize — over the corpus,
-    // with per-query q-errors and executed costs.
     let f = run_feedback_rows(false);
-    println!(
-        "  feedback: {} executed, {} skipped; {} replanned, {} improved; \
-         true cost {:.0} -> {:.0}; worst q-error {:.1}",
-        f.executed,
-        f.skipped,
-        f.replanned,
-        f.improved,
-        f.total_cost_before,
-        f.total_cost_after,
-        f.max_q_error
-    );
     assert_feedback(&f);
-    let feedback_per_query: Vec<String> = f
+    let feedback_rows: Vec<Json> = f
         .rows
         .iter()
         .map(|r| {
-            format!(
-                concat!(
-                    "      {{\"name\": \"{}\", \"relations\": {}, \"skipped\": {}, ",
-                    "\"max_q_error\": {:.4}, \"median_q_error\": {:.4}, ",
-                    "\"true_cost_before\": {:.1}, \"true_cost_after\": {:.1}, ",
-                    "\"replanned\": {}, \"improved\": {}, \"source\": \"{}\"}}"
-                ),
-                r.name,
-                r.relations,
-                r.skipped,
-                r.max_q_error,
-                r.median_q_error,
-                r.true_cost_before,
-                r.true_cost_after,
-                r.replanned,
-                r.improved,
-                r.source
-            )
+            json_obj! {
+                "name": r.name.as_str(), "relations": r.relations, "skipped": r.skipped,
+                "max_q_error": r.max_q_error, "median_q_error": r.median_q_error,
+                "true_cost_before": r.true_cost_before, "true_cost_after": r.true_cost_after,
+                "replanned": r.replanned, "improved": r.improved, "source": r.source.as_str(),
+            }
         })
         .collect();
-    let feedback_json = format!(
-        concat!(
-            "    \"executed\": {}, \"skipped\": {}, \"replanned\": {}, \"improved\": {}, ",
-            "\"max_q_error\": {:.4}, \"median_q_error\": {:.4}, ",
-            "\"true_cost_before\": {:.1}, \"true_cost_after\": {:.1},\n",
-            "    \"per_query\": [\n{}\n    ]"
-        ),
-        f.executed,
-        f.skipped,
-        f.replanned,
-        f.improved,
-        f.max_q_error,
-        f.median_q_error,
-        f.total_cost_before,
-        f.total_cost_after,
-        feedback_per_query.join(",\n")
-    );
+    let feedback = json_obj! {
+        "executed": f.executed, "skipped": f.skipped, "replanned": f.replanned,
+        "improved": f.improved, "max_q_error": f.max_q_error,
+        "median_q_error": f.median_q_error, "true_cost_before": f.total_cost_before,
+        "true_cost_after": f.total_cost_after, "per_query": feedback_rows,
+    };
 
-    // Observability trajectory: per-phase time breakdowns for every corpus query, plus the
-    // inert-span overhead the default NoopSink configuration is held to.
+    // Only rate-selected exemplars: slow-armed ones fire on a latency trigger, and trace ids
+    // and latencies follow from those.
     let o = run_obsv_rows(false);
-    let phase_total = |f: fn(&ObsvRow) -> u64| o.rows.iter().map(f).sum::<u64>();
-    println!(
-        "  obsv: {} queries, inert span {:.2} ns/call, enumerate total {:.3} ms",
-        o.rows.len(),
-        o.noop_span_ns,
-        phase_total(|r| r.enumerate_ns) as f64 / 1e6
-    );
-    let obsv_per_query: Vec<String> = o
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "      {{\"name\": \"{}\", \"relations\": {}, \"parse_ns\": {}, ",
-                    "\"lower_ns\": {}, \"canonicalize_ns\": {}, ",
-                    "\"enumerate_ns\": {}, \"idp_ns\": {}, \"greedy_ns\": {}, ",
-                    "\"serve_ns\": {}, \"total_ns\": {}}}"
-                ),
-                r.name,
-                r.relations,
-                r.parse_ns,
-                r.lower_ns,
-                r.canonicalize_ns,
-                r.enumerate_ns,
-                r.idp_ns,
-                r.greedy_ns,
-                r.serve_ns,
-                r.total_ns
-            )
-        })
-        .collect();
-    let exemplar_rows: Vec<String> = o
+    let exemplars: Vec<Json> = o
         .exemplars
         .iter()
+        .filter(|ex| ex.trigger == "rate")
         .map(|ex| {
-            format!(
-                concat!(
-                    "      {{\"trace_id\": {}, \"seq\": {}, \"trigger\": \"{}\", ",
-                    "\"latency_ns\": {}, \"spans\": {}, \"serve_spans\": {}}}"
-                ),
-                ex.trace_id, ex.seq, ex.trigger, ex.latency_ns, ex.spans, ex.serve_spans
-            )
+            json_obj! {
+                "seq": ex.seq, "trigger": ex.trigger, "spans": ex.spans,
+                "serve_spans": ex.serve_spans,
+            }
         })
         .collect();
-    let obsv_json = format!(
-        concat!(
-            "    \"queries\": {}, \"noop_span_ns\": {:.3}, \"noop_span_calls\": {}, ",
-            "\"trace_bit_identical\": true,\n",
-            "    \"sampler_fastpath_ns\": {:.3}, \"sampler_fastpath_calls\": {}, ",
-            "\"sample_rate\": 1024, \"sampling_bit_identical\": true, ",
-            "\"sampled_serves\": {}, \"total_serves\": {},\n",
-            "    \"exemplars\": [\n{}\n    ],\n",
-            "    \"phase_totals_ns\": {{\"parse\": {}, \"lower\": {}, \"canonicalize\": {}, ",
-            "\"enumerate\": {}, \"idp\": {}, \"greedy\": {}, ",
-            "\"serve\": {}}},\n",
-            "    \"per_query\": [\n{}\n    ]"
-        ),
-        o.rows.len(),
-        o.noop_span_ns,
-        o.noop_span_calls,
-        o.sampler_fastpath_ns,
-        o.sampler_fastpath_calls,
-        o.sampled,
-        o.serves,
-        exemplar_rows.join(",\n"),
-        phase_total(|r| r.parse_ns),
-        phase_total(|r| r.lower_ns),
-        phase_total(|r| r.canonicalize_ns),
-        phase_total(|r| r.enumerate_ns),
-        phase_total(|r| r.idp_ns),
-        phase_total(|r| r.greedy_ns),
-        phase_total(|r| r.serve_ns),
-        obsv_per_query.join(",\n")
-    );
+    let obsv = json_obj! {
+        "queries": o.rows.len(), "noop_span_calls": o.noop_span_calls,
+        "trace_bit_identical": true, "sampler_fastpath_calls": o.sampler_fastpath_calls,
+        "sample_rate": 1024u32, "sampling_bit_identical": true, "total_serves": o.serves,
+        "exemplars": exemplars,
+    };
 
-    // Regret trajectory: repeated feedback cycles with the pinning veto live; the snapshot
-    // records the checked non-increasing aggregate series.
     let r = run_regret_rows(false);
-    println!(
-        "  regret: {} queries x {} cycles, per-cycle {:?}; {} pins, {} pinned serves",
-        r.queries, r.cycles, r.per_cycle, r.pins, r.pinned_serves
-    );
     assert_regret(&r);
-    let regret_json = format!(
-        concat!(
-            "    \"cycles\": {}, \"queries\": {}, \"pins\": {}, \"pinned_serves\": {}, ",
-            "\"non_increasing\": true,\n",
-            "    \"per_cycle\": [{}]"
-        ),
-        r.cycles,
-        r.queries,
-        r.pins,
-        r.pinned_serves,
-        r.per_cycle
-            .iter()
-            .map(|v| format!("{v:.4}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
+    let regret = json_obj! {
+        "cycles": r.cycles, "queries": r.queries, "pins": r.pins,
+        "pinned_serves": r.pinned_serves, "non_increasing": true,
+        "per_cycle": r.per_cycle,
+    };
 
-    let json = format!(
-        "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"generated_by\": \"reproduce --baseline\",\n  \
-         \"seed\": {SEED},\n  \"workloads\": [\n{}\n  ],\n  \"adaptive_tiers\": [\n{}\n  ],\n  \
-         \"ingest\": [\n{}\n  ],\n  \"service\": {{\n{}\n  }},\n  \
-         \"feedback\": {{\n{}\n  }},\n  \
-         \"obsv\": {{\n{}\n  }},\n  \
-         \"regret\": {{\n{}\n  }},\n  \
-         \"dp_table_comparison\": [\n{}\n  ]\n}}\n",
-        workload_rows.join(",\n"),
-        adaptive_json_rows.join(",\n"),
-        ingest_json_rows.join(",\n"),
-        service_json,
-        feedback_json,
-        obsv_json,
-        regret_json,
-        table_rows.join(",\n"),
-    );
-    std::fs::write(path, json).expect("baseline file is writable");
+    let tables: Vec<Json> = table_workloads()
+        .iter()
+        .map(|w| {
+            let cmp = compare_tables(&w.graph, &w.catalog);
+            json_obj! {
+                "workload": w.name.as_str(), "ccp_count": cmp.ccp_count,
+                "dp_entries": cmp.dp_entries,
+            }
+        })
+        .collect();
+
+    let snapshot = json_obj! {
+        "schema_version": SCHEMA_VERSION, "generated_by": "reproduce --baseline", "seed": SEED,
+        "workloads": workloads, "adaptive_tiers": adaptive, "ingest": ingest,
+        "service": service, "feedback": feedback, "obsv": obsv, "regret": regret,
+        "dp_table_comparison": tables,
+    };
+    let text = snapshot
+        .render()
+        .unwrap_or_else(|e| panic!("baseline snapshot: {e}"));
+    std::fs::write(path, text).expect("baseline file is writable");
     println!("done.");
+}
+
+/// One `workloads` row of the baseline snapshot.
+fn workload_row<const W: usize>(w: &Workload<W>) -> Json {
+    let r = dphyp::optimize(&w.graph, &w.catalog).expect("baseline workload plannable");
+    json_obj! {
+        "name": w.name.as_str(), "relations": w.relations(),
+        "ccp_count": r.ccp_count, "dp_entries": r.dp_entries,
+    }
 }
 
 fn cycle(n: usize) -> (Box<dyn Fn(usize) -> Workload>, usize) {
@@ -1786,6 +1614,42 @@ fn ccp_counts() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    /// A bad id or a misspelled flag is an error (exit 2 with the usage), not a silent run of
+    /// nothing or of everything.
+    #[test]
+    fn bad_arguments_are_rejected_and_the_usage_lists_every_experiment() {
+        assert!(parse(&["--experiment", "bogus"])
+            .unwrap_err()
+            .contains("bogus"));
+        assert!(parse(&["--experment", "e1"])
+            .unwrap_err()
+            .contains("--experment"));
+        assert!(parse(&["--experiment"]).is_err());
+        assert!(parse(&["e1"]).is_err());
+        let usage = usage();
+        for (id, _) in EXPERIMENTS {
+            assert!(usage.contains(id), "{usage}");
+        }
+    }
+
+    #[test]
+    fn valid_arguments_parse() {
+        assert_eq!(parse(&[]).unwrap(), Args::default());
+        let args = parse(&["--quick", "--experiment", "obsv"]).unwrap();
+        assert!(args.quick && !args.full);
+        assert_eq!(args.experiment.as_deref(), Some("obsv"));
+        let args = parse(&["--baseline", "--baseline-force"]).unwrap();
+        assert_eq!(args.baseline.as_deref(), Some("BENCH_baseline.json"));
+        assert!(args.baseline_force);
+        let args = parse(&["--full", "--baseline", "out.json"]).unwrap();
+        assert_eq!(args.baseline.as_deref(), Some("out.json"));
+        assert!(args.full);
+    }
 
     /// The schema guard's user-facing contract: a snapshot of a different schema generation
     /// is refused with a message naming both versions and the `--baseline-force` escape

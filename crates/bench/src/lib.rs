@@ -1,21 +1,23 @@
-//! Shared runners for the benchmark harness.
+//! The library behind the `reproduce` binary.
 //!
-//! Every experiment of the paper boils down to "optimize this query with algorithm X and measure
-//! the optimization time". The functions here wrap the algorithms behind a uniform interface so
-//! that the Criterion benches (one per table/figure) and the `reproduce` binary (which prints
-//! paper-style tables from single-shot measurements) share the exact same code paths.
+//! Every experiment of the paper boils down to "optimize this query with algorithm X, count its
+//! csg-cmp-pairs and time it once". The runners here put the algorithms behind one interface,
+//! [`reference`](mod@reference) keeps the std-`HashMap` DP table the arena table is compared
+//! against, and [`json`] renders the clock-free `BENCH_baseline.json` snapshot. Timing
+//! distributions are the job of the `servebench/` benchmark, not of this crate.
 
+pub mod json;
 pub mod reference;
 
 use dphyp::enumerate::DpHyp;
 use dphyp::{ConflictEncoding, OpTree, Optimizer, OptimizerOptions};
-use qo_baselines::{dpsize, dpsub, goo};
+use qo_baselines::{dpsize, dpsub};
 use qo_catalog::{Catalog, CcpHandler, CoutCost};
 use qo_hypergraph::Hypergraph;
 use reference::HashMapReferenceHandler;
 use std::time::{Duration, Instant};
 
-/// Which join-ordering algorithm to run.
+/// Which exact join-ordering algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Algorithm {
     /// DPhyp — the paper's contribution.
@@ -24,20 +26,6 @@ pub enum Algorithm {
     DpSize,
     /// DPsub, hypergraph-aware.
     DpSub,
-    /// Greedy operator ordering (sanity baseline, not in the paper).
-    Goo,
-}
-
-impl Algorithm {
-    /// Display name matching the paper.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algorithm::DpHyp => "DPhyp",
-            Algorithm::DpSize => "DPsize",
-            Algorithm::DpSub => "DPsub",
-            Algorithm::Goo => "GOO",
-        }
-    }
 }
 
 /// Outcome of one optimization run.
@@ -82,14 +70,6 @@ pub fn run_algorithm(algorithm: Algorithm, graph: &Hypergraph, catalog: &Catalog
                 dp_entries: r.dp_entries,
             }
         }
-        Algorithm::Goo => {
-            let r = goo(graph, catalog, &CoutCost).expect("benchmark query must be plannable");
-            RunStats {
-                cost: r.cost,
-                cost_calls: r.cost_calls,
-                dp_entries: r.dp_entries,
-            }
-        }
     }
 }
 
@@ -109,8 +89,8 @@ pub fn run_tree_pipeline(tree: &OpTree, encoding: ConflictEncoding) -> RunStats 
     }
 }
 
-/// Measures the wall-clock time of one invocation of `f` (the paper reports single-run
-/// optimization times; the Criterion benches do proper statistics on top of the same closures).
+/// Measures the wall-clock time of one invocation of `f`: the paper's tables report
+/// single-run optimization times.
 pub fn time_once<T>(f: impl FnOnce() -> T) -> (Duration, T) {
     let start = Instant::now();
     let out = f();
@@ -123,8 +103,8 @@ pub fn format_ms(d: Duration) -> String {
 }
 
 /// Repeats `f` until `budget` wall-clock time has elapsed (at least once) and returns the mean
-/// milliseconds per invocation. Used where single-shot timings would drown in noise.
-pub fn time_mean_ms<T>(budget: Duration, mut f: impl FnMut() -> T) -> f64 {
+/// milliseconds per invocation.
+fn time_mean_ms<T>(budget: Duration, mut f: impl FnMut() -> T) -> f64 {
     let start = Instant::now();
     let mut iters = 0u64;
     loop {
@@ -137,66 +117,61 @@ pub fn time_mean_ms<T>(budget: Duration, mut f: impl FnMut() -> T) -> f64 {
     start.elapsed().as_secs_f64() * 1e3 / iters as f64
 }
 
-/// Result of pitting the arena [`qo_catalog::DpTable`] against the std-`HashMap` reference
-/// ([`reference::HashMapReferenceHandler`]) on one workload.
+/// What the arena [`qo_catalog::DpTable`] and the std-`HashMap` reference
+/// ([`reference::HashMapReferenceHandler`]) agree on for one workload.
 #[derive(Clone, Debug)]
 pub struct TableComparison {
-    /// Mean optimization time with the production arena table, milliseconds.
-    pub arena_ms: f64,
-    /// Mean optimization time with the std-HashMap reference table, milliseconds.
-    pub hashmap_ms: f64,
-    /// csg-cmp-pairs processed (identical for both by construction).
+    /// csg-cmp-pairs processed.
     pub ccp_count: usize,
-    /// DP-table entries (identical for both by construction).
+    /// DP-table entries.
     pub dp_entries: usize,
 }
 
-impl TableComparison {
-    /// `hashmap_ms / arena_ms` — how much faster the arena table is.
-    pub fn speedup(&self) -> f64 {
-        self.hashmap_ms / self.arena_ms
-    }
-}
-
-/// Runs the arena-vs-HashMap table comparison on an (inner-join) workload. Both sides are
-/// driven by the same DPhyp enumerator with the `C_out` model and neither reconstructs a plan,
-/// so the timing difference isolates the memo structure (table lookups in `contains`, class
-/// reads, candidate offers). Plan cost, ccp count and table size are asserted equal.
-pub fn compare_tables(graph: &Hypergraph, catalog: &Catalog, budget: Duration) -> TableComparison {
-    let all = graph.all_nodes();
-    let run_arena = || {
-        let combiner = qo_catalog::JoinCombiner::new(graph, catalog, &CoutCost);
-        let mut h = qo_catalog::CostBasedHandler::new(combiner);
-        let _ = DpHyp::new(graph, &mut h).run();
-        let ccps = h.ccp_count();
-        let table = h.into_table();
-        let cost = table.get(all).expect("complete plan").cost;
-        (cost, ccps, table.len())
-    };
-    let run_hashmap = || {
-        let mut h = HashMapReferenceHandler::new(graph, catalog, &CoutCost);
-        let _ = DpHyp::new(graph, &mut h).run();
-        let cost = h.cost_of(all).expect("complete plan");
-        (cost, h.ccp_count(), h.dp_entries())
-    };
-
-    let (arena_cost, ccp_count, dp_entries) = run_arena();
-    let (ref_cost, ref_ccps, ref_entries) = run_hashmap();
+/// Runs DPhyp once over each table on an (inner-join) workload and asserts that both agree on
+/// plan cost, ccp count and table size.
+pub fn compare_tables(graph: &Hypergraph, catalog: &Catalog) -> TableComparison {
+    let (arena_cost, ccp_count, dp_entries) = run_arena(graph, catalog);
+    let (ref_cost, ref_ccps, ref_entries) = run_hashmap(graph, catalog);
     assert_eq!(ref_ccps, ccp_count, "ccp count mismatch");
     assert_eq!(ref_entries, dp_entries, "table size mismatch");
     assert!(
         (ref_cost - arena_cost).abs() <= 1e-9 * arena_cost.max(1.0),
         "cost mismatch: reference {ref_cost} vs production {arena_cost}"
     );
-
-    let arena_ms = time_mean_ms(budget, run_arena);
-    let hashmap_ms = time_mean_ms(budget, run_hashmap);
     TableComparison {
-        arena_ms,
-        hashmap_ms,
         ccp_count,
         dp_entries,
     }
+}
+
+/// Mean milliseconds per optimization with the arena table and with the std-`HashMap`
+/// reference, each repeated for at least `budget`. Both sides are driven by the same DPhyp
+/// enumerator with the `C_out` model and neither reconstructs a plan, so the difference
+/// isolates the memo structure (table lookups in `contains`, class reads, candidate offers).
+pub fn time_tables(graph: &Hypergraph, catalog: &Catalog, budget: Duration) -> (f64, f64) {
+    (
+        time_mean_ms(budget, || run_arena(graph, catalog)),
+        time_mean_ms(budget, || run_hashmap(graph, catalog)),
+    )
+}
+
+/// DPhyp over the production arena table: `(cost, ccp count, table size)`.
+fn run_arena(graph: &Hypergraph, catalog: &Catalog) -> (f64, usize, usize) {
+    let combiner = qo_catalog::JoinCombiner::new(graph, catalog, &CoutCost);
+    let mut h = qo_catalog::CostBasedHandler::new(combiner);
+    let _ = DpHyp::new(graph, &mut h).run();
+    let ccps = h.ccp_count();
+    let table = h.into_table();
+    let cost = table.get(graph.all_nodes()).expect("complete plan").cost;
+    (cost, ccps, table.len())
+}
+
+/// DPhyp over the std-`HashMap` reference table: `(cost, ccp count, table size)`.
+fn run_hashmap(graph: &Hypergraph, catalog: &Catalog) -> (f64, usize, usize) {
+    let mut h = HashMapReferenceHandler::new(graph, catalog, &CoutCost);
+    let _ = DpHyp::new(graph, &mut h).run();
+    let cost = h.cost_of(graph.all_nodes()).expect("complete plan");
+    (cost, h.ccp_count(), h.dp_entries())
 }
 
 #[cfg(test)]
@@ -215,9 +190,6 @@ mod tests {
         // All DP variants invoke the cost function once per csg-cmp-pair.
         assert_eq!(dphyp.cost_calls, dpsize.cost_calls);
         assert_eq!(dphyp.cost_calls, dpsub.cost_calls);
-        // Greedy is valid but not better than the optimum.
-        let greedy = run_algorithm(Algorithm::Goo, &w.graph, &w.catalog);
-        assert!(greedy.cost >= dphyp.cost - 1e-9);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A std-`HashMap` reference implementation of the DP table, preserved from the pre-arena
-//! design so the benchmarks can quantify what the arena re-architecture buys.
+//! design so `reproduce --experiment table` can quantify what the arena re-architecture buys.
 //!
 //! This handler deliberately reproduces the costs the production table was rebuilt to avoid:
 //!

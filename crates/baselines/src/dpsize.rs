@@ -85,7 +85,7 @@ pub fn dpsize<M: CostModel<W> + ?Sized, const W: usize>(
 
     let all = graph.all_nodes();
     let Some(class) = table.get(all) else {
-        return Err(BaselineError::NoCompletePlan);
+        return Err(BaselineError::no_complete_plan(&table));
     };
     let plan = table
         .reconstruct(all, graph)
@@ -168,7 +168,7 @@ mod tests {
         let c = Catalog::uniform(4, 10.0, 2, 0.5);
         assert!(matches!(
             dpsize(&g, &c, &CoutCost),
-            Err(BaselineError::NoCompletePlan)
+            Err(BaselineError::NoCompletePlan { .. })
         ));
     }
 

@@ -60,7 +60,7 @@ pub fn dpsub<M: CostModel<W> + ?Sized, const W: usize>(
     }
 
     let Some(class) = table.get(all) else {
-        return Err(BaselineError::NoCompletePlan);
+        return Err(BaselineError::no_complete_plan(&table));
     };
     let plan = table
         .reconstruct(all, graph)
@@ -142,7 +142,7 @@ mod tests {
         let c = Catalog::uniform(3, 10.0, 1, 0.5);
         assert!(matches!(
             dpsub(&g, &c, &CoutCost),
-            Err(BaselineError::NoCompletePlan)
+            Err(BaselineError::NoCompletePlan { .. })
         ));
     }
 

@@ -55,7 +55,7 @@ pub fn goo<M: CostModel<W> + ?Sized, const W: usize>(
             }
         }
         let Some((i, j, winner)) = best else {
-            return Err(BaselineError::NoCompletePlan);
+            return Err(BaselineError::no_complete_plan(&table));
         };
         let merged = winner.stats();
         table.offer(winner);
@@ -126,7 +126,7 @@ mod tests {
         let c = Catalog::uniform(4, 10.0, 2, 0.5);
         assert!(matches!(
             goo(&g, &c, &CoutCost),
-            Err(BaselineError::NoCompletePlan)
+            Err(BaselineError::NoCompletePlan { largest_covered: 2 })
         ));
     }
 }

@@ -104,7 +104,7 @@ pub fn idp_with_strategy<M: CostModel<W> + ?Sized, const W: usize>(
 
     while blocks.len() > 1 {
         let selected = select_blocks(graph, &blocks, k, strategy, &mut pairs_tested)
-            .ok_or(BaselineError::NoCompletePlan)?;
+            .ok_or_else(|| BaselineError::no_complete_plan(&table))?;
         let merged = solve_block(
             &combiner,
             &blocks,
@@ -113,7 +113,7 @@ pub fn idp_with_strategy<M: CostModel<W> + ?Sized, const W: usize>(
             &mut edge_buf,
             &mut cost_calls,
         )
-        .ok_or(BaselineError::NoCompletePlan)?;
+        .ok_or_else(|| BaselineError::no_complete_plan(&table))?;
         // Collapse the merged blocks (descending index order keeps the indexes valid); the
         // winner's relation set tells which of the selected blocks it actually covers — the
         // block DP may have had to settle for a subset of the selection.
@@ -412,7 +412,7 @@ mod tests {
         let c = Catalog::uniform(4, 10.0, 2, 0.5);
         assert!(matches!(
             idp(&g, &c, &CoutCost, 3),
-            Err(BaselineError::NoCompletePlan)
+            Err(BaselineError::NoCompletePlan { .. })
         ));
     }
 

@@ -1,5 +1,6 @@
 //! Common result/error types for the baseline enumerators.
 
+use qo_catalog::DpTable;
 use qo_plan::PlanNode;
 use std::fmt;
 
@@ -30,16 +31,30 @@ pub enum BaselineError {
     /// The catalog does not match the hypergraph.
     InvalidCatalog(String),
     /// No cross-product-free plan covering every relation exists.
-    NoCompletePlan,
+    NoCompletePlan {
+        /// Size of the largest relation set the enumerator built a plan for.
+        largest_covered: usize,
+    },
+}
+
+impl BaselineError {
+    /// The [`BaselineError::NoCompletePlan`] of an enumerator that stopped short, reporting the
+    /// largest class its table holds.
+    pub(crate) fn no_complete_plan<const W: usize>(table: &DpTable<W>) -> BaselineError {
+        BaselineError::NoCompletePlan {
+            largest_covered: table.classes().map(|c| c.set.len()).max().unwrap_or(0),
+        }
+    }
 }
 
 impl fmt::Display for BaselineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BaselineError::InvalidCatalog(m) => write!(f, "invalid catalog: {m}"),
-            BaselineError::NoCompletePlan => {
-                write!(f, "no cross-product-free plan covers all relations")
-            }
+            BaselineError::NoCompletePlan { largest_covered } => write!(
+                f,
+                "no cross-product-free plan covers all relations (largest connected set: {largest_covered} relations)"
+            ),
         }
     }
 }

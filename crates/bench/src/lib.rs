@@ -147,7 +147,7 @@ pub fn compare_tables(graph: &Hypergraph, catalog: &Catalog) -> TableComparison 
 /// Mean milliseconds per optimization with the arena table and with the std-`HashMap`
 /// reference, each repeated for at least `budget`. Both sides are driven by the same DPhyp
 /// enumerator with the `C_out` model and neither reconstructs a plan, so the difference
-/// isolates the memo structure (table lookups in `contains`, class reads, candidate offers).
+/// isolates the memo structure (connectivity lookups, class reads, candidate offers).
 pub fn time_tables(graph: &Hypergraph, catalog: &Catalog, budget: Duration) -> (f64, f64) {
     (
         time_mean_ms(budget, || run_arena(graph, catalog)),

@@ -4,6 +4,8 @@
 //! This handler deliberately reproduces the costs the production table was rebuilt to avoid:
 //!
 //! * memoization through `HashMap<NodeSet, RefPlanClass>` (SipHash per probe, bucket storage),
+//!   probed for both inputs of every pair (production reads them through the slots the
+//!   enumerator hands back, and indexes small graphs by mask),
 //! * a freshly allocated `Vec<EdgeId>` connecting-edge list per emitted pair,
 //! * cloned plan classes (the `Vec`-carrying `RefPlanClass` is not `Copy`),
 //! * cost-model calls through `&dyn CostModel`.
@@ -117,6 +119,9 @@ impl<'a> HashMapReferenceHandler<'a> {
 }
 
 impl CcpHandler for HashMapReferenceHandler<'_> {
+    /// The reference keeps no arena; it re-probes its map for both inputs of every pair.
+    type Slot = ();
+
     fn init_leaf(&mut self, relation: NodeId) {
         self.classes.insert(
             NodeSet::single(relation),
@@ -128,11 +133,11 @@ impl CcpHandler for HashMapReferenceHandler<'_> {
         );
     }
 
-    fn contains(&self, set: NodeSet) -> bool {
-        self.classes.contains_key(&set)
+    fn slot(&self, set: NodeSet) -> Option<()> {
+        self.classes.contains_key(&set).then_some(())
     }
 
-    fn emit_ccp(&mut self, s1: NodeSet, s2: NodeSet) -> EmitSignal {
+    fn emit_ccp(&mut self, s1: NodeSet, _: (), s2: NodeSet, _: ()) -> EmitSignal {
         self.ccps += 1;
         self.combine_and_offer(s1, s2);
         EmitSignal::Continue
@@ -147,8 +152,31 @@ impl CcpHandler for HashMapReferenceHandler<'_> {
 mod tests {
     use super::*;
     use dphyp::enumerate::DpHyp;
-    use qo_catalog::CoutCost;
+    use qo_catalog::{CostBasedHandler, CoutCost, DpTable, JoinCombiner};
     use qo_workloads::{chain_query, star_query};
+
+    #[test]
+    fn mask_index_boundary_agrees_with_the_reference() {
+        // n = 16 is the last mask-indexed size, n = 17 the first hashed one.
+        let max = DpTable::<1>::MASK_INDEXED_MAX_RELATIONS;
+        for n in [max, max + 1] {
+            for w in [chain_query(n, 3), star_query(n - 1, 3)] {
+                let mut reference = HashMapReferenceHandler::new(&w.graph, &w.catalog, &CoutCost);
+                let _ = DpHyp::new(&w.graph, &mut reference).run();
+                let mut production =
+                    CostBasedHandler::new(JoinCombiner::new(&w.graph, &w.catalog, &CoutCost));
+                let _ = DpHyp::new(&w.graph, &mut production).run();
+                assert_eq!(production.ccp_count(), reference.ccp_count(), "n = {n}");
+                let table = production.into_table();
+                assert_eq!(table.len(), reference.dp_entries(), "n = {n}");
+                assert!(table.contains(w.graph.all_nodes()));
+                for class in table.classes() {
+                    let cost = reference.cost_of(class.set).expect("same classes");
+                    assert_eq!(class.cost.to_bits(), cost.to_bits(), "{:?}", class.set);
+                }
+            }
+        }
+    }
 
     #[test]
     fn reference_agrees_with_the_production_optimizer() {

@@ -15,8 +15,10 @@
 //!   the join-ordering literature) and [`MixedCost`] (a simple physical model distinguishing
 //!   hash joins from nested-loop/dependent joins),
 //! * [`table`]: the arena-based DP table ([`DpTable`]) — plan classes in a contiguous arena
-//!   behind a hand-rolled FxHash-style `NodeSet → u32` slot map; classes store no predicate
-//!   lists, which [`DpTable::reconstruct`] recollects from the hypergraph for the returned plan,
+//!   behind a `NodeSet → u32` slot map, indexed by mask for one-word graphs of at most 16
+//!   relations and a hand-rolled FxHash-style open-addressing map otherwise; classes store no
+//!   predicate lists, which [`DpTable::reconstruct`] recollects from the hypergraph for the
+//!   returned plan,
 //! * [`planner`]: the [`CcpHandler`] trait through which the enumeration algorithms report
 //!   csg-cmp-pairs, the cost-based handler that implements the paper's `EmitCsgCmp`
 //!   (monomorphized over the cost model), a counting handler used for search-space
@@ -39,7 +41,7 @@ pub use planner::{
     recost_table, BudgetedHandler, CcpHandler, CostBasedHandler, CountingHandler, EmitSignal,
     JoinCombiner,
 };
-pub use table::{BestJoin, DpTable, PlanClass};
+pub use table::{BestJoin, ClassSlot, DpTable, PlanClass};
 
 pub use qo_bitset::{NodeId, NodeSet};
 pub use qo_hypergraph::EdgeId;

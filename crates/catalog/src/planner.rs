@@ -16,7 +16,7 @@
 
 use crate::catalog::Catalog;
 use crate::cost::{CostModel, SubPlanStats};
-pub use crate::table::{BestJoin, DpTable, PlanClass};
+pub use crate::table::{BestJoin, ClassSlot, DpTable, PlanClass};
 use qo_bitset::{NodeId, NodeSet};
 use qo_hypergraph::{EdgeId, Hypergraph};
 use qo_plan::JoinOp;
@@ -50,21 +50,37 @@ impl EmitSignal {
 ///
 /// The contract mirrors the paper's use of the DP table:
 /// * [`CcpHandler::init_leaf`] is called once per relation before enumeration starts,
-/// * [`CcpHandler::contains`] answers "does the DP table have an entry for this set", which the
-///   algorithms use as their connectivity test,
-/// * [`CcpHandler::emit_ccp`] is called exactly once per canonical csg-cmp-pair `(S1, S2)` and
-///   must register `S1 ∪ S2` so that later `contains` calls see it. Its [`EmitSignal`] return
-///   value lets the handler abort the enumeration early; once a handler has answered
-///   [`EmitSignal::Abort`] the algorithm must not emit further pairs.
+/// * [`CcpHandler::slot`] answers "does the DP table have an entry for this set", which the
+///   algorithms use as their connectivity test, with a handle to the entry,
+/// * [`CcpHandler::emit_ccp`] is called exactly once per canonical csg-cmp-pair `(S1, S2)`,
+///   with the slots the connectivity test returned for `S1` and `S2`, and must register
+///   `S1 ∪ S2` so that later `slot` calls see it. Its [`EmitSignal`] return value lets the
+///   handler abort the enumeration early; once a handler has answered [`EmitSignal::Abort`]
+///   the algorithm must not emit further pairs.
+///
+/// Handing the slots back means a pair costs the handler one table probe, for the union: the
+/// enumerator looks each class up once, when it tests the set's connectivity.
 pub trait CcpHandler<const W: usize = 1> {
+    /// Handle to a registered class. It must stay valid for the handler's lifetime (the
+    /// [`CostBasedHandler`] uses the never-moving [`ClassSlot`]; handlers that keep no arena
+    /// use `()`).
+    type Slot: Copy;
+
     /// Registers the access plan for a single relation.
     fn init_leaf(&mut self, relation: NodeId);
 
-    /// Does a plan class for `set` exist yet?
-    fn contains(&self, set: NodeSet<W>) -> bool;
+    /// The slot of the class for `set`, or `None` if no class exists yet.
+    fn slot(&self, set: NodeSet<W>) -> Option<Self::Slot>;
 
-    /// Processes the csg-cmp-pair `(s1, s2)` and reports whether enumeration may continue.
-    fn emit_ccp(&mut self, s1: NodeSet<W>, s2: NodeSet<W>) -> EmitSignal;
+    /// Processes the csg-cmp-pair `(s1, s2)`, whose classes sit at `slot1` and `slot2`, and
+    /// reports whether enumeration may continue.
+    fn emit_ccp(
+        &mut self,
+        s1: NodeSet<W>,
+        slot1: Self::Slot,
+        s2: NodeSet<W>,
+        slot2: Self::Slot,
+    ) -> EmitSignal;
 
     /// Number of csg-cmp-pairs processed so far.
     fn ccp_count(&self) -> usize;
@@ -278,7 +294,9 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
 ///
 /// Generic over the cost model like [`JoinCombiner`]; a concrete `M` makes the whole
 /// pair-processing path — connecting-edge collection into a reused buffer, candidate
-/// construction, cost call, table offer — free of virtual dispatch and allocation.
+/// construction, cost call, table offer — free of virtual dispatch and allocation. The two
+/// input classes are read through the slots the enumerator passes in, so the union's offer is
+/// the pair's only table probe.
 pub struct CostBasedHandler<'a, M: ?Sized = dyn CostModel, const W: usize = 1>
 where
     M: CostModel<W>,
@@ -291,11 +309,12 @@ where
 }
 
 impl<'a, M: CostModel<W> + ?Sized, const W: usize> CostBasedHandler<'a, M, W> {
-    /// Creates a handler over an empty DP table.
+    /// Creates a handler over an empty DP table sized for the combiner's graph
+    /// ([`DpTable::with_relations`]).
     pub fn new(combiner: JoinCombiner<'a, M, W>) -> Self {
         CostBasedHandler {
+            table: DpTable::with_relations(combiner.graph().node_count()),
             combiner,
-            table: DpTable::new(),
             edge_buf: Vec::new(),
             ccps: 0,
         }
@@ -318,27 +337,29 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> CostBasedHandler<'a, M, W> {
 }
 
 impl<M: CostModel<W> + ?Sized, const W: usize> CcpHandler<W> for CostBasedHandler<'_, M, W> {
+    type Slot = ClassSlot;
+
     fn init_leaf(&mut self, relation: NodeId) {
         let card = self.combiner.catalog().cardinality(relation);
         self.table.insert_leaf(relation, card);
     }
 
-    fn contains(&self, set: NodeSet<W>) -> bool {
-        self.table.contains(set)
+    #[inline]
+    fn slot(&self, set: NodeSet<W>) -> Option<ClassSlot> {
+        self.table.slot(set)
     }
 
-    fn emit_ccp(&mut self, s1: NodeSet<W>, s2: NodeSet<W>) -> EmitSignal {
+    fn emit_ccp(
+        &mut self,
+        s1: NodeSet<W>,
+        slot1: ClassSlot,
+        s2: NodeSet<W>,
+        slot2: ClassSlot,
+    ) -> EmitSignal {
         self.ccps += 1;
-        let (a, b) = match (self.table.get(s1), self.table.get(s2)) {
-            (Some(a), Some(b)) => (a.stats(), b.stats()),
-            _ => {
-                debug_assert!(
-                    false,
-                    "emit_ccp called before both classes exist: {s1:?}, {s2:?}"
-                );
-                return EmitSignal::Continue;
-            }
-        };
+        let a = self.table.class(slot1).stats();
+        let b = self.table.class(slot2).stats();
+        debug_assert_eq!((a.set, b.set), (s1, s2), "slots of a different pair");
         self.combiner
             .graph()
             .connecting_edges_into(s1, s2, &mut self.edge_buf);
@@ -460,15 +481,17 @@ impl<const W: usize> CountingHandler<W> {
 }
 
 impl<const W: usize> CcpHandler<W> for CountingHandler<W> {
+    type Slot = ();
+
     fn init_leaf(&mut self, relation: NodeId) {
         self.connected.insert(NodeSet::single(relation));
     }
 
-    fn contains(&self, set: NodeSet<W>) -> bool {
-        self.connected.contains(&set)
+    fn slot(&self, set: NodeSet<W>) -> Option<()> {
+        self.connected.contains(&set).then_some(())
     }
 
-    fn emit_ccp(&mut self, s1: NodeSet<W>, s2: NodeSet<W>) -> EmitSignal {
+    fn emit_ccp(&mut self, s1: NodeSet<W>, _: (), s2: NodeSet<W>, _: ()) -> EmitSignal {
         self.connected.insert(s1 | s2);
         self.pairs.push((s1, s2));
         EmitSignal::Continue
@@ -504,8 +527,9 @@ pub struct BudgetedHandler<H, const W: usize = 1> {
 
 impl<H: CcpHandler<W>, const W: usize> BudgetedHandler<H, W> {
     /// How many pairs pass between two wall-clock polls (a power of two; the check runs when
-    /// `ccp_count % INTERVAL == 0`). At the 75–130 ns per cost-based pair measured on a 2-core
-    /// x86-64 VM (8–13M pairs/s), 1024 pairs ≈ 75–130 µs of deadline slack — far below any
+    /// `ccp_count % INTERVAL == 0`). At the 40–110 ns per cost-based pair measured on a 2-core
+    /// x86-64 VM (best of repeated runs over chains, cycles, stars and cliques of 12–20
+    /// relations, 9–25M pairs/s), 1024 pairs ≈ 40–110 µs of deadline slack — far below any
     /// useful time budget.
     pub const DEADLINE_CHECK_INTERVAL: usize = 1024;
 
@@ -554,15 +578,24 @@ impl<H: CcpHandler<W>, const W: usize> BudgetedHandler<H, W> {
 }
 
 impl<H: CcpHandler<W>, const W: usize> CcpHandler<W> for BudgetedHandler<H, W> {
+    type Slot = H::Slot;
+
     fn init_leaf(&mut self, relation: NodeId) {
         self.inner.init_leaf(relation);
     }
 
-    fn contains(&self, set: NodeSet<W>) -> bool {
-        self.inner.contains(set)
+    #[inline]
+    fn slot(&self, set: NodeSet<W>) -> Option<H::Slot> {
+        self.inner.slot(set)
     }
 
-    fn emit_ccp(&mut self, s1: NodeSet<W>, s2: NodeSet<W>) -> EmitSignal {
+    fn emit_ccp(
+        &mut self,
+        s1: NodeSet<W>,
+        slot1: H::Slot,
+        s2: NodeSet<W>,
+        slot2: H::Slot,
+    ) -> EmitSignal {
         let count = self.inner.ccp_count();
         if count >= self.budget {
             self.aborted = true;
@@ -575,7 +608,7 @@ impl<H: CcpHandler<W>, const W: usize> CcpHandler<W> for BudgetedHandler<H, W> {
                 return EmitSignal::Abort;
             }
         }
-        self.inner.emit_ccp(s1, s2)
+        self.inner.emit_ccp(s1, slot1, s2, slot2)
     }
 
     fn ccp_count(&self) -> usize {
@@ -592,6 +625,13 @@ mod tests {
 
     fn ns(v: &[usize]) -> NodeSet {
         v.iter().copied().collect()
+    }
+
+    /// Emits `(s1, s2)` the way an enumerator does: with the slots the handler has for them.
+    fn emit<H: CcpHandler>(h: &mut H, s1: NodeSet, s2: NodeSet) -> EmitSignal {
+        let slot1 = h.slot(s1).expect("csg class exists");
+        let slot2 = h.slot(s2).expect("cmp class exists");
+        h.emit_ccp(s1, slot1, s2, slot2)
     }
 
     fn leaf_stats(relation: usize, cardinality: f64) -> SubPlanStats {
@@ -631,10 +671,10 @@ mod tests {
         for r in 0..3 {
             h.init_leaf(r);
         }
-        let _ = h.emit_ccp(ns(&[0]), ns(&[1]));
-        let _ = h.emit_ccp(ns(&[1]), ns(&[2]));
-        let _ = h.emit_ccp(ns(&[0, 1]), ns(&[2]));
-        let _ = h.emit_ccp(ns(&[0]), ns(&[1, 2]));
+        let _ = emit(&mut h, ns(&[0]), ns(&[1]));
+        let _ = emit(&mut h, ns(&[1]), ns(&[2]));
+        let _ = emit(&mut h, ns(&[0, 1]), ns(&[2]));
+        let _ = emit(&mut h, ns(&[0]), ns(&[1, 2]));
         assert_eq!(h.ccp_count(), 4);
         let table = h.into_table();
         let plan = table.reconstruct(ns(&[0, 1, 2]), &g).expect("full plan");
@@ -660,8 +700,8 @@ mod tests {
         for r in 0..3 {
             h.init_leaf(r);
         }
-        assert_eq!(h.emit_ccp(ns(&[0]), ns(&[1])), EmitSignal::Continue);
-        assert!(h.contains(ns(&[0, 1])));
+        assert_eq!(emit(&mut h, ns(&[0]), ns(&[1])), EmitSignal::Continue);
+        assert!(h.slot(ns(&[0, 1])).is_some());
     }
 
     #[test]
@@ -841,11 +881,11 @@ mod tests {
         h.init_leaf(0);
         h.init_leaf(1);
         h.init_leaf(2);
-        assert!(h.contains(ns(&[1])));
-        assert!(!h.contains(ns(&[0, 1])));
-        let _ = h.emit_ccp(ns(&[1]), ns(&[0]));
-        assert!(h.contains(ns(&[0, 1])));
-        let _ = h.emit_ccp(ns(&[0, 1]), ns(&[2]));
+        assert!(h.slot(ns(&[1])).is_some());
+        assert!(h.slot(ns(&[0, 1])).is_none());
+        let _ = emit(&mut h, ns(&[1]), ns(&[0]));
+        assert!(h.slot(ns(&[0, 1])).is_some());
+        let _ = emit(&mut h, ns(&[0, 1]), ns(&[2]));
         assert_eq!(h.ccp_count(), 2);
         let canon = h.canonical_pairs();
         assert_eq!(canon, vec![(ns(&[0]), ns(&[1])), (ns(&[0, 1]), ns(&[2]))]);
@@ -859,15 +899,15 @@ mod tests {
         }
         assert_eq!(h.budget(), 2);
         // Pairs 1 and 2 are within the budget and forwarded to the wrapped handler.
-        assert_eq!(h.emit_ccp(ns(&[0]), ns(&[1])), EmitSignal::Continue);
-        assert_eq!(h.emit_ccp(ns(&[0, 1]), ns(&[2])), EmitSignal::Continue);
+        assert_eq!(emit(&mut h, ns(&[0]), ns(&[1])), EmitSignal::Continue);
+        assert_eq!(emit(&mut h, ns(&[0, 1]), ns(&[2])), EmitSignal::Continue);
         assert!(!h.aborted(), "budget == emitted pairs must not abort");
-        assert!(h.contains(ns(&[0, 1, 2])));
+        assert!(h.slot(ns(&[0, 1, 2])).is_some());
         // The budget + 1-th pair aborts and is NOT forwarded.
-        assert_eq!(h.emit_ccp(ns(&[0, 1, 2]), ns(&[3])), EmitSignal::Abort);
+        assert_eq!(emit(&mut h, ns(&[0, 1, 2]), ns(&[3])), EmitSignal::Abort);
         assert!(h.aborted());
         assert_eq!(h.ccp_count(), 2);
-        assert!(!h.contains(ns(&[0, 1, 2, 3])));
+        assert!(h.slot(ns(&[0, 1, 2, 3])).is_none());
         assert_eq!(h.inner().pairs().len(), 2);
         assert_eq!(h.into_inner().ccp_count(), 2);
     }
@@ -877,7 +917,7 @@ mod tests {
         let mut h = BudgetedHandler::new(CountingHandler::<1>::new(), 0);
         h.init_leaf(0);
         h.init_leaf(1);
-        assert_eq!(h.emit_ccp(ns(&[0]), ns(&[1])), EmitSignal::Abort);
+        assert_eq!(emit(&mut h, ns(&[0]), ns(&[1])), EmitSignal::Abort);
         assert!(h.aborted());
         assert_eq!(h.ccp_count(), 0);
     }
@@ -889,7 +929,7 @@ mod tests {
         h.init_leaf(0);
         h.init_leaf(1);
         // ccp_count == 0 is a check point, so the expired deadline fires before any pair.
-        assert_eq!(h.emit_ccp(ns(&[0]), ns(&[1])), EmitSignal::Abort);
+        assert_eq!(emit(&mut h, ns(&[0]), ns(&[1])), EmitSignal::Abort);
         assert!(h.aborted());
         assert!(h.deadline_exceeded());
         assert_eq!(h.ccp_count(), 0);
@@ -902,8 +942,8 @@ mod tests {
         for r in 0..3 {
             h.init_leaf(r);
         }
-        assert_eq!(h.emit_ccp(ns(&[0]), ns(&[1])), EmitSignal::Continue);
-        assert_eq!(h.emit_ccp(ns(&[0, 1]), ns(&[2])), EmitSignal::Abort);
+        assert_eq!(emit(&mut h, ns(&[0]), ns(&[1])), EmitSignal::Continue);
+        assert_eq!(emit(&mut h, ns(&[0, 1]), ns(&[2])), EmitSignal::Abort);
         assert!(h.aborted());
         assert!(!h.deadline_exceeded(), "the pair budget aborted, not time");
     }
@@ -915,10 +955,10 @@ mod tests {
         for r in 0..3 {
             h.init_leaf(r);
         }
-        let _ = h.emit_ccp(ns(&[0]), ns(&[1]));
-        let _ = h.emit_ccp(ns(&[1]), ns(&[2]));
-        let _ = h.emit_ccp(ns(&[0, 1]), ns(&[2]));
-        let _ = h.emit_ccp(ns(&[0]), ns(&[1, 2]));
+        let _ = emit(&mut h, ns(&[0]), ns(&[1]));
+        let _ = emit(&mut h, ns(&[1]), ns(&[2]));
+        let _ = emit(&mut h, ns(&[0, 1]), ns(&[2]));
+        let _ = emit(&mut h, ns(&[0]), ns(&[1, 2]));
         h.into_table()
     }
 

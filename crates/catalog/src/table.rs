@@ -5,10 +5,19 @@
 //! obvious `HashMap<NodeSet, PlanClass>` design:
 //!
 //! * **SipHash + bucket indirection.** Plan classes live in one contiguous arena
-//!   ([`DpTable::classes`] iterates it in insertion order) and are found through a hand-rolled
-//!   open-addressing slot map from the raw set mask to a `u32` arena index, hashed with the
-//!   FxHash-style finalizer of [`NodeSet::hash64`] (which folds every mask word). Lookups touch
-//!   one flat array with linear probing — no SipHash rounds, no `(hash, key, value)` buckets.
+//!   ([`DpTable::classes`] iterates it in insertion order) and are found through a slot map
+//!   from the set to a `u32` arena index ([`ClassSlot`]). The slot map has two layouts:
+//!   - **Mask-indexed.** A table built by [`DpTable::with_relations`] for a one-word graph of
+//!     at most [`DpTable::MASK_INDEXED_MAX_RELATIONS`] (16) relations is a zeroed `Vec<u32>`
+//!     of `2^n` entries indexed by the mask itself, holding arena index + 1 (0 marks a set
+//!     with no class). A probe is one load: no hash, no probe sequence. At the threshold the
+//!     index is 256 KiB.
+//!   - **Hashed.** Every other table — larger graphs, `W = 2`, [`DpTable::new`],
+//!     [`DpTable::from_plan`] and the IDP, GOO, DPsize and DPsub tables — uses a hand-rolled
+//!     open-addressing map from the raw set mask, hashed with the FxHash-style finalizer of
+//!     [`NodeSet::hash64`] (which folds every mask word), with linear probing over one flat
+//!     array. Its memory grows with the classes stored, so a cached `2n − 1`-class table stays
+//!     `O(n)` whatever the relation count.
 //! * **Per-offer `Vec<EdgeId>` clones.** A class stores no predicate list at all: the
 //!   predicates of a join are exactly the connecting edges of its two inputs, a function of the
 //!   hypergraph, so [`DpTable::reconstruct`] recollects them for the `n − 1` joins of the
@@ -16,8 +25,13 @@
 //!   and [`PlanClass`] is `Copy`, which lets every enumeration algorithm read table entries
 //!   without cloning.
 //!
+//! A class never moves in the arena, so a [`ClassSlot`] found once stays valid for the table's
+//! lifetime: the exact tier looks each class up once per connectivity test and reads it through
+//! [`DpTable::class`] afterwards, leaving the union's [`DpTable::offer`] as the only probe of a
+//! csg-cmp-pair.
+//!
 //! Every type is generic over the mask width `W` (one word by default): a `DpTable<2>` memoizes
-//! plan classes for queries of up to 128 relations with the same layout and probing scheme.
+//! plan classes for queries of up to 128 relations with the hashed layout.
 
 use crate::cost::SubPlanStats;
 use qo_bitset::{NodeId, NodeSet};
@@ -64,14 +78,62 @@ impl<const W: usize> PlanClass<W> {
     }
 }
 
+/// The arena index of a memoized plan class, as returned by [`DpTable::slot`].
+///
+/// Classes never move, so a slot stays valid for the lifetime of the table that returned it and
+/// [`DpTable::class`] reads the class back without another lookup.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ClassSlot(u32);
+
+/// Map from non-empty relation-set keys to `u32` arena indexes, in one of the two layouts the
+/// module documentation describes.
+#[derive(Clone, Debug)]
+enum SlotMap<const W: usize> {
+    /// Indexed by the mask of a one-word set; each entry holds arena index + 1, 0 when vacant.
+    ByMask(Vec<u32>),
+    /// Open addressing over hashed keys.
+    Hashed(HashedSlots<W>),
+}
+
+impl<const W: usize> SlotMap<W> {
+    #[inline]
+    fn get(&self, set: NodeSet<W>) -> Option<u32> {
+        match self {
+            // A set with a member beyond the indexed relations has no entry.
+            SlotMap::ByMask(index) => index.get(set.words()[0] as usize)?.checked_sub(1),
+            SlotMap::Hashed(map) => map.get(set),
+        }
+    }
+
+    /// The slot of `set` if present; otherwise records `slot` for it and returns `None`.
+    #[inline]
+    fn get_or_insert(&mut self, set: NodeSet<W>, slot: u32) -> Option<u32> {
+        match self {
+            SlotMap::ByMask(index) => {
+                let len = index.len();
+                let Some(entry) = index.get_mut(set.words()[0] as usize) else {
+                    panic!("relation set {set:?} exceeds the {len}-entry mask-indexed table");
+                };
+                if *entry == 0 {
+                    *entry = slot + 1;
+                    None
+                } else {
+                    Some(*entry - 1)
+                }
+            }
+            SlotMap::Hashed(map) => map.get_or_insert(set, slot),
+        }
+    }
+}
+
 /// Open-addressing map from non-empty relation-set keys to `u32` arena indexes.
 ///
 /// The empty set — never a valid plan-class key — doubles as the vacancy sentinel, so a slot is
 /// a bare `(NodeSet<W>, u32)` pair and probing is branch-light. The convention is confined to
-/// [`SlotMap::is_vacant`]: vacancy means *all* words of the stored key are zero, which keeps
+/// [`HashedSlots::is_vacant`]: vacancy means *all* words of the stored key are zero, which keeps
 /// multi-word keys whose low word happens to be zero (e.g. `{R64}`) distinct from vacancies.
 #[derive(Clone, Debug)]
-struct SlotMap<const W: usize> {
+struct HashedSlots<const W: usize> {
     keys: Vec<NodeSet<W>>,
     slots: Vec<u32>,
     len: usize,
@@ -79,11 +141,11 @@ struct SlotMap<const W: usize> {
     bits: u32,
 }
 
-impl<const W: usize> SlotMap<W> {
+impl<const W: usize> HashedSlots<W> {
     const INITIAL_BITS: u32 = 6; // 64 slots
 
     fn new() -> Self {
-        SlotMap {
+        HashedSlots {
             keys: vec![NodeSet::EMPTY; 1 << Self::INITIAL_BITS],
             slots: vec![0; 1 << Self::INITIAL_BITS],
             len: 0,
@@ -97,8 +159,10 @@ impl<const W: usize> SlotMap<W> {
         key.is_empty()
     }
 
+    /// Walks `set`'s probe sequence: the position holding `set` (`true`), or the first vacancy
+    /// on the way (`false`).
     #[inline]
-    fn get(&self, set: NodeSet<W>) -> Option<u32> {
+    fn probe(&self, set: NodeSet<W>) -> (usize, bool) {
         debug_assert!(
             !Self::is_vacant(set),
             "the empty set is never a plan-class key"
@@ -108,50 +172,47 @@ impl<const W: usize> SlotMap<W> {
         loop {
             let k = self.keys[i];
             if k == set {
-                return Some(self.slots[i]);
+                return (i, true);
             }
             if Self::is_vacant(k) {
-                return None;
+                return (i, false);
             }
             i = (i + 1) & cap_mask;
         }
     }
 
-    /// Inserts a new key. The caller guarantees `set` is not present.
-    fn insert(&mut self, set: NodeSet<W>, slot: u32) {
-        debug_assert!(
-            !Self::is_vacant(set),
-            "the empty set is never a plan-class key"
-        );
-        debug_assert!(self.get(set).is_none(), "duplicate slot-map insert");
-        // Grow at 3/4 load to keep probe sequences short.
+    #[inline]
+    fn get(&self, set: NodeSet<W>) -> Option<u32> {
+        let (i, found) = self.probe(set);
+        found.then(|| self.slots[i])
+    }
+
+    /// The slot of `set` if present; otherwise inserts `set → slot` and returns `None`.
+    fn get_or_insert(&mut self, set: NodeSet<W>, slot: u32) -> Option<u32> {
+        let (mut i, found) = self.probe(set);
+        if found {
+            return Some(self.slots[i]);
+        }
+        // Grow at 3/4 load to keep probe sequences short; growth moves the vacancy found.
         if (self.len + 1) * 4 > self.keys.len() * 3 {
             self.grow();
-        }
-        let cap_mask = self.keys.len() - 1;
-        let mut i = set.hash_index(self.bits);
-        while !Self::is_vacant(self.keys[i]) {
-            i = (i + 1) & cap_mask;
+            i = self.probe(set).0;
         }
         self.keys[i] = set;
         self.slots[i] = slot;
         self.len += 1;
+        None
     }
 
     fn grow(&mut self) {
         let old_keys = std::mem::take(&mut self.keys);
         let old_slots = std::mem::take(&mut self.slots);
         self.bits += 1;
-        let cap = 1 << self.bits;
-        self.keys = vec![NodeSet::EMPTY; cap];
-        self.slots = vec![0; cap];
-        let cap_mask = cap - 1;
+        self.keys = vec![NodeSet::EMPTY; 1 << self.bits];
+        self.slots = vec![0; 1 << self.bits];
         for (k, s) in old_keys.into_iter().zip(old_slots) {
             if !Self::is_vacant(k) {
-                let mut i = k.hash_index(self.bits);
-                while !Self::is_vacant(self.keys[i]) {
-                    i = (i + 1) & cap_mask;
-                }
+                let i = self.probe(k).0;
                 self.keys[i] = k;
                 self.slots[i] = s;
             }
@@ -177,11 +238,34 @@ impl<const W: usize> Default for DpTable<W> {
 }
 
 impl<const W: usize> DpTable<W> {
-    /// Creates an empty table.
+    /// The largest relation count whose one-word tables [`with_relations`](Self::with_relations)
+    /// index by mask: `2^16` entries of 4 bytes, 256 KiB.
+    pub const MASK_INDEXED_MAX_RELATIONS: usize = 16;
+
+    /// Creates an empty table with the hashed slot map, whose memory grows with the classes
+    /// stored.
     pub fn new() -> Self {
         DpTable {
-            map: SlotMap::new(),
+            map: SlotMap::Hashed(HashedSlots::new()),
             classes: Vec::new(),
+        }
+    }
+
+    /// Creates an empty table for an enumeration over a graph of `relations` relations. A
+    /// one-word graph of at most [`MASK_INDEXED_MAX_RELATIONS`](Self::MASK_INDEXED_MAX_RELATIONS)
+    /// relations gets the mask-indexed slot map of `2^relations` entries; every other graph gets
+    /// the hashed one of [`new`](Self::new).
+    ///
+    /// # Panics
+    /// A mask-indexed table panics when a class over a relation id `≥ relations` is inserted.
+    pub fn with_relations(relations: usize) -> Self {
+        if W == 1 && relations <= Self::MASK_INDEXED_MAX_RELATIONS {
+            DpTable {
+                map: SlotMap::ByMask(vec![0; 1 << relations]),
+                classes: Vec::new(),
+            }
+        } else {
+            Self::new()
         }
     }
 
@@ -198,16 +282,28 @@ impl<const W: usize> DpTable<W> {
     /// Does the table contain a plan for `set`?
     #[inline]
     pub fn contains(&self, set: NodeSet<W>) -> bool {
-        !set.is_empty() && self.map.get(set).is_some()
+        self.slot(set).is_some()
+    }
+
+    /// The arena slot of the class for `set`, if any.
+    #[inline]
+    pub fn slot(&self, set: NodeSet<W>) -> Option<ClassSlot> {
+        if set.is_empty() {
+            return None;
+        }
+        self.map.get(set).map(ClassSlot)
+    }
+
+    /// The class at `slot`, a slot this table returned.
+    #[inline]
+    pub fn class(&self, slot: ClassSlot) -> &PlanClass<W> {
+        &self.classes[slot.0 as usize]
     }
 
     /// The plan class for `set`, if any.
     #[inline]
     pub fn get(&self, set: NodeSet<W>) -> Option<&PlanClass<W>> {
-        if set.is_empty() {
-            return None;
-        }
-        self.map.get(set).map(|i| &self.classes[i as usize])
+        self.slot(set).map(|slot| self.class(slot))
     }
 
     /// Iterates over all memoized classes in insertion order.
@@ -218,20 +314,14 @@ impl<const W: usize> DpTable<W> {
     /// Inserts the access plan for a single relation. Re-inserting a relation resets its class
     /// to a fresh leaf (cost 0, no join).
     pub fn insert_leaf(&mut self, relation: NodeId, cardinality: f64) {
-        let set = NodeSet::single(relation);
         let class = PlanClass {
-            set,
+            set: NodeSet::single(relation),
             cardinality,
             cost: 0.0,
             best_join: None,
         };
-        match self.map.get(set) {
-            Some(i) => self.classes[i as usize] = class,
-            None => {
-                let i = u32::try_from(self.classes.len()).expect("class arena fits in u32");
-                self.classes.push(class);
-                self.map.insert(set, i);
-            }
+        if let Some(i) = self.admit(class) {
+            self.classes[i as usize] = class;
         }
     }
 
@@ -239,22 +329,27 @@ impl<const W: usize> DpTable<W> {
     /// set was unknown). Returns `true` if the candidate was accepted. On equal cost the
     /// incumbent wins, so the first plan found at a given cost is kept.
     pub fn offer(&mut self, candidate: PlanClass<W>) -> bool {
-        match self.map.get(candidate.set) {
-            Some(i) => {
-                let incumbent = &mut self.classes[i as usize];
-                let cheaper = candidate.cost < incumbent.cost;
-                if cheaper {
-                    *incumbent = candidate;
-                }
-                cheaper
-            }
-            None => {
-                let i = u32::try_from(self.classes.len()).expect("class arena fits in u32");
-                self.classes.push(candidate);
-                self.map.insert(candidate.set, i);
-                true
-            }
+        let Some(i) = self.admit(candidate) else {
+            return true;
+        };
+        let incumbent = &mut self.classes[i as usize];
+        let cheaper = candidate.cost < incumbent.cost;
+        if cheaper {
+            *incumbent = candidate;
         }
+        cheaper
+    }
+
+    /// One probe for `class.set`: returns the incumbent's arena index, or appends `class` as a
+    /// new class and returns `None`.
+    #[inline]
+    fn admit(&mut self, class: PlanClass<W>) -> Option<u32> {
+        let next = u32::try_from(self.classes.len()).expect("class arena fits in u32");
+        let incumbent = self.map.get_or_insert(class.set, next);
+        if incumbent.is_none() {
+            self.classes.push(class);
+        }
+        incumbent
     }
 
     /// Builds a minimal table containing exactly the plan classes of `plan`'s subtrees — one
@@ -413,6 +508,97 @@ mod tests {
         // More expensive: rejected.
         assert!(!t.offer(candidate(ns(&[0, 1]), 11.0)));
         assert_eq!(t.len(), 1);
+    }
+
+    /// Entries of the table's slot index: `2^n` when mask-indexed, the open-addressing
+    /// capacity when hashed.
+    fn index_entries<const W: usize>(t: &DpTable<W>) -> (bool, usize) {
+        match &t.map {
+            SlotMap::ByMask(index) => (true, index.len()),
+            SlotMap::Hashed(map) => (false, map.keys.len()),
+        }
+    }
+
+    #[test]
+    fn mask_index_covers_one_word_graphs_up_to_the_threshold_only() {
+        let max = DpTable::<1>::MASK_INDEXED_MAX_RELATIONS;
+        assert_eq!(max, 16);
+        assert_eq!(index_entries(&DpTable::<1>::with_relations(3)), (true, 8));
+        assert_eq!(
+            index_entries(&DpTable::<1>::with_relations(max)),
+            (true, 1 << max)
+        );
+        assert!(!index_entries(&DpTable::<1>::with_relations(max + 1)).0);
+        assert!(!index_entries(&DpTable::<1>::with_relations(64)).0);
+        // The two-word tier always hashes, however few relations the graph has.
+        assert!(!index_entries(&DpTable::<2>::with_relations(max)).0);
+        assert!(!index_entries(&DpTable::<1>::new()).0);
+    }
+
+    #[test]
+    fn new_and_from_plan_never_allocate_the_mask_index() {
+        // A cached 16-relation plan holds 31 classes; its table must stay O(n), not 2^16.
+        let mut plan = PlanNode::scan(0, 10.0);
+        for r in 1..16 {
+            let cost = plan.cost() + 1.0;
+            plan = PlanNode::join(
+                JoinOp::Inner,
+                plan,
+                PlanNode::scan(r, 10.0),
+                vec![r - 1],
+                10.0,
+                cost,
+            );
+        }
+        let t = DpTable::<1>::from_plan(&plan);
+        assert_eq!(t.len(), 31);
+        let (mask_indexed, entries) = index_entries(&t);
+        assert!(!mask_indexed);
+        assert!(entries <= 64, "{entries} slot entries for 31 classes");
+        assert_eq!(index_entries(&DpTable::<1>::new()), (false, 64));
+    }
+
+    #[test]
+    fn mask_indexed_and_hashed_tables_agree() {
+        let n = DpTable::<1>::MASK_INDEXED_MAX_RELATIONS;
+        let mut by_mask = DpTable::<1>::with_relations(n);
+        let mut hashed = DpTable::<1>::new();
+        for t in [&mut by_mask, &mut hashed] {
+            for r in 0..n {
+                t.insert_leaf(r, 1.0 + r as f64);
+            }
+            // Offers over the full range, including the top bit, repeated offers and ties.
+            for s in NodeSet::first_n(n).subsets().filter(|s| s.len() == 2) {
+                assert!(t.offer(candidate(s, s.mask() as f64)));
+                assert!(!t.offer(candidate(s, s.mask() as f64)));
+                assert!(t.offer(candidate(s, s.mask() as f64 - 0.5)));
+            }
+            assert!(t.offer(candidate(NodeSet::first_n(n), 1.0)));
+            t.insert_leaf(n - 1, 99.0);
+        }
+        assert!(index_entries(&by_mask).0);
+        assert_eq!(by_mask.len(), hashed.len());
+        assert!(by_mask.classes().eq(hashed.classes()));
+        for class in hashed.classes() {
+            let slot = by_mask.slot(class.set).expect("class present");
+            assert_eq!(by_mask.class(slot), class);
+            assert_eq!(hashed.class(hashed.slot(class.set).unwrap()), class);
+        }
+        for absent in [
+            ns(&[0, 1, 2]),
+            NodeSet::EMPTY,
+            NodeSet::single(n),
+            ns(&[0, 40]),
+        ] {
+            assert!(by_mask.get(absent).is_none(), "{absent:?}");
+            assert!(hashed.get(absent).is_none(), "{absent:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 8-entry mask-indexed table")]
+    fn mask_indexed_table_rejects_relations_beyond_its_range() {
+        DpTable::<1>::with_relations(3).insert_leaf(3, 1.0);
     }
 
     #[test]

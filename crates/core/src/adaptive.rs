@@ -128,7 +128,7 @@ pub struct AdaptiveOptions {
 }
 
 impl Default for AdaptiveOptions {
-    /// One million pairs (≈ 75–130 ms of cost-based enumeration at the 75–130 ns per pair
+    /// One million pairs (≈ 40–110 ms of cost-based enumeration at the 40–110 ns per pair
     /// measured on a 2-core x86-64 VM over chain, cycle, star and clique shapes — chain/cycle
     /// queries of 100+ relations stay exact, 20+-relation stars fall back), blocks of up to 10,
     /// and no wall-clock budget.
@@ -344,7 +344,7 @@ impl AdaptiveOptimizer {
                     Ok(r) => return Ok(finish_fallback(r, PlanTier::Idp, telemetry)),
                     // A plan IDP cannot complete (pathological hyperedge connectivity) may
                     // still be reachable by GOO's exhaustive pair scan — fall through.
-                    Err(BaselineError::NoCompletePlan) => {}
+                    Err(BaselineError::NoCompletePlan { .. }) => {}
                     Err(BaselineError::InvalidCatalog(m)) => {
                         unreachable!("catalog validated above: {m}")
                     }
@@ -356,8 +356,8 @@ impl AdaptiveOptimizer {
         let _span = Span::enter("greedy");
         match goo(graph, catalog, cost_model) {
             Ok(r) => Ok(finish_fallback(r, PlanTier::Greedy, telemetry)),
-            Err(BaselineError::NoCompletePlan) => {
-                Err(OptimizeError::NoCompletePlan { largest_covered: 0 })
+            Err(BaselineError::NoCompletePlan { largest_covered }) => {
+                Err(OptimizeError::NoCompletePlan { largest_covered })
             }
             Err(BaselineError::InvalidCatalog(m)) => unreachable!("catalog validated above: {m}"),
         }
@@ -623,6 +623,42 @@ mod tests {
         assert_eq!(mixed.tier, PlanTier::Exact);
         assert_ne!(cout.cost, mixed.cost, "models cost plans differently");
         assert!(cout.plan.operators().iter().all(|o| *o == JoinOp::Inner));
+    }
+
+    /// Asserts that the one-pair-budget fallback (exact tier aborted, no IDP block size since
+    /// 3^2 > 1, greedy stuck) and the unbudgeted exact tier both fail with `largest_covered`.
+    fn assert_largest_covered(spec: &QuerySpec, largest_covered: usize) {
+        let fallback = AdaptiveOptimizer::new(AdaptiveOptions {
+            ccp_budget: 1,
+            ..Default::default()
+        })
+        .optimize_spec(spec)
+        .unwrap_err();
+        let exact = optimize_adaptive(spec).unwrap_err();
+        for err in [fallback, exact] {
+            assert_eq!(err, OptimizeError::NoCompletePlan { largest_covered });
+        }
+    }
+
+    #[test]
+    fn fallback_tiers_report_the_largest_connected_set_of_a_disconnected_spec() {
+        // Components {0, 1, 2} and {3, 4}.
+        let mut b = QuerySpec::builder(5);
+        b.add_simple_edge(0, 1, 0.1);
+        b.add_simple_edge(1, 2, 0.1);
+        b.add_simple_edge(3, 4, 0.1);
+        assert_largest_covered(&b.build(), 3);
+    }
+
+    #[test]
+    fn fallback_tiers_report_a_connected_set_past_an_unsatisfiable_hyperedge() {
+        // The chain 2 - 3 - 4 is the largest connected set. The hyperedge {0, 1} - {2} puts
+        // all five relations in one component, but nothing connects 0 and 1, so it never fires.
+        let mut b = QuerySpec::builder(5);
+        b.add_simple_edge(2, 3, 0.1);
+        b.add_simple_edge(3, 4, 0.1);
+        b.add_edge(&[0, 1], &[2], 0.1, JoinOp::Inner);
+        assert_largest_covered(&b.build(), 3);
     }
 
     #[test]

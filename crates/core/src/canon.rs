@@ -83,6 +83,7 @@ impl CanonicalQuery {
 }
 
 /// Computes the canonical form of a spec. See the [module docs](self) for the invariants.
+/// [`QuerySpec::canonical`] keeps the result with the spec for later serves.
 pub fn canonicalize(spec: &QuerySpec) -> CanonicalQuery {
     let _span = qo_obsv::Span::enter("canonicalize");
     let n = spec.node_count();

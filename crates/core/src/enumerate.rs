@@ -17,7 +17,7 @@
 
 use qo_bitset::NodeSet;
 use qo_catalog::{CcpHandler, CountingHandler, EmitSignal};
-use qo_hypergraph::Hypergraph;
+use qo_hypergraph::{ConnectingFrom, Hypergraph};
 
 /// Unwinds the enumeration when a handler call answered [`EmitSignal::Abort`].
 macro_rules! propagate {
@@ -65,7 +65,9 @@ impl<'a, H: CcpHandler<W>, const W: usize> DpHyp<'a, H, W> {
         }
         for v in (0..n).rev() {
             let single = NodeSet::single(v);
-            propagate!(self.emit_csg(single));
+            if let Some(slot) = self.handler.slot(single) {
+                propagate!(self.emit_csg(single, slot));
+            }
             propagate!(self.enumerate_csg_rec(single, NodeSet::prefix_through(v)));
         }
         EmitSignal::Continue
@@ -80,8 +82,8 @@ impl<'a, H: CcpHandler<W>, const W: usize> DpHyp<'a, H, W> {
         // First emit (smaller sets first — required for DP validity), then recurse.
         for n in neighborhood.subsets() {
             let grown = s1 | n;
-            if self.handler.contains(grown) {
-                propagate!(self.emit_csg(grown));
+            if let Some(slot) = self.handler.slot(grown) {
+                propagate!(self.emit_csg(grown, slot));
             }
         }
         let x_extended = x | neighborhood;
@@ -91,42 +93,46 @@ impl<'a, H: CcpHandler<W>, const W: usize> DpHyp<'a, H, W> {
         EmitSignal::Continue
     }
 
-    /// `EmitCsg`: for a connected set `s1`, finds all seed nodes of potential complements and
-    /// starts their recursive expansion.
-    fn emit_csg(&mut self, s1: NodeSet<W>) -> EmitSignal {
+    /// `EmitCsg`: for a connected set `s1` (whose class sits at `slot`), finds all seed nodes
+    /// of potential complements and starts their recursive expansion.
+    fn emit_csg(&mut self, s1: NodeSet<W>, slot: H::Slot) -> EmitSignal {
         let min = s1.min_node().expect("EmitCsg called with an empty set");
         let x = s1 | NodeSet::prefix_through(min);
         let neighborhood = self.graph.neighborhood(s1, x);
         if neighborhood.is_empty() {
             return EmitSignal::Continue;
         }
+        let csg = Csg {
+            from: self.graph.connecting_from(s1),
+            slot,
+        };
         for v in neighborhood.iter_descending() {
             let s2 = NodeSet::single(v);
-            if self.graph.has_connecting_edge(s1, s2) {
-                propagate!(self.handler.emit_ccp(s1, s2));
-            }
+            propagate!(self.emit_if_connected(csg, s2));
             // While the seed {v} may not yet be connected to s1 (it may only be the
             // representative of a larger hypernode), it can often be *extended* to a valid
             // complement. Forbid the neighbors that are still to be processed at this level to
             // avoid duplicate complements.
             let forbidden = x | (NodeSet::prefix_through(v) & neighborhood);
-            propagate!(self.enumerate_cmp_rec(s1, s2, forbidden));
+            propagate!(self.enumerate_cmp_rec(csg, s2, forbidden));
         }
         EmitSignal::Continue
     }
 
     /// `EnumerateCmpRec`: extends the complement `s2` by subsets of its neighborhood, emitting a
     /// csg-cmp-pair whenever the grown complement is connected and linked to `s1`.
-    fn enumerate_cmp_rec(&mut self, s1: NodeSet<W>, s2: NodeSet<W>, x: NodeSet<W>) -> EmitSignal {
+    fn enumerate_cmp_rec(
+        &mut self,
+        s1: Csg<H::Slot, W>,
+        s2: NodeSet<W>,
+        x: NodeSet<W>,
+    ) -> EmitSignal {
         let neighborhood = self.graph.neighborhood(s2, x);
         if neighborhood.is_empty() {
             return EmitSignal::Continue;
         }
         for n in neighborhood.subsets() {
-            let grown = s2 | n;
-            if self.handler.contains(grown) && self.graph.has_connecting_edge(s1, grown) {
-                propagate!(self.handler.emit_ccp(s1, grown));
-            }
+            propagate!(self.emit_if_connected(s1, s2 | n));
         }
         let x_extended = x | neighborhood;
         for n in neighborhood.subsets() {
@@ -134,6 +140,25 @@ impl<'a, H: CcpHandler<W>, const W: usize> DpHyp<'a, H, W> {
         }
         EmitSignal::Continue
     }
+
+    /// Emits `(s1, s2)` when `s2` has a class (it is connected) and an edge links it to `s1`.
+    #[inline]
+    fn emit_if_connected(&mut self, s1: Csg<H::Slot, W>, s2: NodeSet<W>) -> EmitSignal {
+        if self.graph.has_connecting_edge_from(s1.from, s2) {
+            if let Some(slot2) = self.handler.slot(s2) {
+                return self.handler.emit_ccp(s1.from.set(), s1.slot, s2, slot2);
+            }
+        }
+        EmitSignal::Continue
+    }
+}
+
+/// The first component of one `EmitCsg`, fixed for its whole complement recursion: the set
+/// with its simple-edge neighbors, and the handler's slot for it, each looked up once.
+#[derive(Clone, Copy)]
+struct Csg<S, const W: usize> {
+    from: ConnectingFrom<W>,
+    slot: S,
 }
 
 /// Convenience: runs DPhyp with a [`CountingHandler`] and returns it. Used by tests, the
@@ -325,7 +350,7 @@ mod tests {
         assert_matches_oracle(&g);
         let h = count_ccps_dphyp(&g);
         assert_eq!(h.ccp_count(), 2);
-        assert!(!h.contains(g.all_nodes()));
+        assert!(h.slot(g.all_nodes()).is_none());
     }
 
     #[test]
@@ -341,8 +366,9 @@ mod tests {
     #[test]
     fn dp_ordering_smaller_pairs_come_first() {
         // Every emitted pair's components must already be present (as leaves or earlier unions):
-        // the CountingHandler would answer `contains == false` otherwise and the cost-based
-        // handler would panic in debug builds. Verify explicitly on a mid-size graph.
+        // the enumerator emits a pair only with the slots the handler returned for both, so a
+        // component registered too late would drop the pair. Verify explicitly on a mid-size
+        // graph.
         let g = cycle(7);
         let mut handler = CountingHandler::new();
         let _ = DpHyp::new(&g, &mut handler).run();

@@ -16,11 +16,14 @@
 //! whole enumeration (DPhyp, the DP table, the combiner) runs monomorphized for the chosen
 //! width with no width checks on the per-pair hot path.
 
+use crate::canon::{canonicalize, CanonicalQuery};
 use crate::optimizer::{OptimizeError, Optimized, Optimizer};
 use qo_bitset::{NodeId, NodeSet, NodeSet128, NodeSet64};
 use qo_catalog::{Catalog, EdgeAnnotation};
 use qo_hypergraph::{Hyperedge, Hypergraph};
 use qo_plan::JoinOp;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Largest relation count any compiled width supports (`W = 2`, two words).
 pub const MAX_WIDE_NODES: usize = NodeSet128::CAPACITY;
@@ -93,12 +96,44 @@ impl SpecEdge {
 /// assert_eq!(result.plan.join_count(), 79);
 /// assert_eq!(result.ccp_count, (80 * 80 * 80 - 80) / 6);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone)]
 pub struct QuerySpec {
     node_count: usize,
     cardinalities: Vec<f64>,
     lateral_refs: Vec<Vec<NodeId>>,
     edges: Vec<SpecEdge>,
+    /// [`QuerySpec::canonical`], computed on first use. Derived data: equality and `Debug`
+    /// ignore it, and a clone starts without it.
+    canonical: CanonicalMemo,
+}
+
+#[derive(Default)]
+struct CanonicalMemo(OnceLock<Box<CanonicalQuery>>);
+
+impl Clone for CanonicalMemo {
+    fn clone(&self) -> Self {
+        CanonicalMemo::default()
+    }
+}
+
+impl PartialEq for QuerySpec {
+    fn eq(&self, other: &Self) -> bool {
+        self.node_count == other.node_count
+            && self.cardinalities == other.cardinalities
+            && self.lateral_refs == other.lateral_refs
+            && self.edges == other.edges
+    }
+}
+
+impl fmt::Debug for QuerySpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QuerySpec")
+            .field("node_count", &self.node_count)
+            .field("cardinalities", &self.cardinalities)
+            .field("lateral_refs", &self.lateral_refs)
+            .field("edges", &self.edges)
+            .finish()
+    }
 }
 
 impl QuerySpec {
@@ -110,8 +145,18 @@ impl QuerySpec {
                 cardinalities: vec![1000.0; node_count],
                 lateral_refs: vec![Vec::new(); node_count],
                 edges: Vec::new(),
+                canonical: CanonicalMemo::default(),
             },
         }
+    }
+
+    /// The spec's canonical form ([`canonicalize`]), computed on the first call and kept with
+    /// the spec. A caller that holds a query and serves it again (a prepared query) pays for
+    /// canonicalization once; a spec is immutable once built, so the form never goes stale.
+    pub fn canonical(&self) -> &CanonicalQuery {
+        self.canonical
+            .0
+            .get_or_init(|| Box::new(canonicalize(self)))
     }
 
     /// Number of relations in the query.
@@ -550,5 +595,24 @@ mod tests {
         b.add_simple_edge(0, 1, 1.0);
         let result = optimize_spec(&b.build()).unwrap();
         assert_eq!(result.plan.operators(), vec![JoinOp::DepJoin]);
+    }
+
+    #[test]
+    fn the_canonical_form_is_computed_once_per_spec_and_never_compared() {
+        let spec = chain_spec(6);
+        let first: *const CanonicalQuery = spec.canonical();
+        assert!(
+            std::ptr::eq(first, spec.canonical()),
+            "one computation per spec"
+        );
+        let fresh = canonicalize(&spec);
+        assert_eq!(spec.canonical().spec, fresh.spec);
+        assert_eq!(spec.canonical().to_original, fresh.to_original);
+        assert_eq!(spec.canonical().shape_hash, fresh.shape_hash);
+        // Equality and `Debug` never look at the form: a clone starts without it.
+        let copy = spec.clone();
+        assert_eq!(copy, spec);
+        assert_eq!(format!("{copy:?}"), format!("{spec:?}"));
+        assert_eq!(copy.canonical().spec, fresh.spec);
     }
 }

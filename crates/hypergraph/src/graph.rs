@@ -117,13 +117,30 @@ impl<const W: usize> Hypergraph<W> {
 
     /// Is there at least one hyperedge connecting `s1` and `s2` (Def. 4 / Def. 7)?
     pub fn has_connecting_edge(&self, s1: NodeSet<W>, s2: NodeSet<W>) -> bool {
+        self.has_connecting_edge_from(self.connecting_from(s1), s2)
+    }
+
+    /// Prepares `s1` for many [`has_connecting_edge_from`](Self::has_connecting_edge_from)
+    /// tests: its simple-edge neighbors are collected once here instead of on every test.
+    #[inline]
+    pub fn connecting_from(&self, s1: NodeSet<W>) -> ConnectingFrom<W> {
+        ConnectingFrom {
+            set: s1,
+            simple_neighbors: self.simple_neighbors_of_set(s1),
+        }
+    }
+
+    /// [`Hypergraph::has_connecting_edge`] for a first side prepared by
+    /// [`connecting_from`](Self::connecting_from) on this graph.
+    #[inline]
+    pub fn has_connecting_edge_from(&self, s1: ConnectingFrom<W>, s2: NodeSet<W>) -> bool {
         // Fast path: any simple edge from s1 into s2.
-        if self.simple_neighbors_of_set(s1).intersects(s2) {
+        if s1.simple_neighbors.intersects(s2) {
             return true;
         }
         self.complex_edges
             .iter()
-            .any(|&eid| self.edges[eid].connects(s1, s2))
+            .any(|&eid| self.edges[eid].connects(s1.set, s2))
     }
 
     /// All edge ids connecting `s1` and `s2`. These are the predicates that `EmitCsgCmp`
@@ -180,6 +197,24 @@ impl<const W: usize> fmt::Debug for Hypergraph<W> {
             writeln!(f, "  e{id}: {e:?}")?;
         }
         Ok(())
+    }
+}
+
+/// The first side of a connectivity test together with its simple-edge neighbors, built by
+/// [`Hypergraph::connecting_from`] so a caller testing one set against many others collects
+/// the neighbors once. The fields are private: only the graph can pair a set with its
+/// neighbors.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConnectingFrom<const W: usize = 1> {
+    set: NodeSet<W>,
+    simple_neighbors: NodeSet<W>,
+}
+
+impl<const W: usize> ConnectingFrom<W> {
+    /// The prepared set.
+    #[inline]
+    pub fn set(&self) -> NodeSet<W> {
+        self.set
     }
 }
 

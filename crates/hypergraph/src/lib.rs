@@ -34,6 +34,6 @@ pub use count::{
     enumerate_connected_subgraphs,
 };
 pub use edge::{EdgeId, Hyperedge};
-pub use graph::{Hypergraph, HypergraphBuilder};
+pub use graph::{ConnectingFrom, Hypergraph, HypergraphBuilder};
 
 pub use qo_bitset::{NodeId, NodeSet};

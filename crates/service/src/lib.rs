@@ -27,6 +27,8 @@
 //! * **Fingerprinting** ([`Fingerprint`]): a relation-order-invariant 64-bit hash over the
 //!   canonical hypergraph shape, with the statistics (and cost model) digested separately —
 //!   so "same query, new stats" is distinguishable from "new query" by construction.
+//!   The canonical form comes from [`QuerySpec::canonical`](dphyp::QuerySpec::canonical),
+//!   which keeps it with the spec: serving a held query again does not re-canonicalize it.
 //! * **Plan cache** ([`CacheStats`], [`CacheOptions`]): sharded and thread-safe; lookups lock
 //!   one shard briefly, optimizations never hold a lock. LRU eviction per shard. The cache
 //!   keeps no counters: each serve is recorded once in the metrics registry, and

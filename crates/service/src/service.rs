@@ -7,7 +7,7 @@ use crate::lock_recovering;
 use crate::metrics::ServiceMetrics;
 use crate::regret::{PinnedPlan, RegretLedger};
 use dphyp::{
-    canonicalize, recost_spec, AdaptiveOptimizer, AdaptiveOptions, CachedTable, CanonicalQuery,
+    recost_spec, AdaptiveOptimizer, AdaptiveOptions, CachedTable, CanonicalQuery,
     ExecutionFeedback, ObservedStats, OptimizeError, PlanTier, QuerySpec,
 };
 use qo_ingest::{parse_queries, IngestQuery, JgError};
@@ -322,12 +322,12 @@ impl Service {
         items: &[T],
         prepare: impl Fn(&T) -> (&QuerySpec, AdaptiveOptions),
     ) -> Vec<Result<ServedPlan, OptimizeError>> {
-        let prepared: Vec<Result<(CanonicalQuery, AdaptiveOptions), OptimizeError>> = items
+        let prepared: Vec<Result<(&CanonicalQuery, AdaptiveOptions), OptimizeError>> = items
             .iter()
             .map(|item| {
                 let (spec, adaptive) = prepare(item);
                 spec.validate()?;
-                Ok((canonicalize(spec), adaptive))
+                Ok((spec.canonical(), adaptive))
             })
             .collect();
         let serve = |i: usize| match &prepared[i] {
@@ -388,7 +388,7 @@ impl Service {
         adaptive: AdaptiveOptions,
     ) -> Result<ServedPlan, OptimizeError> {
         spec.validate()?;
-        self.serve(&canonicalize(spec), adaptive)
+        self.serve(spec.canonical(), adaptive)
     }
 
     /// Re-plans a spec under statistics observed from executing its previous plan — the

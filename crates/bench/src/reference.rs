@@ -10,27 +10,36 @@
 //! * cloned plan classes (the `Vec`-carrying `RefPlanClass` is not `Copy`),
 //! * cost-model calls through `&dyn CostModel`.
 //!
-//! It is driven by the *same* DPhyp enumerator through the same [`CcpHandler`] trait, so a
-//! timing difference against [`dphyp::Optimizer`] isolates the memo-structure change. The
+//! It is driven by the *same* DPhyp enumerator through the same [`CcpHandler`] trait. The
 //! reference collects its edges with the same incidence-bitset kernel as production
 //! ([`Hypergraph::connecting_edges`]), so a faster kernel speeds up both sides; it keeps the
-//! per-pair `Vec` and the owned predicate list per class, which production does without. The
-//! results (cost, ccp count, table size) must agree exactly — `reproduce --experiment table`
-//! asserts that.
+//! per-pair `Vec` and the owned predicate list per class, which production does without.
+//!
+//! It also has no cost floor: it costs every pair, where production counts a pair whose inputs
+//! already cost as much as its union's best plan without costing it. A timing difference
+//! against [`dphyp::Optimizer`] is therefore the memo structure alone only where the floor
+//! skips nothing; elsewhere it includes the skipped work (2% of the pairs of the chain-20 and
+//! 13% of the star-20 that `reproduce --experiment table` times, most of a clique's). The
+//! results (cost, ccp count, table size) must agree exactly —
+//! `reproduce --experiment table` asserts that, and the tests below also compare every
+//! class's cardinality and best-join sides.
 
 use qo_bitset::{NodeId, NodeSet};
-use qo_catalog::{Catalog, CcpHandler, CostModel, EmitSignal, SubPlanStats};
+use qo_catalog::{CardinalityEstimator, Catalog, CcpHandler, CostModel, EmitSignal, SubPlanStats};
 use qo_hypergraph::{EdgeId, Hypergraph};
 use qo_plan::JoinOp;
 use std::collections::HashMap;
 
 /// Plan class of the reference table; owns its predicate list like the pre-arena design did.
 #[derive(Clone, Debug)]
-struct RefPlanClass {
-    cardinality: f64,
-    cost: f64,
-    #[allow(dead_code)]
-    best_join: Option<(NodeSet, NodeSet, JoinOp, Vec<EdgeId>)>,
+pub struct RefPlanClass {
+    /// Estimated output cardinality.
+    pub cardinality: f64,
+    /// Cost of the best plan found.
+    pub cost: f64,
+    /// Left input, right input, operator and predicates of the best plan's root join; `None`
+    /// for a base relation.
+    pub best_join: Option<(NodeSet, NodeSet, JoinOp, Vec<EdgeId>)>,
 }
 
 /// `EmitCsgCmp` over a std-`HashMap` table with per-pair allocations and dynamic dispatch.
@@ -59,9 +68,9 @@ impl<'a> HashMapReferenceHandler<'a> {
         self.classes.len()
     }
 
-    /// Cost of the class covering `set`, if present.
-    pub fn cost_of(&self, set: NodeSet) -> Option<f64> {
-        self.classes.get(&set).map(|c| c.cost)
+    /// The class covering `set`, if present.
+    pub fn class(&self, set: NodeSet) -> Option<&RefPlanClass> {
+        self.classes.get(&set)
     }
 
     /// Simplified `EmitCsgCmp` for inner-join workloads (the table-comparison benchmarks use
@@ -78,7 +87,12 @@ impl<'a> HashMapReferenceHandler<'a> {
             self.classes.get(&s2).expect("cmp class exists").clone(),
         );
         let union = s1 | s2;
-        let cardinality = a.cardinality * b.cardinality * selectivity;
+        let cardinality = CardinalityEstimator::<1>::join_with_selectivity(
+            JoinOp::Inner,
+            a.cardinality,
+            b.cardinality,
+            selectivity,
+        );
         let mut best: Option<RefPlanClass> = None;
         for (outer_set, outer, inner_set, inner) in [(s1, &a, s2, &b), (s2, &b, s1, &a)] {
             let outer_stats = SubPlanStats {
@@ -152,8 +166,47 @@ impl CcpHandler for HashMapReferenceHandler<'_> {
 mod tests {
     use super::*;
     use dphyp::enumerate::DpHyp;
-    use qo_catalog::{CostBasedHandler, CoutCost, DpTable, JoinCombiner};
-    use qo_workloads::{chain_query, star_query};
+    use qo_catalog::{CostBasedHandler, CoutCost, DpTable, JoinCombiner, MixedCost};
+    use qo_workloads::{chain_query, clique_query, cycle_query, star_query};
+
+    #[test]
+    fn the_cost_floor_leaves_every_class_as_the_reference_builds_it() {
+        // The reference costs every pair; production skips the pairs whose inputs already cost
+        // as much as their union's best plan. Cliques skip most pairs, cycles and stars few.
+        let mut workloads = vec![chain_query(20, 11)];
+        workloads.extend((6..=12).map(|n| clique_query(n, 11)));
+        workloads.extend((8..=13).map(|n| cycle_query(n, 11)));
+        workloads.extend((6..=11).map(|satellites| star_query(satellites, 11)));
+        let models: [&dyn CostModel; 2] = [&CoutCost, &MixedCost];
+        for w in &workloads {
+            for model in models {
+                let mut reference = HashMapReferenceHandler::new(&w.graph, &w.catalog, model);
+                let _ = DpHyp::new(&w.graph, &mut reference).run();
+                let mut production =
+                    CostBasedHandler::new(JoinCombiner::new(&w.graph, &w.catalog, model));
+                let _ = DpHyp::new(&w.graph, &mut production).run();
+                let at = format!("{} relations, {}", w.graph.node_count(), model.name());
+                assert_eq!(production.ccp_count(), reference.ccp_count(), "{at}");
+                let table = production.into_table();
+                assert_eq!(table.len(), reference.dp_entries(), "{at}");
+                for class in table.classes() {
+                    let expected = reference.class(class.set).expect("same classes");
+                    assert_eq!(
+                        (class.cost.to_bits(), class.cardinality.to_bits()),
+                        (expected.cost.to_bits(), expected.cardinality.to_bits()),
+                        "{at}: {:?}",
+                        class.set
+                    );
+                    assert_eq!(
+                        class.best_join.map(|j| (j.left, j.right)),
+                        expected.best_join.as_ref().map(|j| (j.0, j.1)),
+                        "{at}: {:?}",
+                        class.set
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn mask_index_boundary_agrees_with_the_reference() {
@@ -171,7 +224,7 @@ mod tests {
                 assert_eq!(table.len(), reference.dp_entries(), "n = {n}");
                 assert!(table.contains(w.graph.all_nodes()));
                 for class in table.classes() {
-                    let cost = reference.cost_of(class.set).expect("same classes");
+                    let cost = reference.class(class.set).expect("same classes").cost;
                     assert_eq!(class.cost.to_bits(), cost.to_bits(), "{:?}", class.set);
                 }
             }
@@ -187,8 +240,9 @@ mod tests {
             assert_eq!(reference.ccp_count(), production.ccp_count);
             assert_eq!(reference.dp_entries(), production.dp_entries);
             let ref_cost = reference
-                .cost_of(w.graph.all_nodes())
-                .expect("complete plan");
+                .class(w.graph.all_nodes())
+                .expect("complete plan")
+                .cost;
             assert!(
                 (ref_cost - production.cost).abs() <= 1e-9 * production.cost.max(1.0),
                 "reference {ref_cost} vs production {}",

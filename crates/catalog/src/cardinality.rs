@@ -73,9 +73,14 @@ impl<'a, const W: usize> CardinalityEstimator<'a, W> {
 ///
 /// This is the width-independent core of the estimator (it only sees scalar statistics), shared
 /// by every `NodeSet` width the planner is instantiated at.
+///
+/// Estimates saturate at `f64::MAX` instead of overflowing to infinity: a zero-row input joined
+/// with an infinite one would give `0 × ∞ = NaN`, and no candidate replaces a NaN class
+/// (`cost < NaN` is false). With finite, non-negative inputs no estimate is ever NaN or
+/// infinite, so no cost is NaN either; a finite estimate is unchanged.
 pub fn join_cardinality(op: JoinOp, left_card: f64, right_card: f64, sel: f64) -> f64 {
     let inner = left_card * right_card * sel;
-    match op.regular_counterpart() {
+    let estimate = match op.regular_counterpart() {
         JoinOp::Inner => inner,
         // An outer join preserves every outer tuple at least once.
         JoinOp::LeftOuter => inner.max(left_card),
@@ -89,7 +94,8 @@ pub fn join_cardinality(op: JoinOp, left_card: f64, right_card: f64, sel: f64) -
         JoinOp::LeftNest => left_card,
         // Dependent operators were mapped to their regular counterpart above.
         _ => unreachable!("regular_counterpart returned a dependent operator"),
-    }
+    };
+    estimate.min(f64::MAX)
 }
 
 #[cfg(test)]

@@ -34,6 +34,15 @@ impl<const W: usize> SubPlanStats<W> {
 /// All models must be *monotone* in the input costs (adding cost to an input never makes the
 /// output cheaper); this is what makes dynamic programming over plan classes optimal.
 ///
+/// All models must also respect the *accumulated-cost floor*: for non-negative, non-NaN input
+/// costs and cardinalities, `join_cost` is never below `left.cost + right.cost` as evaluated in
+/// `f64`, in either orientation. Adding a non-negative local cost first and then the input
+/// costs keeps it, because f64 rounding is monotone: `fl(fl(x + l) + r) >= fl(l + r)` for
+/// `x >= 0`. The exact tier's `EmitCsgCmp` relies on the floor to count a csg-cmp-pair whose
+/// inputs already cost as much as its union's best plan without costing it (the candidate
+/// could not win: the incumbent keeps ties). A model that breaks it fails a debug assertion
+/// there.
+///
 /// The trait carries the mask width so that implementations can inspect the input relation
 /// sets; `dyn CostModel` (i.e. `dyn CostModel<1>`) keeps runtime model selection working on the
 /// single-word tier, and the built-in models implement every width.
@@ -115,6 +124,8 @@ impl<const W: usize> CostModel<W> for MixedCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cardinality::join_cardinality;
+    use proptest::prelude::*;
 
     fn stats(set: &[usize], card: f64, cost: f64) -> SubPlanStats {
         SubPlanStats {
@@ -206,6 +217,48 @@ mod tests {
             "dependent evaluation must be costlier than a hash join here"
         );
         assert_eq!(CostModel::<1>::name(&m), "mixed(hash/nl)");
+    }
+
+    /// A non-negative statistic drawn from `(kind, bits)`: zero, one, huge, `f64::MAX`, or any
+    /// finite bit pattern; with `infinite`, also `∞`.
+    fn statistic((kind, bits): (usize, u64), infinite: bool) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => 1.0,
+            2 => 1e200,
+            3 => f64::MAX,
+            4 if infinite => f64::INFINITY,
+            _ => f64::from_bits(bits % f64::INFINITY.to_bits()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_both_models_keep_the_cost_floor(
+            left_card in (0usize..8, any::<u64>()),
+            left_cost in (0usize..8, any::<u64>()),
+            right_card in (0usize..8, any::<u64>()),
+            right_cost in (0usize..8, any::<u64>()),
+            selectivity in 1u64..(1 << 53) + 1,
+        ) {
+            // Accumulated costs may overflow to ∞; cardinalities saturate at `f64::MAX`.
+            let left = stats(&[0], statistic(left_card, false), statistic(left_cost, true));
+            let right = stats(&[1], statistic(right_card, false), statistic(right_cost, true));
+            let sel = selectivity as f64 / (1u64 << 53) as f64;
+            let models: [&dyn CostModel; 2] = [&CoutCost, &MixedCost];
+            for op in JoinOp::ALL {
+                for (l, r) in [(&left, &right), (&right, &left)] {
+                    let output = join_cardinality(op, l.cardinality, r.cardinality, sel);
+                    prop_assert!((0.0..=f64::MAX).contains(&output), "{op:?}: {output}");
+                    for m in models {
+                        let cost = m.join_cost(op, l, r, output);
+                        prop_assert!(cost >= l.cost + r.cost, "{} {op:?}: {cost}", m.name());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

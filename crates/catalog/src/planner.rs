@@ -295,8 +295,13 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
 /// Generic over the cost model like [`JoinCombiner`]; a concrete `M` makes the whole
 /// pair-processing path — connecting-edge collection into a reused buffer, candidate
 /// construction, cost call, table offer — free of virtual dispatch and allocation. The two
-/// input classes are read through the slots the enumerator passes in, so the union's offer is
-/// the pair's only table probe.
+/// input classes are read through the slots the enumerator passes in, so the lookup of the
+/// union's slot is the pair's only table probe (a pair that creates its union's class takes
+/// the insert too).
+///
+/// A pair whose inputs already cost as much as the union's best plan is counted but not
+/// costed: by the accumulated-cost floor of [`CostModel`] its candidate could not replace the
+/// incumbent. The table ends up bit-for-bit the one that costing every pair builds.
 pub struct CostBasedHandler<'a, M: ?Sized = dyn CostModel, const W: usize = 1>
 where
     M: CostModel<W>,
@@ -360,11 +365,37 @@ impl<M: CostModel<W> + ?Sized, const W: usize> CcpHandler<W> for CostBasedHandle
         let a = self.table.class(slot1).stats();
         let b = self.table.class(slot2).stats();
         debug_assert_eq!((a.set, b.set), (s1, s2), "slots of a different pair");
+        // The accumulated-cost floor (see `CostModel`): no candidate costs less than its
+        // inputs, and the incumbent keeps ties, so a pair whose inputs already cost as much as
+        // the union's best plan cannot win. It is counted and skipped; debug builds still cost
+        // it, to check that the table would have rejected it.
+        let union = self.table.slot(s1 | s2);
+        let floor = a.cost + b.cost;
+        let dominated = union.is_some_and(|slot| floor >= self.table.class(slot).cost);
+        if dominated && !cfg!(debug_assertions) {
+            return EmitSignal::Continue;
+        }
         self.combiner
             .graph()
             .connecting_edges_into(s1, s2, &mut self.edge_buf);
-        if let Some(candidate) = self.combiner.combine(&a, &b, &self.edge_buf) {
-            self.table.offer(candidate);
+        let Some(candidate) = self.combiner.combine(&a, &b, &self.edge_buf) else {
+            return EmitSignal::Continue;
+        };
+        debug_assert!(
+            candidate.cost >= floor,
+            "a join cost below its inputs' cost"
+        );
+        match union {
+            Some(slot) => {
+                let accepted = self.table.offer_at(slot, candidate);
+                debug_assert!(
+                    !(dominated && accepted),
+                    "the floor skipped an improving pair"
+                );
+            }
+            None => {
+                self.table.offer(candidate);
+            }
         }
         EmitSignal::Continue
     }
@@ -527,10 +558,11 @@ pub struct BudgetedHandler<H, const W: usize = 1> {
 
 impl<H: CcpHandler<W>, const W: usize> BudgetedHandler<H, W> {
     /// How many pairs pass between two wall-clock polls (a power of two; the check runs when
-    /// `ccp_count % INTERVAL == 0`). At the 40–110 ns per cost-based pair measured on a 2-core
-    /// x86-64 VM (best of repeated runs over chains, cycles, stars and cliques of 12–20
-    /// relations, 9–25M pairs/s), 1024 pairs ≈ 40–110 µs of deadline slack — far below any
-    /// useful time budget.
+    /// `ccp_count % INTERVAL == 0`). At the 14–180 ns per cost-based pair measured on a 2-core
+    /// x86-64 VM (best of 15 runs: 14–16 ns on cliques of 12–14 relations, where the cost
+    /// floor skips most pairs; 36–70 ns on chains, cycles and stars of 12–20 relations; 175 ns
+    /// on the 20-relation star, 5M pairs over a 500k-class table), 1024 pairs ≈ 14–180 µs of
+    /// deadline slack — far below any useful time budget.
     pub const DEADLINE_CHECK_INTERVAL: usize = 1024;
 
     /// Wraps `inner`, allowing it to process at most `budget` csg-cmp-pairs.
@@ -647,19 +679,24 @@ mod tests {
         combiner.combine(a, b, &combiner.graph().connecting_edges(a.set, b.set))
     }
 
-    /// Chain R0 - R1 - R2 with distinctive cardinalities.
-    fn chain3() -> (Hypergraph, Catalog) {
+    /// Chain R0 - R1 - R2 with the given cardinalities and selectivities.
+    fn chain3_with(cards: [f64; 3], sels: [f64; 2]) -> (Hypergraph, Catalog) {
         let mut b = Hypergraph::builder(3);
         b.add_simple_edge(0, 1);
         b.add_simple_edge(1, 2);
-        let g = b.build();
         let mut cb = Catalog::builder(3);
-        cb.set_cardinality(0, 10.0)
-            .set_cardinality(1, 1000.0)
-            .set_cardinality(2, 10.0)
-            .annotate_edge(0, EdgeAnnotation::inner(0.01))
-            .annotate_edge(1, EdgeAnnotation::inner(0.01));
-        (g, cb.build())
+        for (r, &card) in cards.iter().enumerate() {
+            cb.set_cardinality(r, card);
+        }
+        for (e, &sel) in sels.iter().enumerate() {
+            cb.annotate_edge(e, EdgeAnnotation::inner(sel));
+        }
+        (b.build(), cb.build())
+    }
+
+    /// Chain R0 - R1 - R2 with distinctive cardinalities.
+    fn chain3() -> (Hypergraph, Catalog) {
+        chain3_with([10.0, 1000.0, 10.0], [0.01, 0.01])
     }
 
     #[test]
@@ -688,6 +725,84 @@ mod tests {
         ));
         // Missing set → None.
         assert!(table.reconstruct(ns(&[0, 2]), &g).is_none());
+    }
+
+    /// `C_out` that counts its calls.
+    #[derive(Default)]
+    struct CountingCout(std::cell::Cell<usize>);
+
+    impl CostModel for CountingCout {
+        fn join_cost(
+            &self,
+            op: JoinOp,
+            left: &SubPlanStats,
+            right: &SubPlanStats,
+            output_cardinality: f64,
+        ) -> f64 {
+            self.0.set(self.0.get() + 1);
+            CoutCost.join_cost(op, left, right, output_cardinality)
+        }
+
+        fn name(&self) -> &'static str {
+            "counting C_out"
+        }
+    }
+
+    #[test]
+    fn the_floor_counts_a_dominated_pair_without_costing_it() {
+        // {1,2} costs 10⁴ on its own; {0,1} ⋈ {2} already plans {0,1,2} for 110.
+        let (g, c) = chain3_with([10.0, 1000.0, 1000.0], [0.001, 0.01]);
+        let model = CountingCout::default();
+        let mut h = CostBasedHandler::new(JoinCombiner::new(&g, &c, &model));
+        for r in 0..3 {
+            h.init_leaf(r);
+        }
+        let _ = emit(&mut h, ns(&[0]), ns(&[1]));
+        let _ = emit(&mut h, ns(&[1]), ns(&[2]));
+        let _ = emit(&mut h, ns(&[0, 1]), ns(&[2]));
+        assert_eq!(h.table().get(ns(&[0, 1, 2])).unwrap().cost, 110.0);
+        assert_eq!(h.table().get(ns(&[1, 2])).unwrap().cost, 10_000.0);
+        let before: Vec<PlanClass> = h.table().classes().copied().collect();
+        let calls = model.0.get();
+
+        let _ = emit(&mut h, ns(&[0]), ns(&[1, 2]));
+        assert_eq!(h.ccp_count(), 4);
+        assert_eq!(h.table().classes().copied().collect::<Vec<_>>(), before);
+        // Release builds skip the cost calls; debug builds make them to cross-check the skip.
+        let expected = if cfg!(debug_assertions) { 2 } else { 0 };
+        assert_eq!(model.0.get() - calls, expected);
+    }
+
+    #[test]
+    fn a_pair_just_under_the_floor_still_improves_its_class() {
+        // Exact binary arithmetic: {0,1} costs 1024 and {1,2} costs 1024 − 2⁻¹⁰. The first
+        // pair plans {0,1,2} for 1025 − 2⁻²⁰. The second pair's inputs cost just over one
+        // output cardinality (1 − 2⁻²⁰) less than that, so it is costed, and wins by 2⁻¹⁰.
+        let tiny = 1.0 / 1024.0;
+        let (g, c) = chain3_with([tiny, 1024.0 * 1024.0, tiny], [1.0, 1.0 - tiny * tiny]);
+        let model = CountingCout::default();
+        let mut h = CostBasedHandler::new(JoinCombiner::new(&g, &c, &model));
+        for r in 0..3 {
+            h.init_leaf(r);
+        }
+        let _ = emit(&mut h, ns(&[0]), ns(&[1]));
+        let _ = emit(&mut h, ns(&[1]), ns(&[2]));
+        let _ = emit(&mut h, ns(&[0, 1]), ns(&[2]));
+        let full = ns(&[0, 1, 2]);
+        let incumbent = h.table().get(full).unwrap().cost;
+        assert_eq!(incumbent, 1025.0 - tiny * tiny);
+        let floor = h.table().get(ns(&[1, 2])).unwrap().cost;
+        assert_eq!(floor, 1024.0 - tiny);
+        let slot = h.slot(full);
+        let calls = model.0.get();
+
+        let _ = emit(&mut h, ns(&[0]), ns(&[1, 2]));
+        assert_eq!(model.0.get() - calls, 2, "both orientations are costed");
+        assert_eq!(h.slot(full), slot, "the class improves in place");
+        let class = h.table().get(full).unwrap();
+        assert_eq!(class.cost, incumbent - tiny);
+        let join = class.best_join.unwrap();
+        assert_eq!((join.left, join.right), (ns(&[0]), ns(&[1, 2])));
     }
 
     #[test]

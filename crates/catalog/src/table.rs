@@ -27,8 +27,9 @@
 //!
 //! A class never moves in the arena, so a [`ClassSlot`] found once stays valid for the table's
 //! lifetime: the exact tier looks each class up once per connectivity test and reads it through
-//! [`DpTable::class`] afterwards, leaving the union's [`DpTable::offer`] as the only probe of a
-//! csg-cmp-pair.
+//! [`DpTable::class`] afterwards. The lookup of the union's slot is then the only probe of a
+//! csg-cmp-pair: a candidate for an existing class goes through [`DpTable::offer_at`], and only
+//! a pair that creates its union's class takes the insert of [`DpTable::offer`].
 //!
 //! Every type is generic over the mask width `W` (one word by default): a `DpTable<2>` memoizes
 //! plan classes for queries of up to 128 relations with the hashed layout.
@@ -329,10 +330,19 @@ impl<const W: usize> DpTable<W> {
     /// set was unknown). Returns `true` if the candidate was accepted. On equal cost the
     /// incumbent wins, so the first plan found at a given cost is kept.
     pub fn offer(&mut self, candidate: PlanClass<W>) -> bool {
-        let Some(i) = self.admit(candidate) else {
-            return true;
-        };
-        let incumbent = &mut self.classes[i as usize];
+        match self.admit(candidate) {
+            Some(i) => self.offer_at(ClassSlot(i), candidate),
+            None => true,
+        }
+    }
+
+    /// [`offer`](Self::offer) to the class at `slot`, a slot this table returned for
+    /// `candidate.set`: the same rule (strictly cheaper replaces, the incumbent wins ties)
+    /// without a probe.
+    #[inline]
+    pub fn offer_at(&mut self, slot: ClassSlot, candidate: PlanClass<W>) -> bool {
+        let incumbent = &mut self.classes[slot.0 as usize];
+        debug_assert_eq!(incumbent.set, candidate.set, "slot of a different class");
         let cheaper = candidate.cost < incumbent.cost;
         if cheaper {
             *incumbent = candidate;

@@ -128,10 +128,11 @@ pub struct AdaptiveOptions {
 }
 
 impl Default for AdaptiveOptions {
-    /// One million pairs (≈ 40–110 ms of cost-based enumeration at the 40–110 ns per pair
-    /// measured on a 2-core x86-64 VM over chain, cycle, star and clique shapes — chain/cycle
-    /// queries of 100+ relations stay exact, 20+-relation stars fall back), blocks of up to 10,
-    /// and no wall-clock budget.
+    /// One million pairs (≈ 14–180 ms of cost-based enumeration at the 14–180 ns per pair
+    /// measured on a 2-core x86-64 VM over chain, cycle, star and clique shapes, the low end
+    /// on cliques, where the cost floor skips most pairs — chain/cycle queries of 100+
+    /// relations stay exact, 20+-relation stars fall back), blocks of up to 10, and no
+    /// wall-clock budget.
     fn default() -> Self {
         AdaptiveOptions {
             ccp_budget: 1_000_000,

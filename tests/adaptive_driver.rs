@@ -8,6 +8,7 @@ use dphyp::{
 };
 use qo_baselines::{goo, idp_with_strategy};
 use qo_catalog::{BudgetedHandler, CountingHandler};
+use qo_service::{Service, ServiceOptions};
 use qo_workloads::corpus::corpus;
 use qo_workloads::{chain_spec, clique_spec, cycle_spec, huge_star_spec, star_spec};
 
@@ -143,6 +144,48 @@ fn wide_tier_specs_flow_through_the_same_entry_point() {
     assert_eq!(r.plan.scan_count(), 96);
     let exact = optimize_spec(&spec).unwrap();
     assert_eq!(r.cost, exact.cost);
+}
+
+#[test]
+fn overflowing_estimates_saturate_so_no_labelling_plans_nan() {
+    // A triangle of one empty and two huge relations: the huge pair's product overflows f64.
+    // Were estimates left to overflow, joining the empty relation to it would give 0 × ∞ = NaN,
+    // a NaN class is never replaced, and the plan's cost would depend on which label the empty
+    // relation has.
+    for cost_model in [CostModelKind::Cout, CostModelKind::Mixed] {
+        let adaptive = AdaptiveOptions {
+            cost_model,
+            ..Default::default()
+        };
+        let options = ServiceOptions {
+            adaptive,
+            ..Default::default()
+        };
+        let shared = Service::new(options);
+        let mut costs = Vec::new();
+        for empty in 0..3 {
+            let mut b = QuerySpec::builder(3);
+            for r in 0..3 {
+                b.set_cardinality(r, if r == empty { 0.0 } else { 1e200 });
+            }
+            b.add_simple_edge(0, 1, 1.0)
+                .add_simple_edge(1, 2, 1.0)
+                .add_simple_edge(0, 2, 1.0);
+            let spec = b.build();
+            let direct = AdaptiveOptimizer::new(adaptive)
+                .optimize_spec(&spec)
+                .unwrap();
+            assert!(direct.cost.is_finite(), "{cost_model:?}, R{empty} empty");
+            assert_eq!(direct.cardinality, 0.0, "{cost_model:?}, R{empty} empty");
+            for service in [&shared, &Service::new(options)] {
+                let served = service.plan_spec(&spec).unwrap();
+                assert_eq!(served.cost.to_bits(), direct.cost.to_bits());
+                assert_eq!(served.cardinality.to_bits(), direct.cardinality.to_bits());
+            }
+            costs.push(direct.cost.to_bits());
+        }
+        assert!(costs.iter().all(|&c| c == costs[0]), "{cost_model:?}");
+    }
 }
 
 #[test]

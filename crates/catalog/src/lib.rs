@@ -24,7 +24,10 @@
 //!   (monomorphized over the cost model), a counting handler used for search-space
 //!   statistics, and the [`BudgetedHandler`] decorator that aborts an enumeration from inside
 //!   `EmitCsgCmp` once a csg-cmp-pair budget is exhausted (the adaptive driver's early-exit
-//!   signal, see [`EmitSignal`]).
+//!   signal, see [`EmitSignal`]),
+//! * [`recost_plan`]: the plan cache's incremental path — a finished [`qo_plan::PlanNode`]
+//!   re-costed bottom-up under drifted statistics through the same [`JoinCombiner`], with no
+//!   DP table and no enumeration.
 
 mod cardinality;
 mod catalog;
@@ -38,7 +41,7 @@ pub use catalog::{Catalog, CatalogBuilder, EdgeAnnotation, StatsEpoch};
 pub use cost::{CostModel, CoutCost, MixedCost, SubPlanStats};
 pub use observed::{ExecutionFeedback, ObservedStats};
 pub use planner::{
-    recost_table, BudgetedHandler, CcpHandler, CostBasedHandler, CountingHandler, EmitSignal,
+    recost_plan, BudgetedHandler, CcpHandler, CostBasedHandler, CountingHandler, EmitSignal,
     JoinCombiner,
 };
 pub use table::{BestJoin, ClassSlot, DpTable, PlanClass};

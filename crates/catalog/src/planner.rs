@@ -7,7 +7,8 @@
 //! trait. The [`CostBasedHandler`] reacts by building and costing the candidate plans and
 //! memoizing the best plan per relation set in a [`DpTable`]; the [`CountingHandler`] merely
 //! counts pairs, which is how the tests compare an algorithm's emissions against the brute-force
-//! oracle of `qo-hypergraph`.
+//! oracle of `qo-hypergraph`. [`recost_plan`] runs a finished plan's joins back through the same
+//! combiner under new statistics, with no table at all.
 //!
 //! Both the combiner and the handler are generic over the [`CostModel`] (defaulting to
 //! `dyn CostModel` for callers that need runtime model selection): monomorphized instantiations
@@ -19,7 +20,7 @@ use crate::cost::{CostModel, SubPlanStats};
 pub use crate::table::{BestJoin, ClassSlot, DpTable, PlanClass};
 use qo_bitset::{NodeId, NodeSet};
 use qo_hypergraph::{EdgeId, Hypergraph};
-use qo_plan::JoinOp;
+use qo_plan::{JoinOp, PlanNode};
 use std::collections::HashSet;
 
 /// Flow signal returned by [`CcpHandler::emit_ccp`]: should the enumeration keep going?
@@ -405,62 +406,67 @@ impl<M: CostModel<W> + ?Sized, const W: usize> CcpHandler<W> for CostBasedHandle
     }
 }
 
-/// Re-costs every memoized plan class of `table` bottom-up under the (possibly drifted)
-/// statistics of `catalog`, without re-enumerating any csg-cmp-pairs.
+/// Re-costs the join order of `plan` bottom-up under the (possibly drifted) statistics of
+/// `catalog`, without re-enumerating any csg-cmp-pairs.
 ///
-/// This is the incremental half of plan caching: the join *structure* of a cached table — which
-/// sets exist and how each one's best plan splits — is kept verbatim, while cardinalities,
-/// selectivities and costs are recomputed through the same [`JoinCombiner`] the enumeration
-/// used, so a re-costed class is bit-identical to what a from-scratch optimization would
-/// compute for the same join order. The arena's insertion order is a topological order (every
-/// class's inputs were created before the class itself), so one forward pass suffices.
+/// This is the incremental half of plan caching: the join *structure* of a cached plan — which
+/// relations each join combines — is kept, while cardinalities, selectivities and costs are
+/// recomputed through the same [`JoinCombiner`] the enumeration used. Each join takes the
+/// combiner's orientation and operator, and the graph's connecting edges of its two inputs as
+/// its predicates, so a re-costed plan is bit-identical to the plan a from-scratch optimization
+/// reconstructs for the same join order.
 ///
-/// Returns `None` when the table does not fit the graph/catalog — a child class missing, a
-/// stored join no longer connected, a leaf out of range, or an invalid catalog. Callers treat
-/// that as a cache miss and fall back to a full optimization; it cannot happen when the table
-/// was built for a query of the same shape.
-pub fn recost_table<M: CostModel<W> + ?Sized, const W: usize>(
-    table: &DpTable<W>,
+/// Returns `None` when the plan does not fit the graph/catalog — a relation out of range or
+/// joined twice, a join no longer connected, or an invalid catalog. Callers treat that as a
+/// cache miss and fall back to a full optimization; it cannot happen when the plan was built
+/// for a query of the same shape.
+pub fn recost_plan<M: CostModel<W> + ?Sized, const W: usize>(
+    plan: &PlanNode,
     graph: &Hypergraph<W>,
     catalog: &Catalog<W>,
     cost_model: &M,
-) -> Option<DpTable<W>> {
+) -> Option<PlanNode> {
     if catalog.validate_for(graph).is_err() {
         return None;
     }
     let combiner = JoinCombiner::new(graph, catalog, cost_model);
-    let mut out = DpTable::new();
-    let mut edge_buf: Vec<EdgeId> = Vec::new();
-    for class in table.classes() {
-        match class.best_join {
-            None => {
-                if !class.set.is_singleton() {
-                    return None;
-                }
-                let relation = class.set.min_node()?;
-                if relation >= graph.node_count() {
-                    return None;
-                }
-                out.insert_leaf(relation, catalog.cardinality(relation));
+    recost_subtree(plan, &combiner).map(|(plan, _)| plan)
+}
+
+/// [`recost_plan`] of one subtree, with the re-costed subtree's statistics.
+fn recost_subtree<M: CostModel<W> + ?Sized, const W: usize>(
+    plan: &PlanNode,
+    combiner: &JoinCombiner<'_, M, W>,
+) -> Option<(PlanNode, SubPlanStats<W>)> {
+    match plan {
+        &PlanNode::Scan { relation, .. } => {
+            if relation >= combiner.graph().node_count() {
+                return None;
             }
-            Some(join) => {
-                // The inputs were re-costed earlier in this pass (topological arena order).
-                let left = out.get(join.left)?.stats();
-                let right = out.get(join.right)?.stats();
-                // The combiner's contract (and its orientation/operator recovery) is defined
-                // over exactly the graph's connecting edges of the pair.
-                graph.connecting_edges_into(join.left, join.right, &mut edge_buf);
-                let candidate = combiner.combine(&left, &right, &edge_buf)?;
-                if candidate.set != class.set {
-                    return None;
-                }
-                out.offer(candidate);
+            let cardinality = combiner.catalog().cardinality(relation);
+            Some((
+                PlanNode::scan(relation, cardinality),
+                SubPlanStats::leaf(relation, cardinality),
+            ))
+        }
+        PlanNode::Join { left, right, .. } => {
+            let (left, a) = recost_subtree(left, combiner)?;
+            let (right, b) = recost_subtree(right, combiner)?;
+            if a.set.intersects(b.set) {
+                return None;
             }
+            let edges = combiner.graph().connecting_edges(a.set, b.set);
+            let class = combiner.combine(&a, &b, &edges)?;
+            let join = class.best_join.expect("a combined class records its join");
+            let (left, right) = if join.left == a.set {
+                (left, right)
+            } else {
+                (right, left)
+            };
+            let node = PlanNode::join(join.op, left, right, edges, class.cardinality, class.cost);
+            Some((node, class.stats()))
         }
     }
-    // Every class must have been re-admitted exactly once; a shortfall means the structure
-    // references sets the pass never produced.
-    (out.len() == table.len()).then_some(out)
 }
 
 /// A handler that only records which csg-cmp-pairs were emitted. Used to validate enumeration
@@ -1077,36 +1083,54 @@ mod tests {
         h.into_table()
     }
 
+    /// The plan the exhaustive DP over `chain3` picks.
+    fn chain3_plan(graph: &Hypergraph, catalog: &Catalog) -> PlanNode {
+        solve_chain3(graph, catalog)
+            .reconstruct(graph.all_nodes(), graph)
+            .expect("complete plan")
+    }
+
+    /// Builds `plan`'s join order from scratch: a DP that is offered only the plan's own joins,
+    /// bottom-up.
+    fn build_order(plan: &PlanNode, graph: &Hypergraph, catalog: &Catalog) -> PlanNode {
+        fn emit_joins<H: CcpHandler>(h: &mut H, plan: &PlanNode) {
+            if let PlanNode::Join { left, right, .. } = plan {
+                emit_joins(h, left);
+                emit_joins(h, right);
+                let _ = emit(h, left.relations(), right.relations());
+            }
+        }
+        let mut h = CostBasedHandler::new(JoinCombiner::new(graph, catalog, &CoutCost));
+        for r in 0..graph.node_count() {
+            h.init_leaf(r);
+        }
+        emit_joins(&mut h, plan);
+        h.into_table()
+            .reconstruct(plan.relations(), graph)
+            .expect("the order's joins are connected")
+    }
+
+    /// Cost and cardinality bits of every node, in visit order.
+    fn bits(plan: &PlanNode) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        plan.visit(&mut |n| out.push((n.cost().to_bits(), n.cardinality().to_bits())));
+        out
+    }
+
     #[test]
     fn recost_under_unchanged_statistics_is_the_identity() {
         let (g, c) = chain3();
-        let table = solve_chain3(&g, &c);
-        let recosted = recost_table(&table, &g, &c, &CoutCost).expect("structure fits");
-        assert_eq!(recosted.len(), table.len());
-        for class in table.classes() {
-            let again = recosted.get(class.set).expect("class survives");
-            assert_eq!(
-                again.cost, class.cost,
-                "bit-identical cost for {:?}",
-                class.set
-            );
-            assert_eq!(again.cardinality, class.cardinality);
-            assert_eq!(
-                again.best_join.map(|j| (j.left, j.right, j.op)),
-                class.best_join.map(|j| (j.left, j.right, j.op)),
-                "join structure is preserved verbatim"
-            );
-        }
-        assert_eq!(
-            recosted.reconstruct(g.all_nodes(), &g),
-            table.reconstruct(g.all_nodes(), &g)
-        );
+        let plan = chain3_plan(&g, &c);
+        let recosted = recost_plan(&plan, &g, &c, &CoutCost).expect("structure fits");
+        // Orientation, operators, predicates, cardinalities and costs, bit for bit.
+        assert_eq!(recosted, plan);
+        assert_eq!(bits(&recosted), bits(&plan));
     }
 
     #[test]
     fn recost_applies_drifted_statistics_bottom_up() {
         let (g, c) = chain3();
-        let table = solve_chain3(&g, &c);
+        let plan = chain3_plan(&g, &c);
         // Drift: the middle relation shrinks 10x, edge 0 becomes more selective.
         let mut cb = Catalog::builder(3);
         cb.set_cardinality(0, 10.0)
@@ -1116,54 +1140,52 @@ mod tests {
             .annotate_edge(1, EdgeAnnotation::inner(0.01));
         let drifted = cb.build();
         assert_ne!(c.stats_epoch(), drifted.stats_epoch());
-        let recosted = recost_table(&table, &g, &drifted, &CoutCost).expect("same shape");
-        // The re-costed classes carry exactly the costs a from-scratch DP over the same join
-        // order computes: rebuild the chain bottom-up by hand through the combiner.
-        let fresh = solve_chain3(&g, &drifted);
-        for class in recosted.classes() {
-            let reference = fresh.get(class.set).expect("same sets");
-            if class.best_join.map(|j| (j.left, j.right))
-                == reference.best_join.map(|j| (j.left, j.right))
-            {
-                assert_eq!(
-                    class.cost, reference.cost,
-                    "bit-identical for {:?}",
-                    class.set
-                );
-                assert_eq!(class.cardinality, reference.cardinality);
-            }
-        }
+        let recosted = recost_plan(&plan, &g, &drifted, &CoutCost).expect("same shape");
+        // Bit-identical to a from-scratch build of the same join order under the new
+        // statistics, and not to the stale costs.
+        let fresh = build_order(&plan, &g, &drifted);
+        assert_eq!(recosted, fresh);
+        assert_eq!(bits(&recosted), bits(&fresh));
+        assert_ne!(recosted.cost(), plan.cost());
         // Leaves picked up the new cardinalities.
-        assert_eq!(recosted.get(ns(&[1])).unwrap().cardinality, 100.0);
+        recosted.visit(&mut |n| {
+            if let PlanNode::Scan { relation: 1, .. } = n {
+                assert_eq!(n.cardinality(), 100.0);
+            }
+        });
     }
 
     #[test]
-    fn recost_rejects_tables_that_do_not_fit_the_graph() {
+    fn recost_rejects_plans_that_do_not_fit_the_graph() {
         let (g, c) = chain3();
-        let table = solve_chain3(&g, &c);
+        let plan = chain3_plan(&g, &c);
         // A graph missing the 1-2 edge: the stored joins are no longer connected.
-        let mut b = Hypergraph::builder(3);
+        let mut b = Hypergraph::<1>::builder(3);
         b.add_simple_edge(0, 1);
         let sparse = b.build();
         let sparse_catalog = Catalog::uniform(3, 100.0, 1, 0.5);
-        assert!(recost_table(&table, &sparse, &sparse_catalog, &CoutCost).is_none());
+        assert!(recost_plan(&plan, &sparse, &sparse_catalog, &CoutCost).is_none());
         // A catalog for a different relation count is rejected outright.
         let wrong = Catalog::uniform(4, 100.0, 2, 0.5);
-        assert!(recost_table(&table, &g, &wrong, &CoutCost).is_none());
+        assert!(recost_plan(&plan, &g, &wrong, &CoutCost).is_none());
     }
 
     #[test]
-    fn plan_tables_round_trip_and_recost() {
+    fn recost_rejects_out_of_range_and_duplicated_relations() {
         let (g, c) = chain3();
-        let full = solve_chain3(&g, &c);
-        let plan = full.reconstruct(g.all_nodes(), &g).expect("complete plan");
-        // The plan-derived table holds exactly the subtrees of the plan (2n − 1 classes) and
-        // reconstructs the identical tree.
-        let compact = DpTable::<1>::from_plan(&plan);
-        assert_eq!(compact.len(), 2 * 3 - 1);
-        assert_eq!(compact.reconstruct(g.all_nodes(), &g), Some(plan.clone()));
-        // Re-costing the compact table under the same stats reproduces the plan bit-for-bit.
-        let recosted = recost_table(&compact, &g, &c, &CoutCost).expect("fits");
-        assert_eq!(recosted.reconstruct(g.all_nodes(), &g), Some(plan));
+        let join = |l, r| PlanNode::join(JoinOp::Inner, l, r, vec![0], 1.0, 1.0);
+        let scan = |r| PlanNode::scan(r, 1.0);
+        // Relation 3 does not exist in a 3-relation graph; 64 and 200 do not fit one word.
+        for relation in [3, 64, 200] {
+            let plan = join(join(scan(0), scan(1)), scan(relation));
+            assert_eq!(recost_plan(&plan, &g, &c, &CoutCost), None, "{relation}");
+        }
+        // A relation joined twice, with itself and with a subtree that holds it.
+        assert_eq!(
+            recost_plan(&join(scan(1), scan(1)), &g, &c, &CoutCost),
+            None
+        );
+        let twice = join(join(scan(0), scan(1)), join(scan(1), scan(2)));
+        assert_eq!(recost_plan(&twice, &g, &c, &CoutCost), None);
     }
 }

@@ -12,12 +12,11 @@
 //!     of `2^n` entries indexed by the mask itself, holding arena index + 1 (0 marks a set
 //!     with no class). A probe is one load: no hash, no probe sequence. At the threshold the
 //!     index is 256 KiB.
-//!   - **Hashed.** Every other table — larger graphs, `W = 2`, [`DpTable::new`],
-//!     [`DpTable::from_plan`] and the IDP, GOO, DPsize and DPsub tables — uses a hand-rolled
-//!     open-addressing map from the raw set mask, hashed with the FxHash-style finalizer of
-//!     [`NodeSet::hash64`] (which folds every mask word), with linear probing over one flat
-//!     array. Its memory grows with the classes stored, so a cached `2n − 1`-class table stays
-//!     `O(n)` whatever the relation count.
+//!   - **Hashed.** Every other table — larger graphs, `W = 2`, [`DpTable::new`] and the IDP,
+//!     GOO, DPsize and DPsub tables — uses a hand-rolled open-addressing map from the raw set
+//!     mask, hashed with the FxHash-style finalizer of [`NodeSet::hash64`] (which folds every
+//!     mask word), with linear probing over one flat array. Its memory grows with the classes
+//!     stored, not with `2^n`.
 //! * **Per-offer `Vec<EdgeId>` clones.** A class stores no predicate list at all: the
 //!   predicates of a join are exactly the connecting edges of its two inputs, a function of the
 //!   hypergraph, so [`DpTable::reconstruct`] recollects them for the `n − 1` joins of the
@@ -362,61 +361,6 @@ impl<const W: usize> DpTable<W> {
         incumbent
     }
 
-    /// Builds a minimal table containing exactly the plan classes of `plan`'s subtrees — one
-    /// leaf class per scan, one join class per join node, with the plan's own cardinalities and
-    /// costs.
-    ///
-    /// This is the persistence form of a finished optimization: a full enumeration table for a
-    /// 20-relation star holds half a million classes (tens of megabytes), but the winning plan
-    /// tree describes only `2n − 1` of them — enough to re-cost the *chosen* join order
-    /// bottom-up under drifted statistics (see [`recost_table`](crate::recost_table)) at `O(n)`
-    /// memory per cached query. The plan's predicate lists are not stored; over the graph the
-    /// plan was optimized for, the resulting table reconstructs `plan` exactly.
-    ///
-    /// # Panics
-    /// Panics if a relation id of the plan does not fit the width `W`.
-    pub fn from_plan(plan: &PlanNode) -> Self {
-        let mut table = Self::new();
-        table.absorb_plan(plan);
-        table
-    }
-
-    /// Inserts every subtree of `plan` as a plan class; returns the subtree's relation set.
-    fn absorb_plan(&mut self, plan: &PlanNode) -> NodeSet<W> {
-        match plan {
-            PlanNode::Scan {
-                relation,
-                cardinality,
-            } => {
-                self.insert_leaf(*relation, *cardinality);
-                NodeSet::single(*relation)
-            }
-            PlanNode::Join {
-                op,
-                left,
-                right,
-                cardinality,
-                cost,
-                ..
-            } => {
-                let left_set = self.absorb_plan(left);
-                let right_set = self.absorb_plan(right);
-                let set = left_set | right_set;
-                self.offer(PlanClass {
-                    set,
-                    cardinality: *cardinality,
-                    cost: *cost,
-                    best_join: Some(BestJoin {
-                        left: left_set,
-                        right: right_set,
-                        op: *op,
-                    }),
-                });
-                set
-            }
-        }
-    }
-
     /// Reconstructs the full plan tree for `set` from the memoized join decisions. Each join's
     /// predicates are recollected from `graph`: the connecting edges of its two inputs, the
     /// list every enumerator hands the combiner for that pair.
@@ -543,29 +487,6 @@ mod tests {
         // The two-word tier always hashes, however few relations the graph has.
         assert!(!index_entries(&DpTable::<2>::with_relations(max)).0);
         assert!(!index_entries(&DpTable::<1>::new()).0);
-    }
-
-    #[test]
-    fn new_and_from_plan_never_allocate_the_mask_index() {
-        // A cached 16-relation plan holds 31 classes; its table must stay O(n), not 2^16.
-        let mut plan = PlanNode::scan(0, 10.0);
-        for r in 1..16 {
-            let cost = plan.cost() + 1.0;
-            plan = PlanNode::join(
-                JoinOp::Inner,
-                plan,
-                PlanNode::scan(r, 10.0),
-                vec![r - 1],
-                10.0,
-                cost,
-            );
-        }
-        let t = DpTable::<1>::from_plan(&plan);
-        assert_eq!(t.len(), 31);
-        let (mask_indexed, entries) = index_entries(&t);
-        assert!(!mask_indexed);
-        assert!(entries <= 64, "{entries} slot entries for 31 classes");
-        assert_eq!(index_entries(&DpTable::<1>::new()), (false, 64));
     }
 
     #[test]

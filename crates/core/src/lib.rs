@@ -47,7 +47,7 @@
 //!   exactly, reporting the chosen tier and the spent budget in [`OptimizeResult`].
 //! * [`canon`] and [`recost`] are the plan-cache substrate used by the `qo-service` subsystem:
 //!   relation-order-invariant spec canonicalization (with a structure-only shape hash) and
-//!   incremental re-costing of a cached plan table under drifted statistics.
+//!   incremental re-costing of a cached plan under drifted statistics.
 
 pub mod adaptive;
 pub mod canon;
@@ -66,7 +66,7 @@ pub use optimizer::{
     optimize, CostModelKind, OptimizeError, Optimized, Optimizer, OptimizerOptions,
 };
 pub use query::{optimize_spec, QuerySpec, QuerySpecBuilder, SpecEdge, MAX_WIDE_NODES};
-pub use recost::{recost_spec, CachedTable, Recosted};
+pub use recost::{recost_spec, recost_spec_with_probe, Recosted};
 
 pub use qo_baselines::IdpStrategy;
 

@@ -176,27 +176,10 @@ impl Optimizer {
             }
         }
     }
-
-    /// Like [`Optimizer::optimize_hypergraph`] but with a caller-provided cost model. Concrete
-    /// model types get a fully monomorphized enumeration; `&dyn CostModel` still works for
-    /// models chosen at runtime.
-    pub fn optimize_hypergraph_with_model<M: CostModel<W> + ?Sized, const W: usize>(
-        &self,
-        graph: &Hypergraph<W>,
-        catalog: &Catalog<W>,
-        cost_model: &M,
-    ) -> Result<Optimized, OptimizeError> {
-        catalog
-            .validate_for(graph)
-            .map_err(OptimizeError::InvalidCatalog)?;
-        let enforce_tes = self.options.conflict_encoding == ConflictEncoding::TesTest;
-        optimize_graph_with(graph, catalog, cost_model, enforce_tes)
-    }
 }
 
-/// Shared optimization driver used by the facade (and, through re-export, by the benchmark
-/// harness for the generate-and-test comparison). Monomorphized per cost model.
-pub(crate) fn optimize_graph_with<M: CostModel<W> + ?Sized, const W: usize>(
+/// Shared optimization driver of the facade. Monomorphized per cost model.
+pub(crate) fn optimize_graph_with<M: CostModel<W>, const W: usize>(
     graph: &Hypergraph<W>,
     catalog: &Catalog<W>,
     cost_model: &M,

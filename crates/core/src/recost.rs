@@ -1,175 +1,113 @@
-//! Incremental re-optimization: re-cost a cached [`DpTable`] under drifted statistics.
+//! Incremental re-optimization: re-cost a cached plan under drifted statistics.
 //!
-//! A plan cache stores, per query fingerprint, the compact plan-table of a finished
-//! optimization ([`DpTable::from_plan`] — the `2n − 1` plan classes of the winning tree, not
-//! the full enumeration memo). When the same query shape arrives with new statistics, the
-//! cheap path is not to re-enumerate csg-cmp-pairs but to walk the memoized classes bottom-up
-//! and recompute cardinalities and costs through the same `JoinCombiner` the enumeration
-//! used ([`qo_catalog::recost_table`]). The result is bit-identical to what a from-scratch
+//! A plan cache stores, per query fingerprint, the winning [`PlanNode`] of a finished
+//! optimization. When the same query shape arrives with new statistics, the cheap path is not
+//! to re-enumerate csg-cmp-pairs but to walk the plan's `n − 1` joins bottom-up and recompute
+//! cardinalities and costs through the same `JoinCombiner` the enumeration used
+//! ([`qo_catalog::recost_plan`]). The result is bit-identical to what a from-scratch
 //! optimization computes *for the same join order* — whether that order is still the winning
-//! one is a separate question, answered here by a greedy probe: [`recost_spec`] also runs GOO
-//! under the new statistics, and the caller compares the two costs against its staleness
-//! tolerance to decide between serving the re-costed plan and re-optimizing in full.
+//! one is a separate question, answered here by a greedy probe: [`recost_spec_with_probe`]
+//! also runs GOO under the new statistics, and the caller compares the two costs against its
+//! staleness tolerance to decide between serving the re-costed plan and re-optimizing in full.
+//! [`recost_spec`] re-costs without the probe, for callers that serve the order regardless.
 //!
-//! Everything is width-erased behind [`CachedTable`] so a cache can hold single-word and
-//! two-word queries side by side; [`recost_spec`] dispatches the width exactly like the other
-//! spec entry points.
+//! A plan stores plain relation and edge ids, so one cache holds queries of every width side
+//! by side; both entry points instantiate the spec once, at the width every other spec entry
+//! point picks.
 
 use crate::adaptive::AdaptiveOptions;
 use crate::optimizer::{CostModelKind, OptimizeError};
 use crate::query::{with_width_dispatch, QuerySpec};
 use qo_baselines::goo;
-use qo_catalog::{recost_table, Catalog, CostModel, CoutCost, DpTable, MixedCost};
+use qo_catalog::{recost_plan, Catalog, CoutCost, MixedCost};
 use qo_hypergraph::Hypergraph;
 use qo_plan::PlanNode;
 
-/// A width-erased plan table, the persisted form of one optimized query.
-///
-/// The width is committed when the table is built (it follows the query's relation count
-/// through the same ladder as every spec entry point) and checked again on reuse.
-#[derive(Clone, Debug)]
-pub enum CachedTable {
-    /// Single-word tier: queries of up to 64 relations.
-    Narrow(DpTable<1>),
-    /// Two-word tier: queries of up to 128 relations.
-    Wide(DpTable<2>),
-}
-
-impl CachedTable {
-    /// Builds the compact plan-table of a finished optimization at the width matching
-    /// `node_count` (the plan's query size, not its scan count — trust the spec).
-    pub fn from_plan(plan: &PlanNode, node_count: usize) -> Result<CachedTable, OptimizeError> {
-        if node_count <= qo_bitset::NodeSet64::CAPACITY {
-            Ok(CachedTable::Narrow(DpTable::from_plan(plan)))
-        } else if node_count <= qo_bitset::NodeSet128::CAPACITY {
-            Ok(CachedTable::Wide(DpTable::from_plan(plan)))
-        } else {
-            Err(OptimizeError::TooManyRelations {
-                count: node_count,
-                max: crate::query::MAX_WIDE_NODES,
-            })
-        }
-    }
-
-    /// Number of memoized plan classes.
-    pub fn len(&self) -> usize {
-        match self {
-            CachedTable::Narrow(t) => t.len(),
-            CachedTable::Wide(t) => t.len(),
-        }
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The outcome of one incremental re-cost: the cached join order under new statistics, plus
-/// the greedy probe the caller uses to judge staleness.
+/// The outcome of one probed re-cost: the cached join order under new statistics, plus the
+/// greedy probe the caller uses to judge staleness.
 #[derive(Clone, Debug)]
 pub struct Recosted {
-    /// The cached join order, re-costed (still in the id space the table was built in).
+    /// The cached join order, re-costed (in the id space of the spec). Its root's cost and
+    /// cardinality are bit-identical to a from-scratch optimization that picks the same order.
     pub plan: PlanNode,
-    /// Cost of that order under the new statistics — bit-identical to a from-scratch
-    /// optimization that picks the same order.
-    pub cost: f64,
-    /// Estimated output cardinality under the new statistics.
-    pub cardinality: f64,
     /// Cost of a fresh greedy (GOO) plan under the new statistics. A re-costed order that a
     /// mere greedy ordering beats has demonstrably gone stale.
     pub greedy_cost: f64,
-    /// The re-costed table, ready to replace the cache entry if the caller accepts the plan.
-    pub table: CachedTable,
 }
 
-/// Re-costs a cached table against `spec`'s statistics, without enumerating a single
-/// csg-cmp-pair, and runs the greedy staleness probe.
+/// Re-costs a cached plan against `spec`'s statistics, without enumerating a single
+/// csg-cmp-pair.
 ///
-/// Returns `Ok(None)` when the table cannot be re-costed against this spec — width mismatch,
-/// structural mismatch (a stored join no longer connected), or no greedy plan. Callers treat
-/// `None` as a cache miss and fall back to a full optimization; it cannot happen when the spec
-/// has the same shape the table was built for.
+/// Returns `Ok(None)` when the plan cannot be re-costed against this spec — a relation out of
+/// range or joined twice, a stored join no longer connected, or a plan that does not cover
+/// every relation of the spec. Callers treat `None` as a cache miss and fall back to a full
+/// optimization; it cannot happen when the spec has the same shape the plan was built for.
 pub fn recost_spec(
     spec: &QuerySpec,
-    table: &CachedTable,
+    plan: &PlanNode,
     options: &AdaptiveOptions,
-) -> Result<Option<Recosted>, OptimizeError> {
+) -> Result<Option<PlanNode>, OptimizeError> {
     let _span = qo_obsv::Span::enter("recost");
-    let cost_model = options.cost_model;
+    let model = options.cost_model;
     with_width_dispatch(
         spec,
-        |graph, catalog| match table {
-            CachedTable::Narrow(t) => recost_width(t, graph, catalog, cost_model)
-                .map(|(parts, t)| parts.with_table(CachedTable::Narrow(t))),
-            CachedTable::Wide(_) => None,
-        },
-        |graph, catalog| match table {
-            CachedTable::Wide(t) => recost_width(t, graph, catalog, cost_model)
-                .map(|(parts, t)| parts.with_table(CachedTable::Wide(t))),
-            CachedTable::Narrow(_) => None,
-        },
+        |graph, catalog| recost_width(plan, graph, catalog, model),
+        |graph, catalog| recost_width(plan, graph, catalog, model),
     )
 }
 
-/// A [`Recosted`] before the width of its table is re-erased; the table travels separately.
-struct RecostedParts {
-    plan: PlanNode,
-    cost: f64,
-    cardinality: f64,
-    greedy_cost: f64,
+/// [`recost_spec`] plus the greedy staleness probe, on one instantiation of the spec. Also
+/// `Ok(None)` when no greedy plan exists.
+pub fn recost_spec_with_probe(
+    spec: &QuerySpec,
+    plan: &PlanNode,
+    options: &AdaptiveOptions,
+) -> Result<Option<Recosted>, OptimizeError> {
+    let _span = qo_obsv::Span::enter("recost");
+    let model = options.cost_model;
+    with_width_dispatch(
+        spec,
+        |graph, catalog| recost_and_probe(plan, graph, catalog, model),
+        |graph, catalog| recost_and_probe(plan, graph, catalog, model),
+    )
 }
 
-impl RecostedParts {
-    fn with_table(self, table: CachedTable) -> Recosted {
-        Recosted {
-            plan: self.plan,
-            cost: self.cost,
-            cardinality: self.cardinality,
-            greedy_cost: self.greedy_cost,
-            table,
-        }
-    }
+fn recost_and_probe<const W: usize>(
+    plan: &PlanNode,
+    graph: &Hypergraph<W>,
+    catalog: &Catalog<W>,
+    model: CostModelKind,
+) -> Option<Recosted> {
+    let plan = recost_width(plan, graph, catalog, model)?;
+    let greedy = match model {
+        CostModelKind::Cout => goo(graph, catalog, &CoutCost),
+        CostModelKind::Mixed => goo(graph, catalog, &MixedCost),
+    };
+    Some(Recosted {
+        plan,
+        greedy_cost: greedy.ok()?.cost,
+    })
 }
 
 fn recost_width<const W: usize>(
-    table: &DpTable<W>,
+    plan: &PlanNode,
     graph: &Hypergraph<W>,
     catalog: &Catalog<W>,
-    cost_model: CostModelKind,
-) -> Option<(RecostedParts, DpTable<W>)> {
-    match cost_model {
-        CostModelKind::Cout => recost_with_model(table, graph, catalog, &CoutCost),
-        CostModelKind::Mixed => recost_with_model(table, graph, catalog, &MixedCost),
-    }
-}
-
-fn recost_with_model<M: CostModel<W>, const W: usize>(
-    table: &DpTable<W>,
-    graph: &Hypergraph<W>,
-    catalog: &Catalog<W>,
-    cost_model: &M,
-) -> Option<(RecostedParts, DpTable<W>)> {
-    let recosted = recost_table(table, graph, catalog, cost_model)?;
-    let all = graph.all_nodes();
-    let class = *recosted.get(all)?;
-    let plan = recosted.reconstruct(all, graph)?;
-    let greedy = goo(graph, catalog, cost_model).ok()?;
-    Some((
-        RecostedParts {
-            plan,
-            cost: class.cost,
-            cardinality: class.cardinality,
-            greedy_cost: greedy.cost,
-        },
-        recosted,
-    ))
+    model: CostModelKind,
+) -> Option<PlanNode> {
+    let recosted = match model {
+        CostModelKind::Cout => recost_plan(plan, graph, catalog, &CoutCost),
+        CostModelKind::Mixed => recost_plan(plan, graph, catalog, &MixedCost),
+    }?;
+    (recosted.relations_wide::<W>() == graph.all_nodes()).then_some(recosted)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::optimize_adaptive;
+    use crate::adaptive::{optimize_adaptive, AdaptiveOptimizer};
+    use proptest::prelude::*;
+    use qo_plan::JoinOp;
 
     fn chain_spec_with(n: usize, scale: f64) -> QuerySpec {
         let mut b = QuerySpec::builder(n);
@@ -186,31 +124,37 @@ mod tests {
     fn recost_under_identical_stats_reproduces_the_cached_plan() {
         let spec = chain_spec_with(10, 1.0);
         let result = optimize_adaptive(&spec).unwrap();
-        let table = CachedTable::from_plan(&result.plan, spec.node_count()).unwrap();
-        assert_eq!(table.len(), 2 * 10 - 1);
-        let r = recost_spec(&spec, &table, &AdaptiveOptions::default())
+        let r = recost_spec_with_probe(&spec, &result.plan, &AdaptiveOptions::default())
             .unwrap()
             .expect("same shape re-costs");
-        assert_eq!(r.cost, result.cost, "bit-identical under unchanged stats");
-        assert_eq!(r.cardinality, result.cardinality);
         assert_eq!(r.plan, result.plan);
-        assert!(r.greedy_cost >= r.cost, "greedy cannot beat the optimum");
+        assert_eq!(r.plan.cost().to_bits(), result.cost.to_bits());
+        assert_eq!(r.plan.cardinality().to_bits(), result.cardinality.to_bits());
+        assert!(
+            r.greedy_cost >= r.plan.cost(),
+            "greedy cannot beat the optimum"
+        );
+        let unprobed = recost_spec(&spec, &result.plan, &AdaptiveOptions::default()).unwrap();
+        assert_eq!(unprobed, Some(r.plan), "the probe does not touch the plan");
     }
 
     #[test]
     fn recost_tracks_drifted_statistics_bit_identically_for_a_stable_order() {
         let spec = chain_spec_with(10, 1.0);
         let cold = optimize_adaptive(&spec).unwrap();
-        let table = CachedTable::from_plan(&cold.plan, spec.node_count()).unwrap();
         // A tiny drift (0.1% growth) that leaves the optimal join order in place.
         let drifted = chain_spec_with(10, 1.001);
-        let r = recost_spec(&drifted, &table, &AdaptiveOptions::default())
+        let plan = recost_spec(&drifted, &cold.plan, &AdaptiveOptions::default())
             .unwrap()
             .expect("same shape");
         let fresh = optimize_adaptive(&drifted).unwrap();
-        assert_eq!(fresh.plan, r.plan, "a 0.1% drift keeps the join order");
-        assert_eq!(r.cost, fresh.cost, "bit-identical to from-scratch");
-        assert_ne!(r.cost, cold.cost, "but not to the stale costs");
+        assert_eq!(fresh.plan, plan, "a 0.1% drift keeps the join order");
+        assert_eq!(
+            plan.cost().to_bits(),
+            fresh.cost.to_bits(),
+            "bit-identical to from-scratch"
+        );
+        assert_ne!(plan.cost(), cold.cost, "but not to the stale costs");
     }
 
     #[test]
@@ -231,43 +175,215 @@ mod tests {
             b.build()
         };
         let cold = optimize_adaptive(&star(1_000_000.0, 2.0)).unwrap();
-        let table = CachedTable::from_plan(&cold.plan, 6).unwrap();
         let drifted = star(1_000_000.0, 5_000_000.0);
-        let r = recost_spec(&drifted, &table, &AdaptiveOptions::default())
+        let r = recost_spec_with_probe(&drifted, &cold.plan, &AdaptiveOptions::default())
             .unwrap()
             .expect("same shape");
         let fresh = optimize_adaptive(&drifted).unwrap();
+        let cost = r.plan.cost();
         // The stale order is strictly worse than a fresh optimization under the new stats.
-        assert!(r.cost > fresh.cost, "{} vs {}", r.cost, fresh.cost);
-        // And the greedy probe exposes it: a caller comparing r.cost against r.greedy_cost
-        // with any reasonable tolerance re-optimizes.
+        assert!(cost > fresh.cost, "{cost} vs {}", fresh.cost);
+        // And the greedy probe exposes it: a caller comparing the re-costed cost against
+        // r.greedy_cost with any reasonable tolerance re-optimizes.
         assert!(r.greedy_cost.is_finite() && r.greedy_cost > 0.0);
-        assert!(r.cost > r.greedy_cost, "stale order loses even to greedy");
+        assert!(cost > r.greedy_cost, "stale order loses even to greedy");
     }
 
     #[test]
     fn width_mismatch_and_wide_tables_are_handled() {
+        let options = AdaptiveOptions::default();
         let narrow = chain_spec_with(10, 1.0);
         let wide = chain_spec_with(80, 1.0);
+        let narrow_result = optimize_adaptive(&narrow).unwrap();
         let wide_result = optimize_adaptive(&wide).unwrap();
-        let wide_table = CachedTable::from_plan(&wide_result.plan, 80).unwrap();
-        assert!(matches!(wide_table, CachedTable::Wide(_)));
-        assert!(!wide_table.is_empty());
-        // A wide table against a narrow spec is a clean miss, not a panic.
-        assert!(
-            recost_spec(&narrow, &wide_table, &AdaptiveOptions::default())
-                .unwrap()
-                .is_none()
+        // A wide plan against a narrow spec, and a narrow plan against a wide spec, are clean
+        // misses, not panics.
+        assert_eq!(
+            recost_spec(&narrow, &wide_result.plan, &options).unwrap(),
+            None
+        );
+        assert_eq!(
+            recost_spec(&wide, &narrow_result.plan, &options).unwrap(),
+            None
         );
         // Re-costing on the two-word tier works end to end.
-        let r = recost_spec(&wide, &wide_table, &AdaptiveOptions::default())
+        let plan = recost_spec(&wide, &wide_result.plan, &options)
             .unwrap()
             .expect("wide recost");
-        assert_eq!(r.cost, wide_result.cost);
-        // Oversized plans are rejected at table-build time.
+        assert_eq!(plan.cost().to_bits(), wide_result.cost.to_bits());
+        // Specs beyond the widest tier are rejected like at every other spec entry point.
         assert!(matches!(
-            CachedTable::from_plan(&wide_result.plan, 300),
+            recost_spec(&chain_spec_with(130, 1.0), &wide_result.plan, &options),
             Err(OptimizeError::TooManyRelations { .. })
         ));
+    }
+
+    fn xorshift(mut x: u64) -> u64 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^ (x << 17)
+    }
+
+    /// A random inner-join spec of `n` relations shaped as a chain, a star, a cycle, or a
+    /// chain plus the hyperedge `({0, 1}, {n − 2, n − 1})`.
+    fn shaped_spec(kind: u8, n: usize, seed: u64) -> QuerySpec {
+        let mut x = seed | 1;
+        let mut b = QuerySpec::builder(n);
+        for r in 0..n {
+            x = xorshift(x);
+            b.set_cardinality(r, 1.0 + (x % 100_000) as f64);
+        }
+        for i in 1..n {
+            x = xorshift(x);
+            let selectivity = 1.0 / (2.0 + (x % 1_000) as f64);
+            match kind {
+                1 => b.add_simple_edge(0, i, selectivity),
+                _ => b.add_simple_edge(i - 1, i, selectivity),
+            };
+        }
+        match kind {
+            2 if n > 2 => {
+                b.add_simple_edge(n - 1, 0, 0.5);
+            }
+            3 if n >= 4 => {
+                b.add_edge(&[0, 1], &[n - 2, n - 1], 0.1, JoinOp::Inner);
+            }
+            _ => {}
+        }
+        b.build()
+    }
+
+    /// The plan a spec is cached with: the adaptive optimum, greedy on the two-word tier.
+    fn cached_plan(spec: &QuerySpec) -> PlanNode {
+        let options = AdaptiveOptions {
+            ccp_budget: if spec.node_count() > 64 {
+                0
+            } else {
+                AdaptiveOptions::default().ccp_budget
+            },
+            ..AdaptiveOptions::default()
+        };
+        AdaptiveOptimizer::new(options)
+            .optimize_spec(spec)
+            .unwrap()
+            .plan
+    }
+
+    /// A random bushy tree over `leaves`: repeatedly joins two random subtrees of the forest.
+    /// Predicates, cardinalities and costs are placeholders; a re-cost recomputes them.
+    fn random_tree(leaves: &[usize], seed: u64) -> PlanNode {
+        let mut forest: Vec<PlanNode> = leaves.iter().map(|&r| PlanNode::scan(r, 1.0)).collect();
+        let mut x = seed | 1;
+        while forest.len() > 1 {
+            x = xorshift(x);
+            let left = forest.swap_remove(x as usize % forest.len());
+            x = xorshift(x);
+            let right = forest.swap_remove(x as usize % forest.len());
+            forest.push(PlanNode::join(
+                JoinOp::Inner,
+                left,
+                right,
+                Vec::new(),
+                1.0,
+                1.0,
+            ));
+        }
+        forest.pop().expect("at least one leaf")
+    }
+
+    fn joins_carry_connecting_edges<const W: usize>(spec: &QuerySpec, plan: &PlanNode) -> bool {
+        let (graph, _) = spec.instantiate::<W>();
+        let mut ok = true;
+        plan.visit(&mut |node| {
+            if let PlanNode::Join {
+                left,
+                right,
+                predicates,
+                ..
+            } = node
+            {
+                let expected =
+                    graph.connecting_edges(left.relations_wide::<W>(), right.relations_wide::<W>());
+                ok &= *predicates == expected;
+            }
+        });
+        ok
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The regret ledger hands `recost_spec` plans stored under other serves. Whatever the
+        /// plan — the spec's own, another spec's, a random tree over a permutation of some
+        /// relation range, or one with a relation out of range, at or past 64 or 128, or
+        /// joined twice — the re-cost answers `None` or a plan covering exactly the spec's
+        /// relations whose every join carries its connecting edges, and never unwinds.
+        #[test]
+        fn prop_foreign_plans_recost_to_a_covering_plan_or_none(
+            kind in 0u8..4,
+            n in 2usize..10,
+            wide in 0u8..5,
+            source in 0u8..4,
+            corrupt in 0u8..5,
+            seed in any::<u64>(),
+        ) {
+            let n = if wide == 0 { n + 64 } else { n };
+            let spec = shaped_spec(kind, n, seed);
+            let own = source == 0;
+            let plan = match source {
+                0 => cached_plan(&spec),
+                1 => {
+                    let other_n = if seed.is_multiple_of(3) {
+                        n
+                    } else {
+                        2 + (seed >> 8) as usize % 9
+                    };
+                    cached_plan(&shaped_spec((seed >> 4) as u8 % 4, other_n, seed >> 16))
+                }
+                _ => {
+                    let mut x = seed ^ 0x9E37_79B9_7F4A_7C15;
+                    let count = if source == 2 {
+                        n
+                    } else {
+                        1 + (seed >> 32) as usize % (n + 2)
+                    };
+                    let mut leaves: Vec<usize> = (0..count).collect();
+                    for i in (1..leaves.len()).rev() {
+                        x = xorshift(x);
+                        leaves.swap(i, x as usize % (i + 1));
+                    }
+                    x = xorshift(x);
+                    let k = x as usize % leaves.len();
+                    let extra = (x >> 32) as usize % 8;
+                    match corrupt {
+                        0 => {}
+                        1 => leaves[k] = n + extra,
+                        2 => leaves[k] = 64 + extra,
+                        3 => leaves[k] = 128 + extra,
+                        _ => leaves[k] = leaves[(k + 1) % leaves.len()],
+                    }
+                    random_tree(&leaves, x)
+                }
+            };
+            let options = AdaptiveOptions::default();
+            let probed = recost_spec_with_probe(&spec, &plan, &options).unwrap();
+            let unprobed = recost_spec(&spec, &plan, &options).unwrap();
+            prop_assert_eq!(&unprobed, &probed.as_ref().map(|r| r.plan.clone()));
+            if own {
+                prop_assert_eq!(unprobed.as_ref(), Some(&plan), "own plan re-costs to itself");
+            }
+            if let Some(r) = probed {
+                let mut ids = r.plan.relation_ids();
+                ids.sort_unstable();
+                prop_assert_eq!(ids, (0..n).collect::<Vec<_>>());
+                let carried = if n > 64 {
+                    joins_carry_connecting_edges::<2>(&spec, &r.plan)
+                } else {
+                    joins_carry_connecting_edges::<1>(&spec, &r.plan)
+                };
+                prop_assert!(carried);
+                prop_assert!(r.greedy_cost.is_finite());
+            }
+        }
     }
 }

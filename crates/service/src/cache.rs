@@ -9,7 +9,7 @@
 //!
 //! * **Hit** — a variant matches shape and statistics exactly: its plan is returned as-is.
 //! * **Shape** — same canonical skeleton, no exact-statistics variant: the caller re-costs the
-//!   most recently used variant's plan table instead of re-optimizing (and then
+//!   most recently used variant's plan instead of re-optimizing (and then
 //!   [`PlanCache::insert`]s the outcome as a new variant).
 //! * **Miss** — nothing cached (or a hash collision / relabeling mismatch, detected by the
 //!   structural comparison and treated as a miss for safety).
@@ -21,7 +21,7 @@
 
 use crate::fingerprint::Fingerprint;
 use crate::lock_recovering;
-use dphyp::{same_shape, CachedTable, PlanTier, QuerySpec};
+use dphyp::{same_shape, PlanTier, QuerySpec};
 use qo_plan::PlanNode;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,14 +64,9 @@ pub(crate) struct Entry {
     /// under. Reuse — verbatim or as a re-cost seed — requires an exact match: a plan produced
     /// under weaker options must never satisfy a request paying for stronger ones.
     pub options: u64,
-    /// The compact plan table (for incremental re-costing).
-    pub table: CachedTable,
-    /// The winning plan.
+    /// The winning plan, with its cost and estimated cardinality at the root; a drifted
+    /// variant re-costs it bottom-up.
     pub plan: PlanNode,
-    /// Its cost.
-    pub cost: f64,
-    /// Its estimated output cardinality.
-    pub cardinality: f64,
     /// The tier that produced the join order.
     pub tier: PlanTier,
 }
@@ -79,14 +74,9 @@ pub(crate) struct Entry {
 /// Outcome of a cache lookup.
 pub(crate) enum Lookup {
     /// Shape and statistics match: the cached plan is current.
-    Hit {
-        plan: PlanNode,
-        cost: f64,
-        cardinality: f64,
-        tier: PlanTier,
-    },
-    /// Same shape, drifted statistics: re-cost this table.
-    Shape { table: CachedTable, tier: PlanTier },
+    Hit { plan: PlanNode, tier: PlanTier },
+    /// Same shape, drifted statistics: re-cost this plan.
+    Shape { plan: PlanNode, tier: PlanTier },
     /// Nothing reusable.
     Miss,
 }
@@ -232,8 +222,6 @@ impl PlanCache {
             slot.last_used = tick;
             return Lookup::Hit {
                 plan: slot.entry.plan.clone(),
-                cost: slot.entry.cost,
-                cardinality: slot.entry.cardinality,
                 tier: slot.entry.tier,
             };
         }
@@ -244,7 +232,7 @@ impl PlanCache {
         {
             slot.last_used = tick;
             return Lookup::Shape {
-                table: slot.entry.table.clone(),
+                plan: slot.entry.plan.clone(),
                 tier: slot.entry.tier,
             };
         }

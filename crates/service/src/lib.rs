@@ -33,8 +33,8 @@
 //!   one shard briefly, optimizations never hold a lock. LRU eviction per shard. The cache
 //!   keeps no counters: each serve is recorded once in the metrics registry, and
 //!   [`CacheStats`] is a view over it.
-//! * **Incremental re-optimization**: on a stats-only change the cached plan table is
-//!   re-costed bottom-up ([`dphyp::recost_spec`]) instead of re-enumerating csg-cmp-pairs —
+//! * **Incremental re-optimization**: on a stats-only change the cached plan is re-costed
+//!   bottom-up ([`dphyp::recost_spec_with_probe`]) instead of re-enumerating csg-cmp-pairs —
 //!   bit-identical to a from-scratch optimization that picks the same join order — and a
 //!   greedy probe with a configurable tolerance ([`ServiceOptions::recost_tolerance`])
 //!   triggers a full re-optimization when the cached order has gone stale.

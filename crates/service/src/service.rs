@@ -7,7 +7,7 @@ use crate::lock_recovering;
 use crate::metrics::ServiceMetrics;
 use crate::regret::{PinnedPlan, RegretLedger};
 use dphyp::{
-    recost_spec, AdaptiveOptimizer, AdaptiveOptions, CachedTable, CanonicalQuery,
+    recost_spec, recost_spec_with_probe, AdaptiveOptimizer, AdaptiveOptions, CanonicalQuery,
     ExecutionFeedback, ObservedStats, OptimizeError, PlanTier, QuerySpec,
 };
 use qo_ingest::{parse_queries, IngestQuery, JgError};
@@ -500,16 +500,11 @@ impl Service {
         let opts_key = options_key(&adaptive);
 
         match self.cache.lookup(fp, opts_key, &canonical.spec) {
-            Lookup::Hit {
-                plan,
-                cost,
-                cardinality,
-                tier,
-            } => {
+            Lookup::Hit { plan, tier } => {
                 let served = ServedPlan {
                     plan: canonical.plan_to_original(&plan),
-                    cost,
-                    cardinality,
+                    cost: plan.cost(),
+                    cardinality: plan.cardinality(),
                     tier,
                     source: PlanSource::CacheHit,
                     fingerprint: fp,
@@ -520,13 +515,13 @@ impl Service {
                 };
                 Ok(served)
             }
-            Lookup::Shape { table, tier } => {
-                if let Some(r) = recost_spec(&canonical.spec, &table, &adaptive)? {
-                    if r.cost <= r.greedy_cost * (1.0 + self.options.recost_tolerance) {
+            Lookup::Shape { plan, tier } => {
+                if let Some(r) = recost_spec_with_probe(&canonical.spec, &plan, &adaptive)? {
+                    if r.plan.cost() <= r.greedy_cost * (1.0 + self.options.recost_tolerance) {
                         let served = ServedPlan {
                             plan: canonical.plan_to_original(&r.plan),
-                            cost: r.cost,
-                            cardinality: r.cardinality,
+                            cost: r.plan.cost(),
+                            cardinality: r.plan.cardinality(),
                             tier,
                             source: PlanSource::Recost,
                             fingerprint: fp,
@@ -541,10 +536,7 @@ impl Service {
                                 spec: canonical.spec.clone(),
                                 stats: fp.stats,
                                 options: opts_key,
-                                table: r.table,
                                 plan: r.plan,
-                                cost: r.cost,
-                                cardinality: r.cardinality,
                                 tier,
                             },
                         );
@@ -572,7 +564,6 @@ impl Service {
     ) -> Result<ServedPlan, OptimizeError> {
         let result = AdaptiveOptimizer::new(adaptive).optimize_spec(&canonical.spec)?;
         self.metrics.record_optimize(&result);
-        let table = CachedTable::from_plan(&result.plan, canonical.spec.node_count())?;
         let served = ServedPlan {
             plan: canonical.plan_to_original(&result.plan),
             cost: result.cost,
@@ -591,10 +582,7 @@ impl Service {
                 spec: canonical.spec.clone(),
                 stats: fp.stats,
                 options: opts_key,
-                table,
                 plan: result.plan,
-                cost: result.cost,
-                cardinality: result.cardinality,
                 tier: result.tier,
             },
         );
@@ -605,9 +593,10 @@ impl Service {
     /// Dresses the regret ledger's proven-best order as this serve's answer: the stored
     /// plan (original ids, layout-matched by [`RegretLedger::pin`]) is translated into
     /// canonical ids, re-costed bottom-up under the current statistics for honest cost and
-    /// cardinality figures, and translated back. `None` keeps the model's candidate — the
-    /// stored order failing to re-cost means it no longer covers the spec, and the veto is
-    /// quietly waived rather than failing the serve.
+    /// cardinality figures, and translated back. The pin is served whatever the greedy probe
+    /// would say, so no probe runs. `None` keeps the model's candidate: the pin is waived only
+    /// when the re-cost itself fails (the stored order no longer covers the spec), rather than
+    /// failing the serve.
     fn serve_pinned(
         &self,
         canonical: &CanonicalQuery,
@@ -625,12 +614,11 @@ impl Service {
             edge_inv[o] = c;
         }
         let cplan = pin.plan.map_ids(&|r| node_inv[r], &|e| edge_inv[e]);
-        let table = CachedTable::from_plan(&cplan, n).ok()?;
-        let r = recost_spec(&canonical.spec, &table, adaptive).ok()??;
+        let plan = recost_spec(&canonical.spec, &cplan, adaptive).ok()??;
         Some(ServedPlan {
-            plan: canonical.plan_to_original(&r.plan),
-            cost: r.cost,
-            cardinality: r.cardinality,
+            plan: canonical.plan_to_original(&plan),
+            cost: plan.cost(),
+            cardinality: plan.cardinality(),
             tier: pin.tier,
             source: PlanSource::Pinned,
             fingerprint: served.fingerprint,

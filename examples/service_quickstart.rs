@@ -44,7 +44,7 @@ fn main() {
     );
 
     // Statistics drifted a few percent: same shape fingerprint, new stats epoch — the cached
-    // plan table is re-costed bottom-up instead of re-enumerating csg-cmp-pairs.
+    // plan is re-costed bottom-up instead of re-enumerating csg-cmp-pairs.
     let drifted = star(1_042_000.0, &[52.0, 410.0, 8_300.0, 118.0]);
     let served = service.plan_spec(&drifted).expect("plannable");
     assert_eq!(served.fingerprint.shape, cold.fingerprint.shape);

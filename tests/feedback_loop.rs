@@ -12,7 +12,7 @@
 //! can regress in adversarial data — the estimator still assumes independence — which is why
 //! the reproduce experiment measures it honestly instead of asserting it.)
 
-use dphyp::{optimize_adaptive, recost_spec, AdaptiveOptions, CachedTable, QuerySpec};
+use dphyp::{optimize_adaptive, recost_spec, AdaptiveOptions, QuerySpec};
 use proptest::prelude::*;
 use qo_exec::{execute_plan_observed, results_equal, scaled_table_sizes, Database};
 use qo_service::{PlanSource, Service};
@@ -51,15 +51,14 @@ fn observed_stats_flow_through_the_service_drift_path() {
     // under the observed statistics (Recost serves exactly that order; RecostFallback and a
     // fresh optimization can only beat it).
     let observed_spec = q.spec.apply_observed(&observed);
-    let table = CachedTable::from_plan(&cold.plan, n).unwrap();
-    let recosted = recost_spec(&observed_spec, &table, &AdaptiveOptions::default())
+    let recosted = recost_spec(&observed_spec, &cold.plan, &AdaptiveOptions::default())
         .unwrap()
         .expect("the cold order covers its own query");
     assert!(
-        fed.cost <= recosted.cost * (1.0 + 1e-9),
+        fed.cost <= recosted.cost() * (1.0 + 1e-9),
         "feedback worsened the modeled cost: {} > {}",
         fed.cost,
-        recosted.cost
+        recosted.cost()
     );
 }
 
@@ -122,15 +121,14 @@ proptest! {
 
         let observed_spec = spec.apply_observed(&obs.observed_stats(&db));
         let new = optimize_adaptive(&observed_spec).unwrap();
-        let table = CachedTable::from_plan(&old.plan, n).unwrap();
-        let recosted = recost_spec(&observed_spec, &table, &AdaptiveOptions::default())
+        let recosted = recost_spec(&observed_spec, &old.plan, &AdaptiveOptions::default())
             .unwrap()
             .expect("the old order covers its own query");
         prop_assert!(
-            new.cost <= recosted.cost * (1.0 + 1e-9),
+            new.cost <= recosted.cost() * (1.0 + 1e-9),
             "feedback worsened the modeled cost: {} > {} (seed {})",
             new.cost,
-            recosted.cost,
+            recosted.cost(),
             seed
         );
 

@@ -5,13 +5,14 @@
 //!   bit for bit in `tests/data/driver_output.txt`: tier, cost and cardinality bits, the plan
 //!   including every join's predicate list, DP table size and exact ccp count, under both cost
 //!   models.
-//! * Every join of every tier's plan — exact, IDP, greedy, and a cached table re-costed through
-//!   `recost_spec` after `CachedTable::from_plan` — carries exactly the graph's connecting
-//!   edges of its two inputs, the list the DP table recollects at reconstruction.
+//! * Every join of every tier's plan — exact, IDP, greedy, and the plan re-costed through
+//!   `recost_spec` — carries exactly the graph's connecting edges of its two inputs, the list
+//!   the DP table recollects at reconstruction. Every result's cost and cardinality are the
+//!   bits of its plan's root: the plan cache stores the plan alone.
 
 use dphyp::{
-    recost_spec, AdaptiveOptimizer, AdaptiveOptions, CachedTable, CostModelKind, Hypergraph,
-    PlanNode, PlanTier, QuerySpec,
+    recost_spec, AdaptiveOptimizer, AdaptiveOptions, CostModelKind, Hypergraph, PlanNode, PlanTier,
+    QuerySpec,
 };
 use qo_workloads::corpus::corpus;
 use qo_workloads::{clique_spec, cycle_spec, star_spec};
@@ -173,14 +174,23 @@ fn every_tier_joins_on_exactly_the_connecting_edges() {
                     .optimize_spec(&spec)
                     .unwrap_or_else(|e| panic!("{label}: {e}"));
                 check_predicates(&label, &spec, &r.plan);
+                assert_eq!(r.cost.to_bits(), r.plan.cost().to_bits(), "{label}: cost");
+                let cardinality = r.plan.cardinality().to_bits();
+                assert_eq!(r.cardinality.to_bits(), cardinality, "{label}: cardinality");
                 tiers.push(r.tier);
 
-                let table = CachedTable::from_plan(&r.plan, spec.node_count()).expect("fits");
-                let recosted = recost_spec(&spec, &table, &options)
+                let recosted = recost_spec(&spec, &r.plan, &options)
                     .expect("valid spec")
                     .expect("same shape re-costs");
-                assert_eq!(recosted.plan, r.plan, "{label}: re-cost is the identity");
-                check_predicates(&format!("{label}/recost"), &spec, &recosted.plan);
+                assert_eq!(recosted, r.plan, "{label}: re-cost is the identity");
+                assert_eq!(
+                    recosted.cost().to_bits(),
+                    r.cost.to_bits(),
+                    "{label}/recost"
+                );
+                let cardinality = recosted.cardinality().to_bits();
+                assert_eq!(cardinality, r.cardinality.to_bits(), "{label}/recost");
+                check_predicates(&format!("{label}/recost"), &spec, &recosted);
             }
         }
     }

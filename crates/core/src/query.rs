@@ -209,6 +209,31 @@ impl QuerySpec {
         b.build()
     }
 
+    /// Log-ratio distance between the statistics of two specs of one shape:
+    /// `Σ_r |ln c_r − ln c'_r|` over relation cardinalities plus `Σ_e |ln s_e − ln s'_e|` over
+    /// edge selectivities, with relation and edge ids lining up (as they do between canonical
+    /// specs that are [`same_shape`](crate::same_shape)). A spec may declare a cardinality
+    /// below 1 (even 0), so cardinalities are floored at 1 first; for two
+    /// [validated](Self::validate) specs the distance is finite. Specs with different
+    /// relation or edge counts are infinitely far apart.
+    pub fn stats_distance(&self, other: &QuerySpec) -> f64 {
+        if self.node_count != other.node_count || self.edges.len() != other.edges.len() {
+            return f64::INFINITY;
+        }
+        let log_ratio = |a: f64, b: f64| (a / b).ln().abs();
+        let cards = self
+            .cardinalities
+            .iter()
+            .zip(&other.cardinalities)
+            .map(|(&a, &b)| log_ratio(a.max(1.0), b.max(1.0)));
+        let sels = self
+            .edges
+            .iter()
+            .zip(&other.edges)
+            .map(|(a, b)| log_ratio(a.selectivity, b.selectivity));
+        cards.chain(sels).sum()
+    }
+
     /// Checks the spec before anything is built from it. Structure: both sides of every edge
     /// name at least one relation, every relation id (edge sides, flex sets, lateral
     /// references) is below [`node_count`](Self::node_count), and no relation appears on two
@@ -595,6 +620,26 @@ mod tests {
         b.add_simple_edge(0, 1, 1.0);
         let result = optimize_spec(&b.build()).unwrap();
         assert_eq!(result.plan.operators(), vec![JoinOp::DepJoin]);
+    }
+
+    #[test]
+    fn stats_distance_sums_log_ratios_with_cardinalities_floored_at_one() {
+        let spec = |cards: [f64; 3], sel: f64| {
+            let mut b = QuerySpec::builder(3);
+            for (r, c) in cards.into_iter().enumerate() {
+                b.set_cardinality(r, c);
+            }
+            b.add_simple_edge(0, 1, sel).add_simple_edge(1, 2, 0.5);
+            b.build()
+        };
+        let a = spec([100.0, 0.0, 8.0], 0.25);
+        let b = spec([400.0, 0.5, 8.0], 0.5);
+        // ln 4 (relation 0) + 0 (both floored to 1) + ln 2 (edge 0).
+        let expected = 4f64.ln() + 2f64.ln();
+        assert!((a.stats_distance(&b) - expected).abs() < 1e-12);
+        assert!((b.stats_distance(&a) - expected).abs() < 1e-12);
+        assert_eq!(a.stats_distance(&a), 0.0);
+        assert_eq!(a.stats_distance(&chain_spec(4)), f64::INFINITY);
     }
 
     #[test]

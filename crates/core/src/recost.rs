@@ -24,15 +24,17 @@ use qo_hypergraph::Hypergraph;
 use qo_plan::PlanNode;
 
 /// The outcome of one probed re-cost: the cached join order under new statistics, plus the
-/// greedy probe the caller uses to judge staleness.
+/// greedy probe the caller uses to judge staleness. The probe runs whether or not the order
+/// fits, so a caller can report both halves of its decision.
 #[derive(Clone, Debug)]
 pub struct Recosted {
     /// The cached join order, re-costed (in the id space of the spec). Its root's cost and
     /// cardinality are bit-identical to a from-scratch optimization that picks the same order.
-    pub plan: PlanNode,
-    /// Cost of a fresh greedy (GOO) plan under the new statistics. A re-costed order that a
-    /// mere greedy ordering beats has demonstrably gone stale.
-    pub greedy_cost: f64,
+    /// `None` when the order cannot be re-costed against the spec (see [`recost_spec`]).
+    pub plan: Option<PlanNode>,
+    /// Cost of a fresh greedy (GOO) plan under the new statistics; `None` when no greedy plan
+    /// exists. A re-costed order that a mere greedy ordering beats has demonstrably gone stale.
+    pub greedy_cost: Option<f64>,
 }
 
 /// Re-costs a cached plan against `spec`'s statistics, without enumerating a single
@@ -56,13 +58,12 @@ pub fn recost_spec(
     )
 }
 
-/// [`recost_spec`] plus the greedy staleness probe, on one instantiation of the spec. Also
-/// `Ok(None)` when no greedy plan exists.
+/// [`recost_spec`] plus the greedy staleness probe, on one instantiation of the spec.
 pub fn recost_spec_with_probe(
     spec: &QuerySpec,
     plan: &PlanNode,
     options: &AdaptiveOptions,
-) -> Result<Option<Recosted>, OptimizeError> {
+) -> Result<Recosted, OptimizeError> {
     let _span = qo_obsv::Span::enter("recost");
     let model = options.cost_model;
     with_width_dispatch(
@@ -77,16 +78,15 @@ fn recost_and_probe<const W: usize>(
     graph: &Hypergraph<W>,
     catalog: &Catalog<W>,
     model: CostModelKind,
-) -> Option<Recosted> {
-    let plan = recost_width(plan, graph, catalog, model)?;
+) -> Recosted {
     let greedy = match model {
         CostModelKind::Cout => goo(graph, catalog, &CoutCost),
         CostModelKind::Mixed => goo(graph, catalog, &MixedCost),
     };
-    Some(Recosted {
-        plan,
-        greedy_cost: greedy.ok()?.cost,
-    })
+    Recosted {
+        plan: recost_width(plan, graph, catalog, model),
+        greedy_cost: greedy.ok().map(|g| g.cost),
+    }
 }
 
 fn recost_width<const W: usize>(
@@ -124,18 +124,17 @@ mod tests {
     fn recost_under_identical_stats_reproduces_the_cached_plan() {
         let spec = chain_spec_with(10, 1.0);
         let result = optimize_adaptive(&spec).unwrap();
-        let r = recost_spec_with_probe(&spec, &result.plan, &AdaptiveOptions::default())
-            .unwrap()
-            .expect("same shape re-costs");
-        assert_eq!(r.plan, result.plan);
-        assert_eq!(r.plan.cost().to_bits(), result.cost.to_bits());
-        assert_eq!(r.plan.cardinality().to_bits(), result.cardinality.to_bits());
+        let r = recost_spec_with_probe(&spec, &result.plan, &AdaptiveOptions::default()).unwrap();
+        let plan = r.plan.clone().expect("same shape re-costs");
+        assert_eq!(plan, result.plan);
+        assert_eq!(plan.cost().to_bits(), result.cost.to_bits());
+        assert_eq!(plan.cardinality().to_bits(), result.cardinality.to_bits());
         assert!(
-            r.greedy_cost >= r.plan.cost(),
+            r.greedy_cost.expect("a chain has a greedy plan") >= plan.cost(),
             "greedy cannot beat the optimum"
         );
         let unprobed = recost_spec(&spec, &result.plan, &AdaptiveOptions::default()).unwrap();
-        assert_eq!(unprobed, Some(r.plan), "the probe does not touch the plan");
+        assert_eq!(unprobed, r.plan, "the probe does not touch the plan");
     }
 
     #[test]
@@ -176,17 +175,16 @@ mod tests {
         };
         let cold = optimize_adaptive(&star(1_000_000.0, 2.0)).unwrap();
         let drifted = star(1_000_000.0, 5_000_000.0);
-        let r = recost_spec_with_probe(&drifted, &cold.plan, &AdaptiveOptions::default())
-            .unwrap()
-            .expect("same shape");
+        let r = recost_spec_with_probe(&drifted, &cold.plan, &AdaptiveOptions::default()).unwrap();
         let fresh = optimize_adaptive(&drifted).unwrap();
-        let cost = r.plan.cost();
+        let cost = r.plan.expect("same shape").cost();
         // The stale order is strictly worse than a fresh optimization under the new stats.
         assert!(cost > fresh.cost, "{cost} vs {}", fresh.cost);
         // And the greedy probe exposes it: a caller comparing the re-costed cost against
         // r.greedy_cost with any reasonable tolerance re-optimizes.
-        assert!(r.greedy_cost.is_finite() && r.greedy_cost > 0.0);
-        assert!(cost > r.greedy_cost, "stale order loses even to greedy");
+        let greedy_cost = r.greedy_cost.expect("a star has a greedy plan");
+        assert!(greedy_cost.is_finite() && greedy_cost > 0.0);
+        assert!(cost > greedy_cost, "stale order loses even to greedy");
     }
 
     #[test]
@@ -368,21 +366,23 @@ mod tests {
             let options = AdaptiveOptions::default();
             let probed = recost_spec_with_probe(&spec, &plan, &options).unwrap();
             let unprobed = recost_spec(&spec, &plan, &options).unwrap();
-            prop_assert_eq!(&unprobed, &probed.as_ref().map(|r| r.plan.clone()));
+            prop_assert_eq!(&unprobed, &probed.plan);
             if own {
                 prop_assert_eq!(unprobed.as_ref(), Some(&plan), "own plan re-costs to itself");
             }
-            if let Some(r) = probed {
-                let mut ids = r.plan.relation_ids();
+            // Every generated spec is connected, so the probe always finds a greedy plan,
+            // whether or not the foreign plan fits.
+            prop_assert!(probed.greedy_cost.is_some_and(f64::is_finite));
+            if let Some(r) = probed.plan {
+                let mut ids = r.relation_ids();
                 ids.sort_unstable();
                 prop_assert_eq!(ids, (0..n).collect::<Vec<_>>());
                 let carried = if n > 64 {
-                    joins_carry_connecting_edges::<2>(&spec, &r.plan)
+                    joins_carry_connecting_edges::<2>(&spec, &r)
                 } else {
-                    joins_carry_connecting_edges::<1>(&spec, &r.plan)
+                    joins_carry_connecting_edges::<1>(&spec, &r)
                 };
                 prop_assert!(carried);
-                prop_assert!(r.greedy_cost.is_finite());
             }
         }
     }

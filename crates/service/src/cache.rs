@@ -9,8 +9,10 @@
 //!
 //! * **Hit** — a variant matches shape and statistics exactly: its plan is returned as-is.
 //! * **Shape** — same canonical skeleton, no exact-statistics variant: the caller re-costs the
-//!   most recently used variant's plan instead of re-optimizing (and then
-//!   [`PlanCache::insert`]s the outcome as a new variant).
+//!   plan of the nearest statistics variant ([`QuerySpec::stats_distance`]), ties to most
+//!   recent, instead of re-optimizing (and then [`PlanCache::insert`]s the outcome as a new
+//!   variant). Recency alone is a poor guide: in a feedback cycle the most recently used
+//!   variant is often an observed re-plan at executed scale, far from a declared-scale request.
 //! * **Miss** — nothing cached (or a hash collision / relabeling mismatch, detected by the
 //!   structural comparison and treated as a miss for safety).
 //!
@@ -75,8 +77,14 @@ pub(crate) struct Entry {
 pub(crate) enum Lookup {
     /// Shape and statistics match: the cached plan is current.
     Hit { plan: PlanNode, tier: PlanTier },
-    /// Same shape, drifted statistics: re-cost this plan.
-    Shape { plan: PlanNode, tier: PlanTier },
+    /// Same shape, drifted statistics: re-cost the plan of the nearest statistics variant
+    /// (ties to most recent), `distance` away from the request
+    /// ([`QuerySpec::stats_distance`]).
+    Shape {
+        plan: PlanNode,
+        tier: PlanTier,
+        distance: f64,
+    },
     /// Nothing reusable.
     Miss,
 }
@@ -199,7 +207,8 @@ impl PlanCache {
     /// outcome resolved).
     ///
     /// An exact variant (same options, same stats, same spec) is a [`Lookup::Hit`]; otherwise
-    /// the most recently used same-options variant with the same skeleton seeds a
+    /// the same-options variant with the same skeleton whose statistics are nearest the
+    /// request's ([`QuerySpec::stats_distance`], ties to most recently used) seeds a
     /// [`Lookup::Shape`] re-cost. Variants planned under different optimizer options are never
     /// reused, and a skeleton mismatch on every variant (hash collision, or an inconsistently
     /// relabeled symmetric query) is a safe [`Lookup::Miss`].
@@ -225,15 +234,17 @@ impl PlanCache {
                 tier: slot.entry.tier,
             };
         }
-        if let Some(slot) = bucket
+        if let Some((distance, slot)) = bucket
             .iter_mut()
             .filter(|s| s.entry.options == options_key && same_shape(&s.entry.spec, canonical_spec))
-            .max_by_key(|s| s.last_used)
+            .map(|s| (s.entry.spec.stats_distance(canonical_spec), s))
+            .min_by(|(da, a), (db, b)| da.total_cmp(db).then_with(|| b.last_used.cmp(&a.last_used)))
         {
             slot.last_used = tick;
             return Lookup::Shape {
                 plan: slot.entry.plan.clone(),
                 tier: slot.entry.tier,
+                distance,
             };
         }
         Lookup::Miss
@@ -308,5 +319,102 @@ impl PlanCache {
                     .sum::<u64>()
             })
             .sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const OPTIONS: u64 = 7;
+    const SHAPE: u64 = 0x5EED;
+
+    /// A 4-relation chain with the given cardinalities.
+    fn chain(cards: [f64; 4]) -> QuerySpec {
+        let mut b = QuerySpec::builder(4);
+        for (r, c) in cards.into_iter().enumerate() {
+            b.set_cardinality(r, c);
+        }
+        for r in 0..3 {
+            b.add_simple_edge(r, r + 1, 0.01);
+        }
+        b.build()
+    }
+
+    /// Caches `spec` under stats key `stats`, with a one-scan plan whose relation id `tag`
+    /// identifies the variant a lookup returns.
+    fn insert(cache: &PlanCache, spec: QuerySpec, stats: u64, tag: usize) {
+        let plan = PlanNode::scan(tag, 1.0);
+        let entry = Entry {
+            spec,
+            stats,
+            options: OPTIONS,
+            plan,
+            tier: PlanTier::Exact,
+        };
+        assert_eq!(cache.insert(SHAPE, entry), 0);
+    }
+
+    /// The donor a shape lookup of `spec` picks: its tag and its distance.
+    fn donor(cache: &PlanCache, spec: &QuerySpec) -> (usize, f64) {
+        let fp = Fingerprint {
+            shape: SHAPE,
+            stats: 0xD21F7,
+        };
+        match cache.lookup(fp, OPTIONS, spec) {
+            Lookup::Shape { plan, distance, .. } => (plan.relation_ids()[0], distance),
+            Lookup::Hit { .. } => panic!("a drifted request cannot hit"),
+            Lookup::Miss => panic!("a cached shape cannot miss"),
+        }
+    }
+
+    #[test]
+    fn a_near_variant_wins_over_a_more_recent_far_variant() {
+        let cache = PlanCache::new(CacheOptions::default());
+        let request = [1e6, 2e5, 50.0, 3e4];
+        insert(&cache, chain([1.1e6, 2e5, 50.0, 3e4]), 1, 0);
+        // The executed-scale variant a feedback cycle inserts last.
+        insert(&cache, chain([6.0, 6.0, 5.0, 6.0]), 2, 1);
+        let (tag, distance) = donor(&cache, &chain(request));
+        assert_eq!(tag, 0, "the nearest variant seeds the re-cost");
+        assert!((distance - 1.1f64.ln()).abs() < 1e-12, "{distance}");
+    }
+
+    #[test]
+    fn equal_distances_go_to_the_most_recently_used_variant() {
+        let cache = PlanCache::new(CacheOptions::default());
+        let (a, b) = ([2e3, 1e3, 1e3, 1e3], [1e3, 2e3, 1e3, 1e3]);
+        insert(&cache, chain(a), 1, 0);
+        insert(&cache, chain(b), 2, 1);
+        let request = chain([1e3; 4]);
+        // Both lie ln 2 away: the later insert wins, and the win refreshes it.
+        assert_eq!(donor(&cache, &request), (1, 2f64.ln()));
+        assert_eq!(donor(&cache, &request), (1, 2f64.ln()));
+        // An exact hit on the other variant makes it the most recent.
+        let hit = cache.lookup(
+            Fingerprint {
+                shape: SHAPE,
+                stats: 1,
+            },
+            OPTIONS,
+            &chain(a),
+        );
+        assert!(matches!(hit, Lookup::Hit { .. }));
+        assert_eq!(donor(&cache, &request), (0, 2f64.ln()));
+    }
+
+    #[test]
+    fn a_zero_cardinality_gives_a_finite_distance() {
+        let cache = PlanCache::new(CacheOptions::default());
+        insert(&cache, chain([0.0, 1e3, 1e3, 1e3]), 1, 0);
+        insert(&cache, chain([1e3, 1e3, 1e3, 1e6]), 2, 1);
+        // 0 and 0.25 both floor to 1: the zero-cardinality variant is at distance 0 from the
+        // request on relation 0, and so the nearer one.
+        let (tag, distance) = donor(&cache, &chain([0.25, 1e3, 1e3, 1e3]));
+        assert_eq!((tag, distance), (0, 0.0));
+        let (tag, distance) = donor(&cache, &chain([1e3, 0.0, 1e3, 1e6]));
+        assert_eq!(tag, 1);
+        assert!(distance.is_finite(), "{distance}");
+        assert!((distance - 1e3f64.ln()).abs() < 1e-12, "{distance}");
     }
 }

@@ -4,8 +4,8 @@
 //! Where the metrics registry aggregates (counters, histograms) and the sampling sink keeps
 //! a handful of full span trees, the flight recorder sits in between: it remembers *which*
 //! recent serves happened, in order, with enough per-serve structure (fingerprint, cache
-//! path, tier, latency, modeled cost, execution feedback when observed, sampled trace id)
-//! to reconstruct an incident after the fact. Recording is one short `Mutex`-guarded ring
+//! path, tier, latency, modeled cost, the re-cost decision of a drift serve, execution
+//! feedback when observed, sampled trace id) to reconstruct an incident after the fact. Recording is one short `Mutex`-guarded ring
 //! push per serve — microseconds-scale serves dominate it by orders of magnitude — and the
 //! ring is bounded, so an unattended service never grows.
 
@@ -17,6 +17,21 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
+
+/// The inputs of a drift serve's re-cost decision: the donor's plan re-costed under the
+/// request's statistics is served while `recost_cost ≤ greedy_cost × (1 + tolerance)`
+/// (`ServiceOptions::recost_tolerance`); otherwise the service re-optimizes in full.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RecostDecision {
+    /// Statistics distance from the donor variant to the request
+    /// ([`dphyp::QuerySpec::stats_distance`]).
+    pub distance: f64,
+    /// Cost of the donor's plan re-costed under the request's statistics; `None` when the
+    /// plan did not fit the request.
+    pub recost_cost: Option<f64>,
+    /// Cost of the greedy probe's plan; `None` when no greedy plan exists.
+    pub greedy_cost: Option<f64>,
+}
 
 /// One serve, as the flight recorder remembers it.
 #[derive(Clone, Copy, Debug)]
@@ -35,6 +50,9 @@ pub struct ServeRecord {
     pub latency_ns: u64,
     /// The served plan's modeled cost.
     pub cost: f64,
+    /// The re-cost decision, on [`PlanSource::Recost`] and [`PlanSource::RecostFallback`]
+    /// serves; `None` on hits, misses and pins.
+    pub decision: Option<RecostDecision>,
     /// The plan's true cost, once [`Service::observe_execution`](crate::Service) reported
     /// it. `None` until (unless) the caller executes the plan instrumented.
     pub true_cost: Option<f64>,
@@ -118,8 +136,10 @@ impl FlightRecorder {
     }
 
     /// Renders the retained records as a fixed-width text table, oldest first — the
-    /// post-mortem view. Unobserved serves show `-` in the execution columns; untraced
-    /// serves show `-` for the trace id.
+    /// post-mortem view. Serves without a re-cost decision show `-` in the `distance`,
+    /// `recost_cost` and `greedy_cost` columns, as does a decision half that is `None`;
+    /// unobserved serves show `-` in the execution columns; untraced serves show `-` for the
+    /// trace id.
     pub fn dump(&self) -> String {
         let records = self.records();
         let mut out = String::new();
@@ -131,21 +151,28 @@ impl FlightRecorder {
         );
         let _ = writeln!(
             out,
-            "{:>6}  {:<33}  {:<6}  {:<15}  {:>12}  {:>14}  {:>14}  {:>8}  {:>5}",
+            "{:>6}  {:<33}  {:<6}  {:<15}  {:>12}  {:>14}  {:>8}  {:>14}  {:>14}  {:>14}  {:>8}  {:>5}",
             "seq",
             "fingerprint",
             "tier",
             "source",
             "latency_ns",
             "cost",
+            "distance",
+            "recost_cost",
+            "greedy_cost",
             "true_cost",
             "max_q",
             "trace"
         );
+        let cost = |c: Option<f64>| c.map_or_else(|| "-".to_owned(), |c| format!("{c:.1}"));
         for r in &records {
-            let true_cost = r
-                .true_cost
-                .map_or_else(|| "-".to_owned(), |c| format!("{c:.1}"));
+            let distance = r
+                .decision
+                .map_or_else(|| "-".to_owned(), |d| format!("{:.3}", d.distance));
+            let recost_cost = cost(r.decision.and_then(|d| d.recost_cost));
+            let greedy_cost = cost(r.decision.and_then(|d| d.greedy_cost));
+            let true_cost = cost(r.true_cost);
             let max_q = r
                 .max_q_error
                 .map_or_else(|| "-".to_owned(), |q| format!("{q:.2}"));
@@ -154,13 +181,16 @@ impl FlightRecorder {
                 .map_or_else(|| "-".to_owned(), |id| id.to_string());
             let _ = writeln!(
                 out,
-                "{:>6}  {:<33}  {:<6}  {:<15}  {:>12}  {:>14.1}  {:>14}  {:>8}  {:>5}",
+                "{:>6}  {:<33}  {:<6}  {:<15}  {:>12}  {:>14.1}  {:>8}  {:>14}  {:>14}  {:>14}  {:>8}  {:>5}",
                 r.seq,
                 r.fingerprint,
                 r.tier,
                 r.source,
                 r.latency_ns,
                 r.cost,
+                distance,
+                recost_cost,
+                greedy_cost,
                 true_cost,
                 max_q,
                 trace
@@ -185,6 +215,7 @@ mod tests {
             source: PlanSource::Miss,
             latency_ns: 1000 + seq,
             cost: 42.5,
+            decision: None,
             true_cost: None,
             max_q_error: None,
             trace_id: seq.is_multiple_of(2).then_some(seq + 1),

@@ -33,7 +33,8 @@
 //!   one shard briefly, optimizations never hold a lock. LRU eviction per shard. The cache
 //!   keeps no counters: each serve is recorded once in the metrics registry, and
 //!   [`CacheStats`] is a view over it.
-//! * **Incremental re-optimization**: on a stats-only change the cached plan is re-costed
+//! * **Incremental re-optimization**: on a stats-only change the plan of the nearest cached
+//!   statistics variant (ties to most recent) is re-costed
 //!   bottom-up ([`dphyp::recost_spec_with_probe`]) instead of re-enumerating csg-cmp-pairs —
 //!   bit-identical to a from-scratch optimization that picks the same join order — and a
 //!   greedy probe with a configurable tolerance ([`ServiceOptions::recost_tolerance`])
@@ -72,7 +73,7 @@ mod service;
 pub use cache::{CacheOptions, CacheStats};
 pub use dphyp::ExecutionFeedback;
 pub use fingerprint::Fingerprint;
-pub use flight::{FlightRecorder, ServeRecord};
+pub use flight::{FlightRecorder, RecostDecision, ServeRecord};
 pub use qo_obsv::{
     HistogramSnapshot, MetricsSnapshot, SampleTrigger, SampledTrace, SamplerOptions, SamplerStats,
     SamplingSink,
@@ -185,6 +186,57 @@ mod tests {
         let again = service.plan_spec(&drifted).unwrap();
         assert_eq!(again.source, PlanSource::CacheHit);
         assert_eq!(again.cost, fresh.cost);
+    }
+
+    #[test]
+    fn flight_records_carry_the_recost_decision_on_drift_serves_only() {
+        let service = Service::default();
+        let mild = star_spec(1e6, &[10.0, 20.0, 30.0, 40.0], 0.001);
+        let stale = star_spec(1e6, &[2.0, 1_000.0, 1_000.0, 1_000.0, 1_000.0], 0.001);
+        let miss = service.plan_spec(&mild).unwrap();
+        let hit = service.plan_spec(&mild).unwrap();
+        service.plan_spec(&stale).unwrap();
+        let drifted = star_spec(1e6, &[11.0, 21.0, 31.0, 41.0], 0.001);
+        let recost = service.plan_spec(&drifted).unwrap();
+        let inverted = star_spec(1e6, &[5e7, 1_000.0, 1_000.0, 1_000.0, 1_000.0], 0.001);
+        let fallback = service.plan_spec(&inverted).unwrap();
+        let sources = [miss.source, hit.source, recost.source, fallback.source];
+        assert_eq!(
+            sources,
+            [
+                PlanSource::Miss,
+                PlanSource::CacheHit,
+                PlanSource::Recost,
+                PlanSource::RecostFallback
+            ]
+        );
+
+        let records = service.flight_recorder().records();
+        let decision = |served: &ServedPlan| {
+            let r = records.iter().find(|r| r.seq == served.serve_seq).unwrap();
+            r.decision
+        };
+        assert_eq!(decision(&miss), None);
+        assert_eq!(decision(&hit), None);
+        let distance =
+            |a: &QuerySpec, b: &QuerySpec| a.canonical().spec.stats_distance(&b.canonical().spec);
+
+        let d = decision(&recost).expect("a re-cost records its decision");
+        assert_eq!(d.distance, distance(&mild, &drifted));
+        assert!(d.distance > 0.0 && d.distance.is_finite());
+        assert_eq!(d.recost_cost, Some(recost.cost), "the served re-cost");
+        assert!(recost.cost <= d.greedy_cost.expect("a star has a greedy plan"));
+
+        let d = decision(&fallback).expect("a fallback records its decision");
+        assert_eq!(d.distance, distance(&stale, &inverted));
+        let (recost_cost, greedy_cost) = (d.recost_cost.unwrap(), d.greedy_cost.unwrap());
+        assert!(recost_cost > greedy_cost, "the probe decided the fallback");
+
+        let dump = service.flight_recorder().dump();
+        assert!(dump.contains("distance") && dump.contains("greedy_cost"));
+        let line = dump.lines().find(|l| l.contains(" recost ")).unwrap();
+        assert!(line.contains(&format!("{:.3}", decision(&recost).unwrap().distance)));
+        assert!(line.contains(&format!("{:.1}", recost.cost)), "{dump}");
     }
 
     /// A structurally asymmetric snowflake (spokes of lengths 1 and 2 off a hub), with the

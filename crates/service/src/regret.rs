@@ -239,12 +239,6 @@ impl RegretLedger {
             .map(|s| s.regret.cumulative_regret)
             .sum()
     }
-
-    /// Sum of the most recent per-shape regrets — "how far from best-known is the fleet
-    /// right now".
-    pub fn last_cycle_regret(&self) -> f64 {
-        self.lock().values().map(|s| s.regret.last_regret).sum()
-    }
 }
 
 #[cfg(test)]
@@ -312,7 +306,6 @@ mod tests {
         assert_eq!(ledger.shapes().len(), 2);
         assert_eq!(ledger.cycles(), 4);
         assert_eq!(ledger.total_regret(), 4.0);
-        assert_eq!(ledger.last_cycle_regret(), 4.0);
         assert_eq!(ledger.shape(2).unwrap().cumulative_regret, 0.0);
         assert_eq!(ledger.shape(3), None);
     }

@@ -2,7 +2,7 @@
 
 use crate::cache::{CacheOptions, CacheStats, Entry, Lookup, PlanCache};
 use crate::fingerprint::{options_key, Fingerprint};
-use crate::flight::{FlightRecorder, ServeRecord};
+use crate::flight::{FlightRecorder, RecostDecision, ServeRecord};
 use crate::lock_recovering;
 use crate::metrics::ServiceMetrics;
 use crate::regret::{PinnedPlan, RegretLedger};
@@ -78,8 +78,8 @@ pub enum PlanSource {
     Miss,
     /// Served verbatim from the cache (shape and statistics matched).
     CacheHit,
-    /// Same shape with drifted statistics: the cached join order was re-costed bottom-up and
-    /// passed the staleness probe.
+    /// Same shape with drifted statistics: the join order of the nearest cached statistics
+    /// variant (ties to most recent) was re-costed bottom-up and passed the staleness probe.
     Recost,
     /// Same shape with drifted statistics, but the re-costed order failed the staleness probe
     /// (or could not be re-costed): answered by a full re-optimization.
@@ -428,7 +428,8 @@ impl Service {
     /// One clock times the serve, from sampler admission to the cache path's answer (regret
     /// pinning and flight recording excluded). Its reading feeds the sampler, the outcome's
     /// counter and histogram — recorded once, under the cache path's source — and the flight
-    /// record.
+    /// record, which also keeps the cache path's re-cost decision unless a pin replaced its
+    /// answer.
     fn serve(
         &self,
         canonical: &CanonicalQuery,
@@ -455,7 +456,7 @@ impl Service {
             self.metrics
                 .record_trace_drops(o.dropped_spans, o.dropped_events);
         }
-        result.map(|mut served| {
+        result.map(|(mut served, mut decision)| {
             self.metrics.record_serve(served.source, latency_ns);
             served.serve_seq = seq;
             served.trace_id = outcome.map(|o| o.trace_id);
@@ -471,6 +472,7 @@ impl Service {
             {
                 if let Some(pinned) = self.serve_pinned(canonical, &adaptive, &served, pin) {
                     served = pinned;
+                    decision = None;
                 }
             }
             self.flight.record(ServeRecord {
@@ -480,6 +482,7 @@ impl Service {
                 source: served.source,
                 latency_ns,
                 cost: served.cost,
+                decision,
                 true_cost: None,
                 max_q_error: None,
                 trace_id: served.trace_id,
@@ -489,12 +492,12 @@ impl Service {
     }
 
     /// The serving pipeline proper: fingerprint, cache lookup, then hit / re-cost / full
-    /// optimization.
+    /// optimization. A shape lookup also returns its re-cost decision.
     fn serve_inner(
         &self,
         canonical: &CanonicalQuery,
         adaptive: AdaptiveOptions,
-    ) -> Result<ServedPlan, OptimizeError> {
+    ) -> Result<(ServedPlan, Option<RecostDecision>), OptimizeError> {
         let _span = Span::enter("serve");
         let fp = Fingerprint::of(canonical);
         let opts_key = options_key(&adaptive);
@@ -513,15 +516,25 @@ impl Service {
                     order_digest: 0,
                     layout: 0,
                 };
-                Ok(served)
+                Ok((served, None))
             }
-            Lookup::Shape { plan, tier } => {
-                if let Some(r) = recost_spec_with_probe(&canonical.spec, &plan, &adaptive)? {
-                    if r.plan.cost() <= r.greedy_cost * (1.0 + self.options.recost_tolerance) {
+            Lookup::Shape {
+                plan,
+                tier,
+                distance,
+            } => {
+                let r = recost_spec_with_probe(&canonical.spec, &plan, &adaptive)?;
+                let decision = RecostDecision {
+                    distance,
+                    recost_cost: r.plan.as_ref().map(PlanNode::cost),
+                    greedy_cost: r.greedy_cost,
+                };
+                if let (Some(plan), Some(greedy_cost)) = (r.plan, r.greedy_cost) {
+                    if plan.cost() <= greedy_cost * (1.0 + self.options.recost_tolerance) {
                         let served = ServedPlan {
-                            plan: canonical.plan_to_original(&r.plan),
-                            cost: r.plan.cost(),
-                            cardinality: r.plan.cardinality(),
+                            plan: canonical.plan_to_original(&plan),
+                            cost: plan.cost(),
+                            cardinality: plan.cardinality(),
                             tier,
                             source: PlanSource::Recost,
                             fingerprint: fp,
@@ -536,21 +549,25 @@ impl Service {
                                 spec: canonical.spec.clone(),
                                 stats: fp.stats,
                                 options: opts_key,
-                                plan: r.plan,
+                                plan,
                                 tier,
                             },
                         );
                         self.metrics.record_evictions(evicted);
-                        return Ok(served);
+                        return Ok((served, Some(decision)));
                     }
                 }
                 let served = self.optimize_and_insert(canonical, fp, opts_key, adaptive)?;
-                Ok(ServedPlan {
+                let served = ServedPlan {
                     source: PlanSource::RecostFallback,
                     ..served
-                })
+                };
+                Ok((served, Some(decision)))
             }
-            Lookup::Miss => self.optimize_and_insert(canonical, fp, opts_key, adaptive),
+            Lookup::Miss => Ok((
+                self.optimize_and_insert(canonical, fp, opts_key, adaptive)?,
+                None,
+            )),
         }
     }
 

@@ -5,19 +5,28 @@
 //! * the concurrent batch driver produces exactly the plans of the sequential path;
 //! * stats-drift re-costs are bit-identical to a from-scratch optimization on every corpus
 //!   query whose join order the drift leaves unchanged;
-//! * the width-2 (>64-relation) corpus query caches and re-costs like any other.
+//! * the width-2 (>64-relation) corpus query caches and re-costs like any other;
+//! * a drift re-costs the nearest cached statistics variant, not the most recent one: the
+//!   declared-scale plan seeds a drift of the declared statistics even after a feedback cycle
+//!   cached an executed-scale plan.
 
-use dphyp::QuerySpec;
+use dphyp::{recost_spec, QuerySpec};
+use qo_exec::{execute_plan_observed, scaled_table_sizes, Database};
 use qo_service::{PlanSource, ServedPlan, Service};
 use qo_workloads::corpus::{corpus, corpus_query};
 
 /// Rebuilds a spec with every cardinality scaled by a small per-relation factor (same shape,
 /// drifted statistics).
 fn drift_spec(spec: &QuerySpec) -> QuerySpec {
+    scaled_spec(spec, |r| 1.02 + 0.013 * (r % 4) as f64)
+}
+
+/// Rebuilds a spec with the cardinality of relation `r` scaled by `factor(r)`.
+fn scaled_spec(spec: &QuerySpec, factor: impl Fn(usize) -> f64) -> QuerySpec {
     let n = spec.node_count();
     let mut b = QuerySpec::builder(n);
     for r in 0..n {
-        b.set_cardinality(r, spec.cardinality(r) * (1.02 + 0.013 * (r % 4) as f64));
+        b.set_cardinality(r, spec.cardinality(r) * factor(r));
         let refs = spec.lateral_refs(r).to_vec();
         if !refs.is_empty() {
             b.set_lateral_refs(r, &refs);
@@ -165,6 +174,57 @@ fn the_width_2_corpus_query_caches_and_recosts() {
         PlanSource::Recost | PlanSource::RecostFallback
     ));
     assert_eq!(served.plan.scan_count(), 72);
+}
+
+#[test]
+fn drift_recosts_the_nearest_statistics_variant_not_the_most_recent() {
+    let q = corpus_query("job_01a").expect("corpus has job_01a");
+    let options = q.adaptive_options();
+    let service = Service::default();
+    // Regime 1: the declared statistics (relations of millions of rows).
+    let declared = service.plan_ingest(&q).expect("plannable");
+    assert_eq!(declared.source, PlanSource::Miss);
+    // Regime 2: the statistics of an executed database (tables of at most 6 rows), cached
+    // after regime 1 as a feedback cycle caches its observed re-plan.
+    let n = q.relation_count();
+    let cards: Vec<f64> = (0..n).map(|r| q.spec.cardinality(r)).collect();
+    let db = Database::generate(&scaled_table_sizes(&cards, &q.row_overrides, 6), 0xF00D);
+    let (graph, _) = q.spec.instantiate::<1>();
+    let observed = execute_plan_observed(&declared.plan, &graph, &db, 100_000)
+        .expect("job_01a fits the row budget")
+        .observed_stats(&db);
+    let executed = service
+        .plan_observed_with(&q.spec, &observed, options)
+        .expect("plannable");
+    assert_eq!(executed.source, PlanSource::RecostFallback);
+    assert_ne!(
+        executed.plan.order_digest(),
+        declared.plan.order_digest(),
+        "the two regimes plan different join orders"
+    );
+
+    // A 1% drift of regime 1 re-costs regime 1's plan, though regime 2 is more recent.
+    let drifted = scaled_spec(&q.spec, |_| 1.01);
+    let served = service
+        .plan_spec_with(&drifted, options)
+        .expect("plannable");
+    assert_eq!(served.source, PlanSource::Recost);
+    let expected = recost_spec(&drifted, &declared.plan, &options)
+        .expect("valid spec")
+        .expect("the declared order covers its own query");
+    assert_eq!(served.plan, expected);
+    assert_eq!(served.cost.to_bits(), expected.cost().to_bits());
+    let decision = service
+        .flight_recorder()
+        .last()
+        .and_then(|r| r.decision)
+        .expect("a re-cost records its decision");
+    let canonical = |spec: &QuerySpec| spec.canonical().spec.clone();
+    assert_eq!(
+        decision.distance,
+        canonical(&q.spec).stats_distance(&canonical(&drifted)),
+        "the donor is the declared regime"
+    );
 }
 
 /// Helper trait: plan equality on relation coverage (guards the `==` comparison above against

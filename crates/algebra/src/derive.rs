@@ -43,13 +43,6 @@ pub struct HypergraphQuery {
     pub encoding: ConflictEncoding,
 }
 
-impl HypergraphQuery {
-    /// The set of all relations of the query.
-    pub fn all_relations(&self) -> NodeSet {
-        self.graph.all_nodes()
-    }
-}
-
 /// Derives the hypergraph and catalog for an operator tree.
 ///
 /// The tree is validated first; relation ids must be dense (`0..n` for some `n`) because they
@@ -235,7 +228,7 @@ mod tests {
                 tt.catalog.edge_annotation(e).op
             );
         }
-        assert_eq!(hy.all_relations(), tt.all_relations());
+        assert_eq!(hy.graph.all_nodes(), tt.graph.all_nodes());
     }
 
     #[test]

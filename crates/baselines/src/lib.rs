@@ -9,10 +9,6 @@
 //!   tests.
 //! * [`goo`]: greedy operator ordering — not part of the paper's evaluation, but a useful
 //!   sanity baseline that shows how far greedy plans are from the DP optimum.
-//! * [`idp`]: iterative dynamic programming with bounded block size (IDP-k, after Kossmann &
-//!   Stocker) — the middle ground between the exact algorithms and GOO, used by the adaptive
-//!   optimization driver of the `dphyp` crate when a query's csg-cmp-pair count exceeds its
-//!   budget.
 //!
 //! DPccp (the paper's predecessor algorithm for simple graphs) is not implemented separately:
 //! as the paper notes in Sec. 4.4, "DPhyp performs exactly like DPccp on regular graphs", so the
@@ -26,13 +22,11 @@
 mod dpsize;
 mod dpsub;
 mod goo;
-mod idp;
 mod result;
 
 pub use dpsize::dpsize;
 pub use dpsub::dpsub;
 pub use goo::goo;
-pub use idp::{idp, idp_with_strategy, IdpStrategy, MAX_IDP_BLOCK_SIZE};
 pub use result::{BaselineError, BaselineResult};
 
 pub use qo_bitset::{NodeId, NodeSet};

@@ -58,22 +58,6 @@ impl<const W: usize> SubsetIter<W> {
             done: universe.is_empty(),
         }
     }
-
-    /// Creates an iterator that resumes the walk *after* `position` (which must be a subset of
-    /// `universe`): the first yielded subset is the successor of `position` in ascending mask
-    /// order.
-    ///
-    /// This exists so the walk can be segmented — e.g. to verify termination behavior near the
-    /// end of a full 64-bit universe without enumerating 2^64 subsets.
-    #[inline]
-    pub fn resuming_after(universe: NodeSet<W>, position: NodeSet<W>) -> Self {
-        debug_assert!(position.is_subset_of(universe));
-        SubsetIter {
-            universe,
-            current: position,
-            done: universe.is_empty() || position == universe,
-        }
-    }
 }
 
 impl<const W: usize> Iterator for SubsetIter<W> {
@@ -152,6 +136,18 @@ mod tests {
     use crate::{NodeSet128, NodeSet64};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    /// The walk resumed *after* `position`, a subset of `universe`: its first subset is the
+    /// successor of `position` in ascending mask order. It lets the boundary tests check the
+    /// end of a full 64- or 128-bit universe without enumerating every subset before it.
+    fn resuming_after<const W: usize>(universe: NodeSet<W>, position: NodeSet<W>) -> SubsetIter<W> {
+        assert!(position.is_subset_of(universe));
+        SubsetIter {
+            universe,
+            current: position,
+            done: universe.is_empty() || position == universe,
+        }
+    }
 
     fn brute_force_subsets<const W: usize>(universe: NodeSet<W>) -> Vec<NodeSet<W>> {
         let members: Vec<_> = universe.iter().collect();
@@ -249,13 +245,13 @@ mod tests {
         // wrap and either cycle forever or terminate one subset early. Resume the walk just
         // before the end of the full universe and check the exact tail and termination.
         let universe = NodeSet64::from_mask(u64::MAX);
-        let mut it = SubsetIter::resuming_after(universe, NodeSet::from_mask(u64::MAX - 2));
+        let mut it = resuming_after(universe, NodeSet::from_mask(u64::MAX - 2));
         assert_eq!(it.next(), Some(NodeSet::from_mask(u64::MAX - 1)));
         assert_eq!(it.next(), Some(NodeSet::from_mask(u64::MAX)));
         assert_eq!(it.next(), None, "walk must stop after the full set");
         assert_eq!(it.next(), None, "iterator must stay fused");
         // Resuming *at* the full set yields nothing.
-        let mut it = SubsetIter::resuming_after(universe, universe);
+        let mut it = resuming_after(universe, universe);
         assert_eq!(it.next(), None);
     }
 
@@ -264,7 +260,7 @@ mod tests {
         // Same boundary for the widened walk: the last few subsets of a full 128-bit universe.
         let universe = NodeSet128::first_n(128);
         let penultimate = universe - NodeSet::single(0);
-        let mut it = SubsetIter::resuming_after(universe, penultimate - NodeSet::single(1));
+        let mut it = resuming_after(universe, penultimate - NodeSet::single(1));
         assert_eq!(it.next(), Some(universe - NodeSet::single(1)));
         assert_eq!(it.next(), Some(universe - NodeSet::single(0)));
         assert_eq!(it.next(), Some(universe));
@@ -272,12 +268,14 @@ mod tests {
         assert_eq!(it.next(), None);
     }
 
+    /// The boundary tests trust `resuming_after` to put the walk in a state the iterator
+    /// itself reaches: resumed anywhere, it yields exactly the uninterrupted walk's tail.
     #[test]
     fn resuming_mid_walk_matches_the_uninterrupted_walk() {
         let u = NodeSet64::from_iter([0, 1, 3, 5, 8]);
         let full: Vec<_> = SubsetIter::new(u).collect();
         for (i, &pos) in full.iter().enumerate() {
-            let resumed: Vec<_> = SubsetIter::resuming_after(u, pos).collect();
+            let resumed: Vec<_> = resuming_after(u, pos).collect();
             assert_eq!(resumed, full[i + 1..], "resume after {pos:?}");
         }
     }

@@ -349,6 +349,15 @@ impl<const W: usize> DpTable<W> {
         cheaper
     }
 
+    /// Replaces the class at `slot`, a slot this table returned for `candidate.set`, whatever
+    /// its cost: for a caller that breaks cost ties itself.
+    #[inline]
+    pub fn replace_at(&mut self, slot: ClassSlot, candidate: PlanClass<W>) {
+        let incumbent = &mut self.classes[slot.0 as usize];
+        debug_assert_eq!(incumbent.set, candidate.set, "slot of a different class");
+        *incumbent = candidate;
+    }
+
     /// One probe for `class.set`: returns the incumbent's arena index, or appends `class` as a
     /// new class and returns `None`.
     #[inline]

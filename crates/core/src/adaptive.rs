@@ -21,11 +21,14 @@
 //!    that follows is exactly the one an aborted enumeration would have reached, so without a
 //!    time budget the tier and plan are unchanged. With one, a skipped query always gets the
 //!    IDP tier, where a deadline firing mid-enumeration used to force greedy ordering.
-//! 2. **IDP** — [`qo_baselines::idp`], iterative dynamic programming with block size `k`. The
-//!    driver shrinks `k` until one block round's worst case (`3^k` subset-splits) fits the same
-//!    budget, so a *round* never exceeds it; total fallback work is `rounds × 3^k` (at most
-//!    `⌈n/(k−1)⌉` rounds), i.e. a small multiple of the budget rather than a hard cap —
-//!    [`BudgetTelemetry::fallback_cost_calls`] reports what was actually spent.
+//! 2. **IDP** — [`idp`](crate::idp()), iterative dynamic programming with block size `k`. Each
+//!    round's block DP is [`DpHyp`] itself, run over the quotient hypergraph of the selected
+//!    blocks, so both DP tiers share one enumerator. The driver shrinks `k` until `3^k`, a bound
+//!    on one round's csg-cmp-pairs (a clique of `k` blocks has fewer than `3^k/2`), fits the
+//!    same budget, so a *round* never exceeds it; total fallback work is at most
+//!    `rounds × 3^k` (at most `⌈n/(k−1)⌉` rounds), i.e. a small multiple of the budget rather
+//!    than a hard cap — [`BudgetTelemetry::fallback_cost_calls`] reports what was actually
+//!    spent.
 //! 3. **Greedy** — [`qo_baselines::goo`] as the last resort when even a 2-block DP would not
 //!    fit (budget < 9) or IDP could not complete a plan.
 //!
@@ -68,11 +71,10 @@
 //! ```
 
 use crate::enumerate::DpHyp;
+use crate::idp::{idp, IdpStrategy, MAX_IDP_BLOCK_SIZE};
 use crate::optimizer::{full_plan, CostModelKind, OptimizeError};
 use crate::query::QuerySpec;
-use qo_baselines::{
-    goo, idp_with_strategy, BaselineError, BaselineResult, IdpStrategy, MAX_IDP_BLOCK_SIZE,
-};
+use qo_baselines::{goo, BaselineResult};
 use qo_catalog::{
     BudgetedHandler, Catalog, CcpHandler, CostBasedHandler, CostModel, CoutCost, JoinCombiner,
     MixedCost,
@@ -92,7 +94,8 @@ pub struct AdaptiveOptions {
     /// completes exactly (the abort fires strictly *beyond* the budget).
     pub ccp_budget: usize,
     /// Upper bound on the IDP block size `k`; the effective `k` additionally shrinks until one
-    /// block round (`3^k` splits) fits `ccp_budget`. Must be ≤ [`MAX_IDP_BLOCK_SIZE`].
+    /// block round's bound (`3^k` csg-cmp-pairs of DPhyp over the round's quotient hypergraph)
+    /// fits `ccp_budget`. Capped at [`MAX_IDP_BLOCK_SIZE`].
     pub idp_block_size: usize,
     /// Optional wall-clock budget for the whole optimization. The exact tier polls the
     /// deadline from inside `EmitCsgCmp` (every
@@ -333,7 +336,7 @@ impl AdaptiveOptimizer {
             }
         }
 
-        // Tier 2: IDP with the block size shrunk until one round's worst case (3^k splits)
+        // Tier 2: IDP with the block size shrunk until one round's worst case (3^k pairs)
         // fits the same budget. Skipped when the wall clock has already run out — IDP rounds
         // are not deadline-instrumented, so a spent time budget goes straight to greedy.
         let time_left = deadline.is_none_or(|d| Instant::now() < d);
@@ -341,31 +344,22 @@ impl AdaptiveOptimizer {
             if let Some(k) = self.effective_idp_k() {
                 telemetry.idp_k = k;
                 let _span = Span::enter("idp");
-                match idp_with_strategy(graph, catalog, cost_model, k, self.options.idp_strategy) {
-                    Ok(r) => return Ok(finish_fallback(r, PlanTier::Idp, telemetry)),
-                    // A plan IDP cannot complete (pathological hyperedge connectivity) may
-                    // still be reachable by GOO's exhaustive pair scan — fall through.
-                    Err(BaselineError::NoCompletePlan { .. }) => {}
-                    Err(BaselineError::InvalidCatalog(m)) => {
-                        unreachable!("catalog validated above: {m}")
-                    }
+                // A plan IDP cannot complete (pathological hyperedge connectivity) may still
+                // be reachable by GOO's exhaustive pair scan — fall through on `None`.
+                if let Some(r) = idp(graph, catalog, cost_model, k, self.options.idp_strategy) {
+                    return Ok(finish_fallback(r, PlanTier::Idp, telemetry));
                 }
             }
         }
 
         // Tier 3: greedy operator ordering.
         let _span = Span::enter("greedy");
-        match goo(graph, catalog, cost_model) {
-            Ok(r) => Ok(finish_fallback(r, PlanTier::Greedy, telemetry)),
-            Err(BaselineError::NoCompletePlan { largest_covered }) => {
-                Err(OptimizeError::NoCompletePlan { largest_covered })
-            }
-            Err(BaselineError::InvalidCatalog(m)) => unreachable!("catalog validated above: {m}"),
-        }
+        let r = goo(graph, catalog, cost_model)?;
+        Ok(finish_fallback(r, PlanTier::Greedy, telemetry))
     }
 
     /// Largest block size `k ≤ idp_block_size` whose single-round worst case (`3^k`
-    /// subset-splits) fits the ccp budget, or `None` if not even `k = 2` fits.
+    /// csg-cmp-pairs) fits the ccp budget, or `None` if not even `k = 2` fits.
     fn effective_idp_k(&self) -> Option<usize> {
         let cap = self.options.idp_block_size.min(MAX_IDP_BLOCK_SIZE);
         (2..=cap)

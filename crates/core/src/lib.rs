@@ -52,6 +52,7 @@
 pub mod adaptive;
 pub mod canon;
 pub mod enumerate;
+mod idp;
 mod optimizer;
 mod query;
 pub mod recost;
@@ -68,7 +69,7 @@ pub use optimizer::{
 pub use query::{optimize_spec, QuerySpec, QuerySpecBuilder, SpecEdge, MAX_WIDE_NODES};
 pub use recost::{recost_spec, recost_spec_with_probe, Recosted};
 
-pub use qo_baselines::IdpStrategy;
+pub use idp::{idp, IdpStrategy, MAX_IDP_BLOCK_SIZE};
 
 pub use qo_algebra::{ConflictEncoding, OpTree, Predicate};
 pub use qo_bitset::{NodeId, NodeSet, NodeSet128, NodeSet64};

@@ -2,6 +2,7 @@
 
 use crate::enumerate::DpHyp;
 use qo_algebra::{derive_query, ConflictEncoding, OpTree, OpTreeError};
+use qo_baselines::BaselineError;
 use qo_catalog::{
     Catalog, CcpHandler, CostBasedHandler, CostModel, CoutCost, DpTable, JoinCombiner, MixedCost,
 };
@@ -94,6 +95,17 @@ impl std::error::Error for OptimizeError {}
 impl From<OpTreeError> for OptimizeError {
     fn from(e: OpTreeError) -> Self {
         OptimizeError::InvalidTree(e)
+    }
+}
+
+impl From<BaselineError> for OptimizeError {
+    fn from(e: BaselineError) -> Self {
+        match e {
+            BaselineError::InvalidCatalog(m) => OptimizeError::InvalidCatalog(m),
+            BaselineError::NoCompletePlan { largest_covered } => {
+                OptimizeError::NoCompletePlan { largest_covered }
+            }
+        }
     }
 }
 

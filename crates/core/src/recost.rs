@@ -7,8 +7,8 @@
 //! ([`qo_catalog::recost_plan`]). The result is bit-identical to what a from-scratch
 //! optimization computes *for the same join order* — whether that order is still the winning
 //! one is a separate question, answered here by a greedy probe: [`recost_spec_with_probe`]
-//! also runs GOO under the new statistics, and the caller compares the two costs against its
-//! staleness tolerance to decide between serving the re-costed plan and re-optimizing in full.
+//! also runs GOO under the new statistics, and the caller compares the two costs to decide
+//! between serving the re-costed plan and re-optimizing in full.
 //! [`recost_spec`] re-costs without the probe, for callers that serve the order regardless.
 //!
 //! A plan stores plain relation and edge ids, so one cache holds queries of every width side

@@ -67,7 +67,7 @@ impl JoinObservation {
     /// output-cardinality formula for the operator, clamped into `(0, 1]`. `None` when the
     /// inversion is undefined: an empty input (nothing was observed) or a nestjoin (its output
     /// cardinality is the left input regardless of selectivity).
-    pub fn observed_selectivity(&self) -> Option<f64> {
+    fn observed_selectivity(&self) -> Option<f64> {
         let (l, r, out) = (self.left_actual, self.right_actual, self.actual);
         if l <= 0.0 || r <= 0.0 {
             return None;
@@ -145,7 +145,7 @@ impl ObservedExecution {
 
     /// The per-join [`ExplainAnnotation`]s of this execution, in the post-order
     /// [`PlanNode::explain_annotated`] consumes — actual cardinality and q-error per join.
-    pub fn explain_annotations(&self) -> Vec<ExplainAnnotation> {
+    fn explain_annotations(&self) -> Vec<ExplainAnnotation> {
         self.joins
             .iter()
             .map(|j| ExplainAnnotation {

@@ -98,32 +98,6 @@ pub fn components<const W: usize>(graph: &Hypergraph<W>) -> Vec<NodeSet<W>> {
     out
 }
 
-/// Ensures the graph is connected by adding, if necessary, hyperedges between reachability
-/// components (one edge per adjacent pair of components in order), as suggested in Sec. 2.1:
-/// "for every pair of connected components, we can add a hyperedge whose hypernodes contain
-/// exactly the relations of the connected components", interpreted as a cross product with
-/// selectivity 1.
-///
-/// Returns the repaired graph and the ids of the added edges (empty if nothing had to change).
-pub fn make_connected<const W: usize>(
-    graph: &Hypergraph<W>,
-) -> (Hypergraph<W>, Vec<crate::EdgeId>) {
-    let comps = components(graph);
-    if comps.len() <= 1 {
-        return (graph.clone(), Vec::new());
-    }
-    let mut builder = Hypergraph::builder(graph.node_count());
-    for (_, e) in graph.edges() {
-        builder.add_edge(*e);
-    }
-    let mut added = Vec::new();
-    for pair in comps.windows(2) {
-        let id = builder.add_hyperedge(pair[0], pair[1]);
-        added.push(id);
-    }
-    (builder.build(), added)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,27 +195,6 @@ mod tests {
         let comps = components(&g);
         assert_eq!(comps, vec![ns(&[0, 1]), ns(&[2]), ns(&[3, 4])]);
         assert!(!is_graph_connected(&g));
-    }
-
-    #[test]
-    fn make_connected_adds_repair_edges() {
-        let mut b = Hypergraph::<1>::builder(5);
-        b.add_simple_edge(0, 1);
-        b.add_simple_edge(3, 4);
-        let g = b.build();
-        let (repaired, added) = make_connected(&g);
-        assert_eq!(added.len(), 2);
-        assert!(is_graph_connected(&repaired));
-        // Existing edges are preserved.
-        assert_eq!(repaired.edge_count(), g.edge_count() + 2);
-    }
-
-    #[test]
-    fn make_connected_is_noop_for_connected_graph() {
-        let g = fig2();
-        let (repaired, added) = make_connected(&g);
-        assert!(added.is_empty());
-        assert_eq!(repaired.edge_count(), g.edge_count());
     }
 
     #[test]

@@ -97,16 +97,6 @@ impl<const W: usize> Hyperedge<W> {
         !self.flex.is_empty()
     }
 
-    /// Returns the edge with left and right hypernodes swapped.
-    #[inline]
-    pub fn reversed(&self) -> Hyperedge<W> {
-        Hyperedge {
-            left: self.right,
-            right: self.left,
-            flex: self.flex,
-        }
-    }
-
     /// Does this edge connect `s1` to `s2` in the sense of Def. 4 / Def. 7?
     ///
     /// That is: one hypernode is contained in `s1`, the other in `s2`, and all flexible nodes
@@ -202,15 +192,6 @@ mod tests {
         assert!(!e.connects(wns(&[60]), wns(&[64, 100])));
         assert_eq!(e.target_from(wns(&[60, 61])), Some(wns(&[64, 100])));
         assert!(Hyperedge::<2>::simple(63, 64).is_simple());
-    }
-
-    #[test]
-    fn reversed_edge_swaps_sides() {
-        let e = Hyperedge::new(ns(&[0]), ns(&[1, 2]));
-        let r = e.reversed();
-        assert_eq!(r.left(), ns(&[1, 2]));
-        assert_eq!(r.right(), ns(&[0]));
-        assert_eq!(r.flex(), NodeSet::EMPTY);
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl IngestQuery {
         self.relation_names.len()
     }
 
-    /// The id of a relation name, if declared.
-    pub fn relation_id(&self, name: &str) -> Option<usize> {
-        self.relation_names.iter().position(|n| n == name)
-    }
-
     /// The adaptive driver configuration for this query: the driver defaults overlaid with the
     /// query's own `option` statements.
     pub fn adaptive_options(&self) -> AdaptiveOptions {
@@ -474,7 +469,7 @@ mod tests {
         assert_eq!(queries.len(), 1);
         let iq = &queries[0];
         assert_eq!(iq.relation_count(), 3);
-        assert_eq!(iq.relation_id("d2"), Some(2));
+        assert_eq!(iq.relation_names[2], "d2");
         assert_eq!(iq.spec.edge_count(), 2);
         assert_eq!(iq.spec.cardinality(0), 1_000_000.0);
         assert_eq!(iq.options.ccp_budget, Some(777));

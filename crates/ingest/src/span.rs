@@ -33,7 +33,7 @@ impl Span {
     ///
     /// Columns count bytes (the language is ASCII-only in practice), and a span starting at
     /// end-of-input reports the position one past the last character.
-    pub fn line_col(&self, source: &str) -> (usize, usize) {
+    fn line_col(&self, source: &str) -> (usize, usize) {
         let upto = &source[..self.start.min(source.len())];
         let line = upto.bytes().filter(|&b| b == b'\n').count() + 1;
         let col = upto.len() - upto.rfind('\n').map_or(0, |i| i + 1) + 1;

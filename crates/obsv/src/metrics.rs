@@ -150,7 +150,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Inclusive Prometheus-style upper bound of bucket `i`: `2^i - 1`.
-    pub fn upper_bound(i: usize) -> u64 {
+    fn upper_bound(i: usize) -> u64 {
         if i >= 64 {
             u64::MAX
         } else {

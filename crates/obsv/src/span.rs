@@ -137,11 +137,6 @@ impl Span {
             }
         })
     }
-
-    /// Whether this span found a sink on entry (mostly for tests).
-    pub fn is_active(&self) -> bool {
-        self.active.is_some()
-    }
 }
 
 impl Drop for Span {
@@ -311,7 +306,7 @@ mod tests {
     #[test]
     fn spans_are_inert_without_a_sink() {
         let span = Span::enter("orphan");
-        assert!(!span.is_active());
+        assert!(span.active.is_none());
         drop(span);
         event("orphan_event", 42); // must not panic or record anywhere
         assert!(current_sink().is_none());
@@ -325,7 +320,7 @@ mod tests {
             let _root = Span::enter("root");
             {
                 let child = Span::enter("child");
-                assert!(child.is_active());
+                assert!(child.active.is_some());
             }
             with_sink(inner_sink.clone(), || {
                 let _shadowed = Span::enter("shadowed");
@@ -401,7 +396,7 @@ mod tests {
     fn noop_sink_records_nothing_but_spans_still_activate() {
         with_sink(Arc::new(NoopSink), || {
             let span = Span::enter("phase");
-            assert!(span.is_active());
+            assert!(span.active.is_some());
         });
     }
 }

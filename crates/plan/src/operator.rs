@@ -88,33 +88,6 @@ impl JoinOp {
         )
     }
 
-    /// Left linearity in the sense of Def. 5. All operators in `LOP` are left-linear; the inner
-    /// join is both left- and right-linear; the full outer join is neither.
-    #[inline]
-    pub fn is_left_linear(self) -> bool {
-        !matches!(self, JoinOp::FullOuter)
-    }
-
-    /// Right linearity in the sense of Def. 5 (only the inner join / d-join).
-    #[inline]
-    pub fn is_right_linear(self) -> bool {
-        self.is_inner()
-    }
-
-    /// Does the operator preserve every left-side tuple at least once (used by cardinality
-    /// estimation)?
-    #[inline]
-    pub fn preserves_left(self) -> bool {
-        matches!(
-            self,
-            JoinOp::LeftOuter
-                | JoinOp::FullOuter
-                | JoinOp::LeftNest
-                | JoinOp::DepLeftOuter
-                | JoinOp::DepLeftNest
-        )
-    }
-
     /// The dependent counterpart of a regular operator (Sec. 5.6). Dependent operators map to
     /// themselves.
     #[inline]
@@ -224,28 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn linearity_matches_observation_1() {
-        // "All operators in LOP are left-linear, and B is left- and right-linear. The full outer
-        //  join is neither left- nor right-linear."
-        for op in JoinOp::ALL {
-            match op {
-                JoinOp::FullOuter => {
-                    assert!(!op.is_left_linear());
-                    assert!(!op.is_right_linear());
-                }
-                JoinOp::Inner | JoinOp::DepJoin => {
-                    assert!(op.is_left_linear());
-                    assert!(op.is_right_linear());
-                }
-                _ => {
-                    assert!(op.is_left_linear(), "{op:?} must be left-linear");
-                    assert!(!op.is_right_linear(), "{op:?} must not be right-linear");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn dependent_round_trip() {
         for op in JoinOp::REGULAR {
             let dep = op.dependent_counterpart();
@@ -323,16 +274,6 @@ mod tests {
             JoinOp::operator_conflict(DepLeftAnti, Inner),
             JoinOp::operator_conflict(LeftAnti, Inner)
         );
-    }
-
-    #[test]
-    fn preserves_left_side() {
-        assert!(JoinOp::LeftOuter.preserves_left());
-        assert!(JoinOp::FullOuter.preserves_left());
-        assert!(JoinOp::LeftNest.preserves_left());
-        assert!(!JoinOp::Inner.preserves_left());
-        assert!(!JoinOp::LeftSemi.preserves_left());
-        assert!(!JoinOp::LeftAnti.preserves_left());
     }
 
     #[test]

@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// The inputs of a drift serve's re-cost decision: the donor's plan re-costed under the
-/// request's statistics is served while `recost_cost ≤ greedy_cost × (1 + tolerance)`
-/// (`ServiceOptions::recost_tolerance`); otherwise the service re-optimizes in full.
+/// request's statistics is served while `recost_cost ≤ greedy_cost`; otherwise the service
+/// re-optimizes in full.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RecostDecision {
     /// Statistics distance from the donor variant to the request

@@ -37,8 +37,8 @@
 //!   statistics variant (ties to most recent) is re-costed
 //!   bottom-up ([`dphyp::recost_spec_with_probe`]) instead of re-enumerating csg-cmp-pairs —
 //!   bit-identical to a from-scratch optimization that picks the same join order — and a
-//!   greedy probe with a configurable tolerance ([`ServiceOptions::recost_tolerance`])
-//!   triggers a full re-optimization when the cached order has gone stale.
+//!   greedy probe triggers a full re-optimization when a greedy order beats the re-costed
+//!   one, i.e. the cached order has gone stale.
 //! * **Batch driver** ([`Service::plan_batch`]): plans a workload concurrently over
 //!   `std::thread::scope`, sharing one cache across the workers.
 //!

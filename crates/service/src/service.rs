@@ -26,13 +26,6 @@ pub struct ServiceOptions {
     /// Base adaptive-driver options; `.jg` queries overlay their own `option` statements on
     /// top of these ([`Service::plan_ingest`]).
     pub adaptive: AdaptiveOptions,
-    /// Staleness tolerance of the incremental re-cost path: a re-costed cached join order is
-    /// served only while `recost_cost ≤ greedy_cost × (1 + tolerance)` — the moment a mere
-    /// greedy ordering beats the cached order by more than this margin under the new
-    /// statistics, the order has demonstrably gone stale and the service re-optimizes in full.
-    /// `0.0` re-optimizes on any greedy win; larger values trade plan quality for fewer
-    /// re-optimizations.
-    pub recost_tolerance: f64,
     /// Worker threads of [`Service::plan_batch`]; `0` (the default) means one per available
     /// CPU, capped by the number of distinct shapes in the batch (see
     /// [`effective_batch_threads`]).
@@ -63,7 +56,6 @@ impl Default for ServiceOptions {
         ServiceOptions {
             cache: CacheOptions::default(),
             adaptive: AdaptiveOptions::default(),
-            recost_tolerance: 0.0,
             batch_threads: 0,
             sampling: SamplerOptions::default(),
             flight_capacity: 256,
@@ -530,7 +522,9 @@ impl Service {
                     greedy_cost: r.greedy_cost,
                 };
                 if let (Some(plan), Some(greedy_cost)) = (r.plan, r.greedy_cost) {
-                    if plan.cost() <= greedy_cost * (1.0 + self.options.recost_tolerance) {
+                    // A greedy ordering that beats the re-costed order shows it has gone
+                    // stale under the new statistics: re-optimize in full.
+                    if plan.cost() <= greedy_cost {
                         let served = ServedPlan {
                             plan: canonical.plan_to_original(&plan),
                             cost: plan.cost(),

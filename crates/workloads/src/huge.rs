@@ -4,8 +4,8 @@
 //! The classic generators in [`graphs`](crate::graphs) produce a concrete
 //! `(Hypergraph<W>, Catalog<W>)` pair; the adaptive driver instead consumes a width-agnostic
 //! [`QuerySpec`] and picks node-set width *and* algorithm tier itself. This module provides the
-//! same seeded families at the spec level — [`Workload::to_spec`] performs the conversion, so a
-//! spec family has bit-identical statistics to its `Workload` twin — plus canonical "huge"
+//! same seeded families at the spec level — each converted from its `Workload` twin, so the
+//! two have bit-identical statistics — plus canonical "huge"
 //! instances whose csg-cmp-pair counts land in each tier of the default
 //! [`AdaptiveOptions`](dphyp::AdaptiveOptions) budget:
 //!
@@ -26,7 +26,7 @@ impl<const W: usize> Workload<W> {
     /// Converts the workload into a width-agnostic [`QuerySpec`] with identical topology and
     /// statistics: every hyperedge becomes a spec edge (in edge-id order, so selectivities and
     /// operators line up), and cardinalities and lateral references carry over unchanged.
-    pub fn to_spec(&self) -> QuerySpec {
+    pub(crate) fn to_spec(&self) -> QuerySpec {
         let n = self.graph.node_count();
         let mut b = QuerySpec::builder(n);
         for r in 0..n {

@@ -3,10 +3,10 @@
 //! that motivated it.
 
 use dphyp::{
-    optimize_adaptive, optimize_spec, AdaptiveOptimizer, AdaptiveOptions, CostModel, CostModelKind,
-    CoutCost, DpHyp, MixedCost, OptimizeResult, PlanTier, QuerySpec,
+    idp, optimize_adaptive, optimize_spec, AdaptiveOptimizer, AdaptiveOptions, CostModel,
+    CostModelKind, CoutCost, DpHyp, MixedCost, OptimizeResult, PlanTier, QuerySpec,
 };
-use qo_baselines::{goo, idp_with_strategy};
+use qo_baselines::goo;
 use qo_catalog::{BudgetedHandler, CountingHandler};
 use qo_service::{Service, ServiceOptions};
 use qo_workloads::corpus::corpus;
@@ -240,8 +240,8 @@ fn assert_skip_is_sound<const W: usize>(
     };
     let k = r.telemetry.idp_k;
     let expected = match r.tier {
-        PlanTier::Idp => idp_with_strategy(&graph, &catalog, model, k, options.idp_strategy),
-        _ => goo(&graph, &catalog, model),
+        PlanTier::Idp => idp(&graph, &catalog, model, k, options.idp_strategy),
+        _ => goo(&graph, &catalog, model).ok(),
     }
     .expect("the fallback plans");
     assert_eq!(r.plan, expected.plan, "{name}: plan");

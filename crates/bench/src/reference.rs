@@ -167,7 +167,41 @@ mod tests {
     use super::*;
     use dphyp::enumerate::DpHyp;
     use qo_catalog::{CostBasedHandler, CoutCost, DpTable, JoinCombiner, MixedCost};
-    use qo_workloads::{chain_query, clique_query, cycle_query, star_query};
+    use qo_workloads::{chain_query, clique_query, corpus_query, cycle_query, star_query};
+
+    /// Runs `graph` through the reference and through production under `model` and requires
+    /// the same ccp count and table size, and for every class the same cost and cardinality
+    /// bits and best-join sides; returns production's table.
+    fn assert_matches_the_reference(
+        graph: &Hypergraph,
+        catalog: &Catalog,
+        model: &dyn CostModel,
+        at: &str,
+    ) -> DpTable {
+        let mut reference = HashMapReferenceHandler::new(graph, catalog, model);
+        let _ = DpHyp::new(graph, &mut reference).run();
+        let mut production = CostBasedHandler::new(JoinCombiner::new(graph, catalog, model));
+        let _ = DpHyp::new(graph, &mut production).run();
+        assert_eq!(production.ccp_count(), reference.ccp_count(), "{at}");
+        let table = production.into_table();
+        assert_eq!(table.len(), reference.dp_entries(), "{at}");
+        for class in table.classes() {
+            let expected = reference.class(class.set).expect("same classes");
+            assert_eq!(
+                (class.cost.to_bits(), class.cardinality.to_bits()),
+                (expected.cost.to_bits(), expected.cardinality.to_bits()),
+                "{at}: {:?}",
+                class.set
+            );
+            assert_eq!(
+                class.best_join.map(|j| (j.left, j.right)),
+                expected.best_join.as_ref().map(|j| (j.0, j.1)),
+                "{at}: {:?}",
+                class.set
+            );
+        }
+        table
+    }
 
     #[test]
     fn the_cost_floor_leaves_every_class_as_the_reference_builds_it() {
@@ -180,55 +214,35 @@ mod tests {
         let models: [&dyn CostModel; 2] = [&CoutCost, &MixedCost];
         for w in &workloads {
             for model in models {
-                let mut reference = HashMapReferenceHandler::new(&w.graph, &w.catalog, model);
-                let _ = DpHyp::new(&w.graph, &mut reference).run();
-                let mut production =
-                    CostBasedHandler::new(JoinCombiner::new(&w.graph, &w.catalog, model));
-                let _ = DpHyp::new(&w.graph, &mut production).run();
                 let at = format!("{} relations, {}", w.graph.node_count(), model.name());
-                assert_eq!(production.ccp_count(), reference.ccp_count(), "{at}");
-                let table = production.into_table();
-                assert_eq!(table.len(), reference.dp_entries(), "{at}");
-                for class in table.classes() {
-                    let expected = reference.class(class.set).expect("same classes");
-                    assert_eq!(
-                        (class.cost.to_bits(), class.cardinality.to_bits()),
-                        (expected.cost.to_bits(), expected.cardinality.to_bits()),
-                        "{at}: {:?}",
-                        class.set
-                    );
-                    assert_eq!(
-                        class.best_join.map(|j| (j.left, j.right)),
-                        expected.best_join.as_ref().map(|j| (j.0, j.1)),
-                        "{at}: {:?}",
-                        class.set
-                    );
-                }
+                assert_matches_the_reference(&w.graph, &w.catalog, model, &at);
             }
         }
     }
 
     #[test]
     fn mask_index_boundary_agrees_with_the_reference() {
-        // n = 16 is the last mask-indexed size, n = 17 the first hashed one.
+        // n = 17 is the last mask-indexed size, n = 18 the first hashed one. Past the threshold
+        // a cycle stands in for the star, whose pair count doubles per satellite.
         let max = DpTable::<1>::MASK_INDEXED_MAX_RELATIONS;
-        for n in [max, max + 1] {
-            for w in [chain_query(n, 3), star_query(n - 1, 3)] {
-                let mut reference = HashMapReferenceHandler::new(&w.graph, &w.catalog, &CoutCost);
-                let _ = DpHyp::new(&w.graph, &mut reference).run();
-                let mut production =
-                    CostBasedHandler::new(JoinCombiner::new(&w.graph, &w.catalog, &CoutCost));
-                let _ = DpHyp::new(&w.graph, &mut production).run();
-                assert_eq!(production.ccp_count(), reference.ccp_count(), "n = {n}");
-                let table = production.into_table();
-                assert_eq!(table.len(), reference.dp_entries(), "n = {n}");
-                assert!(table.contains(w.graph.all_nodes()));
-                for class in table.classes() {
-                    let cost = reference.class(class.set).expect("same classes").cost;
-                    assert_eq!(class.cost.to_bits(), cost.to_bits(), "{:?}", class.set);
-                }
-            }
+        let workloads = [
+            chain_query(max, 3),
+            star_query(max - 1, 3),
+            chain_query(max + 1, 3),
+            cycle_query(max + 1, 3),
+        ];
+        for w in &workloads {
+            let n = w.graph.node_count();
+            let table =
+                assert_matches_the_reference(&w.graph, &w.catalog, &CoutCost, &format!("n = {n}"));
+            assert!(table.contains(w.graph.all_nodes()));
         }
+        // job_29a, the corpus query at the threshold, with its hyperedge.
+        let spec = corpus_query("job_29a").expect("in the corpus").spec;
+        assert_eq!(spec.node_count(), max);
+        let (graph, catalog) = spec.instantiate::<1>();
+        let table = assert_matches_the_reference(&graph, &catalog, &CoutCost, "job_29a");
+        assert!(table.contains(graph.all_nodes()));
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! drift: the cached join order is re-costed under the observed statistics and re-optimized in
 //! full when it has demonstrably gone stale.
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, EdgeAnnotation};
 use qo_bitset::NodeId;
 use qo_hypergraph::EdgeId;
+use std::collections::BTreeMap;
 
 /// Observed selectivities are clamped into `[MIN_SELECTIVITY, 1]` so that a join observed to
 /// produce zero rows still yields a catalog every validation accepts (selectivities must lie
@@ -36,12 +37,13 @@ pub struct ExecutionFeedback {
 }
 
 /// Sparse statistics observed from executing a plan: per-relation true cardinalities and
-/// per-edge observed selectivities. Unobserved slots stay `None` and fall through to the base
-/// catalog when the overlay is [applied](ObservedStats::apply).
+/// per-edge observed selectivities. Unobserved ids have no entry and fall through to the base
+/// catalog when the overlay is [applied](ObservedStats::apply). Each observation is one map
+/// entry, so an id costs the same memory whatever its value.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObservedStats {
-    cardinalities: Vec<Option<f64>>,
-    selectivities: Vec<Option<f64>>,
+    cardinalities: BTreeMap<NodeId, f64>,
+    selectivities: BTreeMap<EdgeId, f64>,
 }
 
 impl ObservedStats {
@@ -52,41 +54,45 @@ impl ObservedStats {
 
     /// Records the true cardinality of a base relation.
     pub fn observe_cardinality(&mut self, relation: NodeId, cardinality: f64) {
-        if self.cardinalities.len() <= relation {
-            self.cardinalities.resize(relation + 1, None);
-        }
-        self.cardinalities[relation] = Some(cardinality.max(0.0));
+        self.cardinalities.insert(relation, cardinality.max(0.0));
     }
 
     /// Records the observed selectivity of a predicate edge, clamped into `(0, 1]` (a join
     /// that produced zero rows observes the minimum representable selectivity, not zero).
     pub fn observe_selectivity(&mut self, edge: EdgeId, selectivity: f64) {
-        if self.selectivities.len() <= edge {
-            self.selectivities.resize(edge + 1, None);
-        }
-        self.selectivities[edge] = Some(selectivity.clamp(MIN_SELECTIVITY, 1.0));
+        self.selectivities
+            .insert(edge, selectivity.clamp(MIN_SELECTIVITY, 1.0));
     }
 
     /// The observed cardinality of a relation, if any.
     pub fn cardinality(&self, relation: NodeId) -> Option<f64> {
-        self.cardinalities.get(relation).copied().flatten()
+        self.cardinalities.get(&relation).copied()
     }
 
     /// The observed selectivity of an edge, if any.
     pub fn selectivity(&self, edge: EdgeId) -> Option<f64> {
-        self.selectivities.get(edge).copied().flatten()
+        self.selectivities.get(&edge).copied()
     }
 
     /// Does the overlay carry no observation at all?
     pub fn is_empty(&self) -> bool {
-        self.cardinalities.iter().all(Option::is_none)
-            && self.selectivities.iter().all(Option::is_none)
+        self.cardinalities.is_empty() && self.selectivities.is_empty()
     }
 
     /// Overlays the observations onto a base catalog: observed cardinalities and selectivities
     /// replace their estimates, everything else (lateral references, operators, TES splits,
     /// unobserved statistics) is carried over unchanged. Any observation that moved a statistic
     /// bumps the resulting catalog's [`Catalog::stats_epoch`].
+    ///
+    /// Observations of relations past the catalog's relation count are ignored. An observed
+    /// edge past its annotated range extends the range, the gap keeping default annotations:
+    /// the overlay is meant for the catalog of the graph its edge ids came from.
+    ///
+    /// # Panics
+    /// The catalog stores one annotation per edge id up to the largest annotated one
+    /// ([`CatalogBuilder::annotate_edge`](crate::CatalogBuilder::annotate_edge)), so an
+    /// observed edge id near `usize::MAX` cannot be applied. The serving path reads an overlay
+    /// through `QuerySpec::apply_observed`, which looks up only the spec's own ids.
     pub fn apply<const W: usize>(&self, base: &Catalog<W>) -> Catalog<W> {
         let mut b = Catalog::<W>::builder(base.relation_count());
         for r in 0..base.relation_count() {
@@ -99,13 +105,16 @@ impl ObservedStats {
                 b.set_lateral_refs(r, refs);
             }
         }
-        let edges = base.annotated_edge_count().max(self.selectivities.len());
-        for e in 0..edges {
+        let annotated = base.annotated_edge_count();
+        for e in 0..annotated {
             let mut a = base.edge_annotation(e);
             if let Some(sel) = self.selectivity(e) {
                 a.selectivity = sel;
             }
             b.annotate_edge(e, a);
+        }
+        for (&e, &selectivity) in self.selectivities.range(annotated..) {
+            b.annotate_edge(e, EdgeAnnotation::inner(selectivity));
         }
         b.build()
     }
@@ -114,7 +123,6 @@ impl ObservedStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::EdgeAnnotation;
     use qo_bitset::NodeSet;
     use qo_plan::JoinOp;
 
@@ -174,6 +182,31 @@ mod tests {
         let applied = wide.apply(&c);
         assert_eq!(applied.edge_annotation(2).selectivity, 1.0);
         assert_eq!(applied.edge_annotation(3).selectivity, 0.25);
+    }
+
+    #[test]
+    fn ids_of_any_value_are_one_entry_each() {
+        let mut overlay = ObservedStats::new();
+        for id in [usize::MAX, 1 << 40] {
+            overlay.observe_cardinality(id, 7.0);
+            overlay.observe_selectivity(id, 0.5);
+            assert_eq!(overlay.cardinality(id), Some(7.0));
+            assert_eq!(overlay.selectivity(id), Some(0.5));
+        }
+        assert!(!overlay.is_empty());
+        assert_eq!(overlay.cardinality(0), None);
+        assert_eq!(overlay.selectivity(usize::MAX - 1), None);
+        // Relations past the catalog are ignored, in-range observations read as before.
+        let mut cards_only = ObservedStats::new();
+        cards_only.observe_cardinality(usize::MAX, 3.0);
+        cards_only.observe_cardinality(1 << 40, 3.0);
+        cards_only.observe_cardinality(1, 9.0);
+        let c = base();
+        let applied = cards_only.apply(&c);
+        assert_eq!(applied.relation_count(), 3);
+        assert_eq!(applied.cardinality(1), 9.0);
+        assert_eq!(applied.cardinality(0), 1000.0);
+        assert_eq!(applied.annotated_edge_count(), c.annotated_edge_count());
     }
 
     #[test]

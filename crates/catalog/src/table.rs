@@ -8,10 +8,12 @@
 //!   ([`DpTable::classes`] iterates it in insertion order) and are found through a slot map
 //!   from the set to a `u32` arena index ([`ClassSlot`]). The slot map has two layouts:
 //!   - **Mask-indexed.** A table built by [`DpTable::with_relations`] for a one-word graph of
-//!     at most [`DpTable::MASK_INDEXED_MAX_RELATIONS`] (16) relations is a zeroed `Vec<u32>`
+//!     at most [`DpTable::MASK_INDEXED_MAX_RELATIONS`] (17) relations is a zeroed `Vec<u32>`
 //!     of `2^n` entries indexed by the mask itself, holding arena index + 1 (0 marks a set
 //!     with no class). A probe is one load: no hash, no probe sequence. At the threshold the
-//!     index is 256 KiB.
+//!     index is 512 KiB. Zeroing it costs time in proportion to `2^n`, whatever the number of
+//!     classes, so a sparse graph near the threshold gives a little back: see the crossover
+//!     measured on the constant.
 //!   - **Hashed.** Every other table — larger graphs, `W = 2`, [`DpTable::new`] and the IDP,
 //!     GOO, DPsize and DPsub tables — uses a hand-rolled open-addressing map from the raw set
 //!     mask, hashed with the FxHash-style finalizer of [`NodeSet::hash64`] (which folds every
@@ -239,8 +241,26 @@ impl<const W: usize> Default for DpTable<W> {
 
 impl<const W: usize> DpTable<W> {
     /// The largest relation count whose one-word tables [`with_relations`](Self::with_relations)
-    /// index by mask: `2^16` entries of 4 bytes, 256 KiB.
-    pub const MASK_INDEXED_MAX_RELATIONS: usize = 16;
+    /// index by mask: `2^17` entries of 4 bytes, 512 KiB.
+    ///
+    /// The index pays a probe per csg-cmp-pair and costs a `2^n` zeroing per table, so dense
+    /// graphs (many pairs per set) win and sparse ones (few classes against `2^n`) lose. The
+    /// crossover, measured for exact DPhyp with the cost-based handler (minimum time over
+    /// repeated runs, hashed → mask-indexed, release build on a 2-core x86-64 VM):
+    ///
+    /// | graph                  | hashed → mask-indexed                 |
+    /// |------------------------|---------------------------------------|
+    /// | chain-17               | 43–57 µs → 50–65 µs (loses 7–18 µs)   |
+    /// | cycle-17               | 131–220 µs → 102–169 µs (wins)        |
+    /// | star, 16 satellites    | 38.6–53.3 ms → 20.8–23.2 ms (wins)    |
+    /// | chain-18               | loses about 17 µs                     |
+    /// | cycle-18               | wins                                  |
+    /// | chain-19               | loses 50–60 µs                        |
+    /// | cycle-20               | loses                                 |
+    ///
+    /// Past 17 relations sparse graphs lose more and the index doubles per relation; at 17 the
+    /// worst loss stays at a few tens of µs and the index at 512 KiB.
+    pub const MASK_INDEXED_MAX_RELATIONS: usize = 17;
 
     /// Creates an empty table with the hashed slot map, whose memory grows with the classes
     /// stored.
@@ -485,7 +505,7 @@ mod tests {
     #[test]
     fn mask_index_covers_one_word_graphs_up_to_the_threshold_only() {
         let max = DpTable::<1>::MASK_INDEXED_MAX_RELATIONS;
-        assert_eq!(max, 16);
+        assert_eq!(max, 17);
         assert_eq!(index_entries(&DpTable::<1>::with_relations(3)), (true, 8));
         assert_eq!(
             index_entries(&DpTable::<1>::with_relations(max)),

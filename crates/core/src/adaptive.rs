@@ -162,7 +162,7 @@ pub enum PlanTier {
 
 impl fmt::Display for PlanTier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+        f.pad(match self {
             PlanTier::Exact => "exact",
             PlanTier::Idp => "idp",
             PlanTier::Greedy => "greedy",

@@ -234,16 +234,22 @@ impl QuerySpec {
         cards.chain(sels).sum()
     }
 
-    /// Checks the spec before anything is built from it. Structure: both sides of every edge
-    /// name at least one relation, every relation id (edge sides, flex sets, lateral
-    /// references) is below [`node_count`](Self::node_count), and no relation appears on two
-    /// sides of one edge (which rules out self-loops). Statistics: cardinalities are finite
-    /// and non-negative, selectivities finite and in `(0, 1]`. Entry points run this before
-    /// canonicalizing or instantiating a spec, so a malformed spec surfaces as
-    /// [`OptimizeError::InvalidEdge`] or [`OptimizeError::InvalidCatalog`] naming the caller's
-    /// relation and edge ids — never canonical ones, and never as a panic.
+    /// Checks the spec before anything is built from it. Structure: the query has at least
+    /// one relation, both sides of every edge name at least one relation, every relation id
+    /// (edge sides, flex sets, lateral references) is below [`node_count`](Self::node_count),
+    /// and no relation appears on two sides of one edge (which rules out self-loops).
+    /// Statistics: cardinalities are finite and non-negative, selectivities finite and in
+    /// `(0, 1]`. Entry points run this before canonicalizing or instantiating a spec, so a
+    /// malformed spec surfaces as [`OptimizeError::InvalidEdge`] or
+    /// [`OptimizeError::InvalidCatalog`] naming the caller's relation and edge ids — never
+    /// canonical ones, and never as a panic.
     pub fn validate(&self) -> Result<(), OptimizeError> {
         let n = self.node_count;
+        if n == 0 {
+            return Err(OptimizeError::InvalidCatalog(
+                "a query needs at least one relation".to_string(),
+            ));
+        }
         for (edge, e) in self.edges.iter().enumerate() {
             let invalid = |reason: String| Err(OptimizeError::InvalidEdge { edge, reason });
             if e.left.is_empty() || e.right.is_empty() {
@@ -518,6 +524,9 @@ mod tests {
         let mut obs = qo_catalog::ObservedStats::new();
         obs.observe_cardinality(0, 16.0);
         obs.observe_selectivity(0, 0.14);
+        // Ids the spec does not have are ignored, however large.
+        obs.observe_cardinality(usize::MAX, 1.0);
+        obs.observe_selectivity(1 << 40, 0.5);
         let fed = spec.apply_observed(&obs);
 
         assert_eq!(fed.cardinality(0), 16.0);
@@ -602,6 +611,12 @@ mod tests {
         assert!(
             err.to_string().contains("R1 has lateral reference 9"),
             "{err}"
+        );
+
+        // A query of no relations has nothing to plan; it is an error, not a panic.
+        assert_eq!(
+            optimize_spec(&QuerySpec::builder(0).build()).unwrap_err(),
+            OptimizeError::InvalidCatalog("a query needs at least one relation".to_string())
         );
     }
 

@@ -4,15 +4,18 @@
 //! Where the metrics registry aggregates (counters, histograms) and the sampling sink keeps
 //! a handful of full span trees, the flight recorder sits in between: it remembers *which*
 //! recent serves happened, in order, with enough per-serve structure (fingerprint, cache
-//! path, tier, latency, modeled cost, the re-cost decision of a drift serve, execution
-//! feedback when observed, sampled trace id) to reconstruct an incident after the fact. Recording is one short `Mutex`-guarded ring
-//! push per serve — microseconds-scale serves dominate it by orders of magnitude — and the
-//! ring is bounded, so an unattended service never grows.
+//! path, tier, latency, modeled cost, the re-cost decision of a drift serve, the budget
+//! telemetry of a full optimization, execution feedback when observed, sampled trace id) to
+//! reconstruct an incident after the fact: a slow miss shows how many csg-cmp-pairs the exact
+//! tier spent against its budget, whether the lower bound skipped it, and IDP's block size.
+//! Recording is one short `Mutex`-guarded ring push per serve — microseconds-scale serves
+//! dominate it by orders of magnitude — and the ring is bounded, so an unattended service
+//! never grows.
 
 use crate::fingerprint::Fingerprint;
 use crate::lock_recovering;
 use crate::service::PlanSource;
-use dphyp::{ExecutionFeedback, PlanTier};
+use dphyp::{BudgetTelemetry, ExecutionFeedback, PlanTier};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,6 +56,9 @@ pub struct ServeRecord {
     /// The re-cost decision, on [`PlanSource::Recost`] and [`PlanSource::RecostFallback`]
     /// serves; `None` on hits, misses and pins.
     pub decision: Option<RecostDecision>,
+    /// The full optimization's budget telemetry, on [`PlanSource::Miss`] and
+    /// [`PlanSource::RecostFallback`] serves; `None` on hits, accepted re-costs and pins.
+    pub optimization: Option<BudgetTelemetry>,
     /// The plan's true cost, once [`Service::observe_execution`](crate::Service) reported
     /// it. `None` until (unless) the caller executes the plan instrumented.
     pub true_cost: Option<f64>,
@@ -138,6 +144,8 @@ impl FlightRecorder {
     /// Renders the retained records as a fixed-width text table, oldest first — the
     /// post-mortem view. Serves without a re-cost decision show `-` in the `distance`,
     /// `recost_cost` and `greedy_cost` columns, as does a decision half that is `None`;
+    /// serves without a full optimization show `-` in the `exact_ccps` (pairs spent / pair
+    /// budget), `skipped` (the lower bound skipped the exact tier) and `idp_k` columns;
     /// unobserved serves show `-` in the execution columns; untraced serves show `-` for the
     /// trace id.
     pub fn dump(&self) -> String {
@@ -151,7 +159,7 @@ impl FlightRecorder {
         );
         let _ = writeln!(
             out,
-            "{:>6}  {:<33}  {:<6}  {:<15}  {:>12}  {:>14}  {:>8}  {:>14}  {:>14}  {:>14}  {:>8}  {:>5}",
+            "{:>6}  {:<33}  {:<6}  {:<15}  {:>12}  {:>14}  {:>8}  {:>14}  {:>14}  {:>15}  {:>7}  {:>5}  {:>14}  {:>8}  {:>5}",
             "seq",
             "fingerprint",
             "tier",
@@ -161,6 +169,9 @@ impl FlightRecorder {
             "distance",
             "recost_cost",
             "greedy_cost",
+            "exact_ccps",
+            "skipped",
+            "idp_k",
             "true_cost",
             "max_q",
             "trace"
@@ -172,6 +183,16 @@ impl FlightRecorder {
                 .map_or_else(|| "-".to_owned(), |d| format!("{:.3}", d.distance));
             let recost_cost = cost(r.decision.and_then(|d| d.recost_cost));
             let greedy_cost = cost(r.decision.and_then(|d| d.greedy_cost));
+            let (exact_ccps, skipped, idp_k) = r.optimization.map_or_else(
+                || ("-".to_owned(), "-".to_owned(), "-".to_owned()),
+                |t| {
+                    (
+                        format!("{}/{}", t.exact_ccps, t.ccp_budget),
+                        t.exact_skipped.to_string(),
+                        t.idp_k.to_string(),
+                    )
+                },
+            );
             let true_cost = cost(r.true_cost);
             let max_q = r
                 .max_q_error
@@ -181,7 +202,7 @@ impl FlightRecorder {
                 .map_or_else(|| "-".to_owned(), |id| id.to_string());
             let _ = writeln!(
                 out,
-                "{:>6}  {:<33}  {:<6}  {:<15}  {:>12}  {:>14.1}  {:>8}  {:>14}  {:>14}  {:>14}  {:>8}  {:>5}",
+                "{:>6}  {:<33}  {:<6}  {:<15}  {:>12}  {:>14.1}  {:>8}  {:>14}  {:>14}  {:>15}  {:>7}  {:>5}  {:>14}  {:>8}  {:>5}",
                 r.seq,
                 r.fingerprint,
                 r.tier,
@@ -191,6 +212,9 @@ impl FlightRecorder {
                 distance,
                 recost_cost,
                 greedy_cost,
+                exact_ccps,
+                skipped,
+                idp_k,
                 true_cost,
                 max_q,
                 trace
@@ -216,6 +240,7 @@ mod tests {
             latency_ns: 1000 + seq,
             cost: 42.5,
             decision: None,
+            optimization: None,
             true_cost: None,
             max_q_error: None,
             trace_id: seq.is_multiple_of(2).then_some(seq + 1),

@@ -211,13 +211,45 @@ mod tests {
             ]
         );
 
-        let records = service.flight_recorder().records();
-        let decision = |served: &ServedPlan| {
-            let r = records.iter().find(|r| r.seq == served.serve_seq).unwrap();
-            r.decision
+        // Corpus misses: job_29a in the exact tier, job_syn_28 past its lower bound.
+        let corpus = |name: &str| {
+            let query = qo_workloads::corpus_query(name).expect("in the corpus");
+            service.plan_ingest(&query).unwrap()
         };
+        let (exact, skipped) = (corpus("job_29a"), corpus("job_syn_28"));
+        let exact_hit = corpus("job_29a");
+        assert_eq!(exact_hit.source, PlanSource::CacheHit);
+
+        let records = service.flight_recorder().records();
+        let record =
+            |served: &ServedPlan| *records.iter().find(|r| r.seq == served.serve_seq).unwrap();
+        let decision = |served: &ServedPlan| record(served).decision;
+        let optimization = |served: &ServedPlan| record(served).optimization;
         assert_eq!(decision(&miss), None);
         assert_eq!(decision(&hit), None);
+        assert!(
+            optimization(&miss).is_some(),
+            "a miss records its optimization"
+        );
+        assert_eq!(optimization(&hit), None);
+        assert_eq!(
+            optimization(&recost),
+            None,
+            "an accepted re-cost optimizes nothing"
+        );
+        assert!(optimization(&fallback).is_some(), "a fallback re-optimizes");
+        assert_eq!(optimization(&exact_hit), None);
+
+        assert_eq!(record(&exact).tier, PlanTier::Exact);
+        let t = optimization(&exact).expect("a corpus miss records its optimization");
+        assert_eq!((t.exact_ccps, t.ccp_budget), (33_774, 200_000));
+        assert!(!t.exact_aborted && !t.exact_skipped);
+        assert_eq!(t.idp_k, 0);
+        assert_eq!(record(&skipped).tier, PlanTier::Idp);
+        let t = optimization(&skipped).expect("a corpus miss records its optimization");
+        assert!(t.exact_skipped && t.exact_aborted);
+        assert_eq!(t.exact_ccps, 0);
+        assert!(t.idp_k > 0);
         let distance =
             |a: &QuerySpec, b: &QuerySpec| a.canonical().spec.stats_distance(&b.canonical().spec);
 
@@ -237,6 +269,18 @@ mod tests {
         let line = dump.lines().find(|l| l.contains(" recost ")).unwrap();
         assert!(line.contains(&format!("{:.3}", decision(&recost).unwrap().distance)));
         assert!(line.contains(&format!("{:.1}", recost.cost)), "{dump}");
+        assert!(dump.contains("exact_ccps") && dump.contains("skipped") && dump.contains("idp_k"));
+        let line = |served: &ServedPlan| {
+            let seq = format!("{:>6} ", served.serve_seq);
+            dump.lines()
+                .find(|l| l.starts_with(&seq))
+                .unwrap()
+                .to_owned()
+        };
+        assert!(line(&exact).contains(" 33774/200000 "), "{dump}");
+        assert!(line(&exact).contains(" false "), "{dump}");
+        let skipped_k = format!(" true  {:>5} ", optimization(&skipped).unwrap().idp_k);
+        assert!(line(&skipped).contains(&skipped_k), "{dump}");
     }
 
     /// A structurally asymmetric snowflake (spokes of lengths 1 and 2 off a hub), with the

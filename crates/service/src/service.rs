@@ -7,8 +7,8 @@ use crate::lock_recovering;
 use crate::metrics::ServiceMetrics;
 use crate::regret::{PinnedPlan, RegretLedger};
 use dphyp::{
-    recost_spec, recost_spec_with_probe, AdaptiveOptimizer, AdaptiveOptions, CanonicalQuery,
-    ExecutionFeedback, ObservedStats, OptimizeError, PlanTier, QuerySpec,
+    recost_spec, recost_spec_with_probe, AdaptiveOptimizer, AdaptiveOptions, BudgetTelemetry,
+    CanonicalQuery, ExecutionFeedback, ObservedStats, OptimizeError, PlanTier, QuerySpec,
 };
 use qo_ingest::{parse_queries, IngestQuery, JgError};
 use qo_obsv::{MetricsSnapshot, SamplerOptions, SamplingSink, Span};
@@ -86,7 +86,7 @@ pub enum PlanSource {
 
 impl fmt::Display for PlanSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+        f.pad(match self {
             PlanSource::Miss => "miss",
             PlanSource::CacheHit => "hit",
             PlanSource::Recost => "recost",
@@ -420,8 +420,8 @@ impl Service {
     /// One clock times the serve, from sampler admission to the cache path's answer (regret
     /// pinning and flight recording excluded). Its reading feeds the sampler, the outcome's
     /// counter and histogram — recorded once, under the cache path's source — and the flight
-    /// record, which also keeps the cache path's re-cost decision unless a pin replaced its
-    /// answer.
+    /// record, which also keeps the cache path's re-cost decision and optimization telemetry
+    /// unless a pin replaced its answer.
     fn serve(
         &self,
         canonical: &CanonicalQuery,
@@ -448,7 +448,12 @@ impl Service {
             self.metrics
                 .record_trace_drops(o.dropped_spans, o.dropped_events);
         }
-        result.map(|(mut served, mut decision)| {
+        result.map(|answer| {
+            let Answer {
+                mut served,
+                mut decision,
+                mut optimization,
+            } = answer;
             self.metrics.record_serve(served.source, latency_ns);
             served.serve_seq = seq;
             served.trace_id = outcome.map(|o| o.trace_id);
@@ -465,6 +470,7 @@ impl Service {
                 if let Some(pinned) = self.serve_pinned(canonical, &adaptive, &served, pin) {
                     served = pinned;
                     decision = None;
+                    optimization = None;
                 }
             }
             self.flight.record(ServeRecord {
@@ -475,6 +481,7 @@ impl Service {
                 latency_ns,
                 cost: served.cost,
                 decision,
+                optimization,
                 true_cost: None,
                 max_q_error: None,
                 trace_id: served.trace_id,
@@ -484,12 +491,13 @@ impl Service {
     }
 
     /// The serving pipeline proper: fingerprint, cache lookup, then hit / re-cost / full
-    /// optimization. A shape lookup also returns its re-cost decision.
+    /// optimization. A shape lookup also returns its re-cost decision, a full optimization
+    /// its budget telemetry.
     fn serve_inner(
         &self,
         canonical: &CanonicalQuery,
         adaptive: AdaptiveOptions,
-    ) -> Result<(ServedPlan, Option<RecostDecision>), OptimizeError> {
+    ) -> Result<Answer, OptimizeError> {
         let _span = Span::enter("serve");
         let fp = Fingerprint::of(canonical);
         let opts_key = options_key(&adaptive);
@@ -508,7 +516,11 @@ impl Service {
                     order_digest: 0,
                     layout: 0,
                 };
-                Ok((served, None))
+                Ok(Answer {
+                    served,
+                    decision: None,
+                    optimization: None,
+                })
             }
             Lookup::Shape {
                 plan,
@@ -548,20 +560,19 @@ impl Service {
                             },
                         );
                         self.metrics.record_evictions(evicted);
-                        return Ok((served, Some(decision)));
+                        return Ok(Answer {
+                            served,
+                            decision: Some(decision),
+                            optimization: None,
+                        });
                     }
                 }
-                let served = self.optimize_and_insert(canonical, fp, opts_key, adaptive)?;
-                let served = ServedPlan {
-                    source: PlanSource::RecostFallback,
-                    ..served
-                };
-                Ok((served, Some(decision)))
+                let mut answer = self.optimize_and_insert(canonical, fp, opts_key, adaptive)?;
+                answer.served.source = PlanSource::RecostFallback;
+                answer.decision = Some(decision);
+                Ok(answer)
             }
-            Lookup::Miss => Ok((
-                self.optimize_and_insert(canonical, fp, opts_key, adaptive)?,
-                None,
-            )),
+            Lookup::Miss => self.optimize_and_insert(canonical, fp, opts_key, adaptive),
         }
     }
 
@@ -572,7 +583,7 @@ impl Service {
         fp: Fingerprint,
         opts_key: u64,
         adaptive: AdaptiveOptions,
-    ) -> Result<ServedPlan, OptimizeError> {
+    ) -> Result<Answer, OptimizeError> {
         let result = AdaptiveOptimizer::new(adaptive).optimize_spec(&canonical.spec)?;
         self.metrics.record_optimize(&result);
         let served = ServedPlan {
@@ -598,7 +609,11 @@ impl Service {
             },
         );
         self.metrics.record_evictions(evicted);
-        Ok(served)
+        Ok(Answer {
+            served,
+            decision: None,
+            optimization: Some(result.telemetry),
+        })
     }
 
     /// Dresses the regret ledger's proven-best order as this serve's answer: the stored
@@ -606,8 +621,9 @@ impl Service {
     /// canonical ids, re-costed bottom-up under the current statistics for honest cost and
     /// cardinality figures, and translated back. The pin is served whatever the greedy probe
     /// would say, so no probe runs. `None` keeps the model's candidate: the pin is waived only
-    /// when the re-cost itself fails (the stored order no longer covers the spec), rather than
-    /// failing the serve.
+    /// when the stored order names a relation or edge id the query does not have, or when the
+    /// re-cost itself fails (the stored order no longer covers the spec), rather than failing
+    /// the serve.
     fn serve_pinned(
         &self,
         canonical: &CanonicalQuery,
@@ -616,11 +632,19 @@ impl Service {
         pin: PinnedPlan,
     ) -> Option<ServedPlan> {
         let n = canonical.spec.node_count();
+        let edges = canonical.edge_to_original.len();
+        // A plan reported under this serve's fingerprint that names ids the query does not
+        // have (a caller's report of a different query) cannot be this query's order.
+        if pin.plan.relation_ids().iter().any(|&r| r >= n)
+            || pin.plan.applied_predicates().iter().any(|&e| e >= edges)
+        {
+            return None;
+        }
         let mut node_inv = vec![0usize; n];
         for (c, &o) in canonical.to_original.iter().enumerate() {
             node_inv[o] = c;
         }
-        let mut edge_inv = vec![0usize; canonical.edge_to_original.len()];
+        let mut edge_inv = vec![0usize; edges];
         for (c, &o) in canonical.edge_to_original.iter().enumerate() {
             edge_inv[o] = c;
         }
@@ -639,6 +663,15 @@ impl Service {
             layout: served.layout,
         })
     }
+}
+
+/// The cache path's answer to one serve, with the decisions its flight record keeps.
+struct Answer {
+    served: ServedPlan,
+    /// The re-cost decision of a shape lookup.
+    decision: Option<RecostDecision>,
+    /// The budget telemetry of a full optimization.
+    optimization: Option<BudgetTelemetry>,
 }
 
 /// Digest of a canonical query's id mappings: the regret ledger's guard that a stored

@@ -15,11 +15,11 @@
 //! ([`Hypergraph::connecting_edges`]), so a faster kernel speeds up both sides; it keeps the
 //! per-pair `Vec` and the owned predicate list per class, which production does without.
 //!
-//! It also has no cost floor: it costs every pair, where production counts a pair whose inputs
-//! already cost as much as its union's best plan without costing it. A timing difference
-//! against [`dphyp::Optimizer`] is therefore the memo structure alone only where the floor
-//! skips nothing; elsewhere it includes the skipped work (2% of the pairs of the chain-20 and
-//! 13% of the star-20 that `reproduce --experiment table` times, most of a clique's). The
+//! It also has no cost floor: it costs every pair, where production counts a pair that could
+//! not beat its union's best plan without costing it. A timing difference against
+//! [`dphyp::Optimizer`] is therefore the memo structure alone only where the floor skips
+//! nothing; elsewhere it includes the skipped work (39% of the pairs of the chain-20 and 73% of
+//! the star-20 that `reproduce --experiment table` times, most of a clique's). The
 //! results (cost, ccp count, table size) must agree exactly —
 //! `reproduce --experiment table` asserts that, and the tests below also compare every
 //! class's cardinality and best-join sides.
@@ -166,7 +166,9 @@ impl CcpHandler for HashMapReferenceHandler<'_> {
 mod tests {
     use super::*;
     use dphyp::enumerate::DpHyp;
-    use qo_catalog::{CostBasedHandler, CoutCost, DpTable, JoinCombiner, MixedCost};
+    use qo_catalog::{
+        CostBasedHandler, CoutCost, DpTable, EdgeAnnotation, JoinCombiner, MixedCost,
+    };
     use qo_workloads::{chain_query, clique_query, corpus_query, cycle_query, star_query};
 
     /// Runs `graph` through the reference and through production under `model` and requires
@@ -205,8 +207,9 @@ mod tests {
 
     #[test]
     fn the_cost_floor_leaves_every_class_as_the_reference_builds_it() {
-        // The reference costs every pair; production skips the pairs whose inputs already cost
-        // as much as their union's best plan. Cliques skip most pairs, cycles and stars few.
+        // The reference costs every pair; production skips the pairs whose floor (inputs' cost
+        // plus, where every split shares it, the union's cardinality) already reaches their
+        // union's best plan.
         let mut workloads = vec![chain_query(20, 11)];
         workloads.extend((6..=12).map(|n| clique_query(n, 11)));
         workloads.extend((8..=13).map(|n| cycle_query(n, 11)));
@@ -218,6 +221,66 @@ mod tests {
                 assert_matches_the_reference(&w.graph, &w.catalog, model, &at);
             }
         }
+
+        // Statistics at the edges of f64, where the cardinality floor's guard decides. Zero-row
+        // and sub-unit relations keep the floor on; products that saturate at `f64::MAX` or
+        // underflow turn it off.
+        for w in [
+            chain_query(12, 5),
+            cycle_query(10, 5),
+            star_query(8, 5),
+            clique_query(8, 5),
+        ] {
+            let g = &w.graph;
+            let card = |r| w.catalog.cardinality(r);
+            let sel = |e| w.catalog.edge_annotation(e).selectivity;
+            let statistics = [
+                (
+                    "zero-row",
+                    restated(g, |r| if r % 3 == 1 { 0.0 } else { card(r) }, sel),
+                ),
+                (
+                    "cardinalities near 1e300",
+                    restated(
+                        g,
+                        |r| 1e300 * (1.0 + r as f64 / 16.0),
+                        |e| 1.0 / (1 + e % 3) as f64,
+                    ),
+                ),
+                (
+                    "selectivities near 1e-300",
+                    restated(g, card, |e| 1e-300 * (1.0 + e as f64 / 8.0)),
+                ),
+                (
+                    "sub-unit cardinalities",
+                    restated(g, |r| 1.0 / (2 + r) as f64, sel),
+                ),
+            ];
+            for (what, catalog) in &statistics {
+                for model in models {
+                    let n = g.node_count();
+                    let at = format!("{n} relations, {what}, {}", model.name());
+                    assert_matches_the_reference(g, catalog, model, &at);
+                }
+            }
+        }
+    }
+
+    /// A catalog over `graph` with relation `r`'s cardinality `card(r)` and edge `e`'s
+    /// inner-join selectivity `sel(e)`.
+    fn restated(
+        graph: &Hypergraph,
+        card: impl Fn(usize) -> f64,
+        sel: impl Fn(usize) -> f64,
+    ) -> Catalog {
+        let mut builder = Catalog::builder(graph.node_count());
+        for r in 0..graph.node_count() {
+            builder.set_cardinality(r, card(r));
+        }
+        for e in 0..graph.edge_count() {
+            builder.annotate_edge(e, EdgeAnnotation::inner(sel(e)));
+        }
+        builder.build()
     }
 
     #[test]

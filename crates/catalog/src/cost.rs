@@ -34,14 +34,16 @@ impl<const W: usize> SubPlanStats<W> {
 /// All models must be *monotone* in the input costs (adding cost to an input never makes the
 /// output cheaper); this is what makes dynamic programming over plan classes optimal.
 ///
-/// All models must also respect the *accumulated-cost floor*: for non-negative, non-NaN input
-/// costs and cardinalities, `join_cost` is never below `left.cost + right.cost` as evaluated in
-/// `f64`, in either orientation. Adding a non-negative local cost first and then the input
-/// costs keeps it, because f64 rounding is monotone: `fl(fl(x + l) + r) >= fl(l + r)` for
-/// `x >= 0`. The exact tier's `EmitCsgCmp` relies on the floor to count a csg-cmp-pair whose
-/// inputs already cost as much as its union's best plan without costing it (the candidate
-/// could not win: the incumbent keeps ties). A model that breaks it fails a debug assertion
-/// there.
+/// All models must also respect the *cost floor*: for non-negative, non-NaN input costs and
+/// cardinalities, `join_cost(op, left, right, output_cardinality)` is never below
+/// `output_cardinality + left.cost + right.cost` as evaluated in `f64`, left to right. Adding
+/// a non-negative local cost first keeps it, because f64 rounding is monotone:
+/// `fl(fl(fl(x + c) + l) + r) >= fl(fl(c + l) + r)` for `x >= 0`. The exact tier's
+/// `EmitCsgCmp` relies on the floor to count a csg-cmp-pair that could not beat its union's
+/// best plan without costing it (the incumbent keeps ties). Where the union's cardinality is
+/// the same for every split, the incumbent's cardinality, shrunk by a rounding margin, stands
+/// in for `output_cardinality`; elsewhere zero does, and the floor is the inputs' costs alone.
+/// A model that breaks it fails a debug assertion there.
 ///
 /// The trait carries the mask width so that implementations can inspect the input relation
 /// sets; `dyn CostModel` (i.e. `dyn CostModel<1>`) keeps runtime model selection working on the
@@ -243,7 +245,8 @@ mod tests {
             right_cost in (0usize..8, any::<u64>()),
             selectivity in 1u64..(1 << 53) + 1,
         ) {
-            // Accumulated costs may overflow to ∞; cardinalities saturate at `f64::MAX`.
+            // Accumulated costs may overflow to ∞; cardinalities saturate at `f64::MAX`. Both
+            // floors hold: the inputs' costs, and the output cardinality plus them.
             let left = stats(&[0], statistic(left_card, false), statistic(left_cost, true));
             let right = stats(&[1], statistic(right_card, false), statistic(right_cost, true));
             let sel = selectivity as f64 / (1u64 << 53) as f64;
@@ -255,6 +258,11 @@ mod tests {
                     for m in models {
                         let cost = m.join_cost(op, l, r, output);
                         prop_assert!(cost >= l.cost + r.cost, "{} {op:?}: {cost}", m.name());
+                        prop_assert!(
+                            cost >= output + l.cost + r.cost,
+                            "{} {op:?}: {cost} below {output} + inputs",
+                            m.name()
+                        );
                     }
                 }
             }

@@ -107,16 +107,31 @@ where
     /// Fig. 8a; the hypergraph-based approach encodes the same constraints as hyperedges and
     /// needs no test.
     enforce_tes: bool,
+    /// Every edge's selectivity by id, copied once when every edge is an inner predicate and
+    /// no relation has lateral references; [`combine`](Self::combine) then takes its inner-join
+    /// short path. `None` otherwise.
+    inner_selectivities: Option<Box<[f64]>>,
 }
 
 impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
     /// Creates a combiner.
     pub fn new(graph: &'a Hypergraph<W>, catalog: &'a Catalog<W>, cost_model: &'a M) -> Self {
+        let edges = 0..graph.edge_count();
+        let inner_only = !catalog.has_lateral_refs()
+            && edges
+                .clone()
+                .all(|e| catalog.edge_annotation(e).op.is_inner());
+        let inner_selectivities = inner_only.then(|| {
+            edges
+                .map(|e| catalog.edge_annotation(e).selectivity)
+                .collect()
+        });
         JoinCombiner {
             graph,
             catalog,
             cost_model,
             enforce_tes: false,
+            inner_selectivities,
         }
     }
 
@@ -154,6 +169,9 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
         debug_assert_eq!(edges, self.graph.connecting_edges(a.set, b.set).as_slice());
         if edges.is_empty() {
             return None;
+        }
+        if let (Some(selectivities), false) = (&self.inner_selectivities, self.enforce_tes) {
+            return Some(self.combine_inner(a, b, edges, selectivities));
         }
         let union = a.set | b.set;
         let selectivity = self.catalog.selectivity_product(edges);
@@ -262,6 +280,38 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
         best
     }
 
+    /// [`combine`](Self::combine) for an all-inner, lateral-free catalog without TES
+    /// enforcement: no operator to recover, no dependent join, both orientations allowed. The
+    /// same two candidates as the general path, the same tie rule (the second orientation
+    /// replaces the first only when strictly cheaper) and the same bits: `a·b·sel` and
+    /// `b·a·sel` round alike, and the selectivity product multiplies in edge order.
+    #[inline]
+    fn combine_inner(
+        &self,
+        a: &SubPlanStats<W>,
+        b: &SubPlanStats<W>,
+        edges: &[EdgeId],
+        selectivities: &[f64],
+    ) -> PlanClass<W> {
+        let selectivity: f64 = edges.iter().map(|&e| selectivities[e]).product();
+        let op = JoinOp::Inner;
+        let cardinality =
+            crate::cardinality::join_cardinality(op, a.cardinality, b.cardinality, selectivity);
+        let cost_ab = self.cost_model.join_cost(op, a, b, cardinality);
+        let cost_ba = self.cost_model.join_cost(op, b, a, cardinality);
+        let (left, right, cost) = if cost_ab <= cost_ba {
+            (a.set, b.set, cost_ab)
+        } else {
+            (b.set, a.set, cost_ba)
+        };
+        PlanClass {
+            set: a.set | b.set,
+            cardinality,
+            cost,
+            best_join: Some(BestJoin { left, right, op }),
+        }
+    }
+
     /// `true` when [`combine`](Self::combine) succeeds for *every* connected csg-cmp-pair: with
     /// TES enforcement off and no lateral references, no orientation is ever skipped. The
     /// adaptive driver's doomed-tier check relies on it: only then does a lower bound on the
@@ -300,9 +350,13 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
 /// union's slot is the pair's only table probe (a pair that creates its union's class takes
 /// the insert too).
 ///
-/// A pair whose inputs already cost as much as the union's best plan is counted but not
-/// costed: by the accumulated-cost floor of [`CostModel`] its candidate could not replace the
-/// incumbent. The table ends up bit-for-bit the one that costing every pair builds.
+/// A pair whose candidate could not replace the union's best plan is counted but not costed.
+/// By the cost floor of [`CostModel`] no candidate costs less than its output cardinality plus
+/// its inputs' costs, and the incumbent keeps ties. When the union's cardinality is the same
+/// for every split ([`CARDINALITY_FLOOR_FACTOR`] says when), the incumbent's cardinality,
+/// shrunk by a rounding margin, stands in for the candidate's; otherwise the output term is
+/// zero and the inputs' costs alone must reach the incumbent's. The table ends up bit-for-bit
+/// the one that costing every pair builds.
 pub struct CostBasedHandler<'a, M: ?Sized = dyn CostModel, const W: usize = 1>
 where
     M: CostModel<W>,
@@ -312,6 +366,68 @@ where
     /// Reused connecting-edge buffer; one `emit_ccp` at a time borrows it.
     edge_buf: Vec<EdgeId>,
     ccps: usize,
+    /// [`CARDINALITY_FLOOR_FACTOR`] when the query's class cardinalities are split-invariant,
+    /// else `0.0`: the factor that turns an incumbent's cardinality into a lower bound on any
+    /// candidate's for the same set.
+    cardinality_floor: f64,
+}
+
+/// The rounding margin of the cardinality floor: under [`CostBasedHandler`]'s guard, any two
+/// splits' cardinalities for one set differ by less than this factor.
+///
+/// The guard: every edge is a simple inner predicate, no relation has lateral references, TES
+/// enforcement is off, and the products of the query's cardinalities and selectivities stay
+/// normal f64 numbers, over at most 2²⁰ relations and edges. Then a set `U`'s cardinality
+/// is, for every split, the product of the same factors: its relations' cardinalities and the
+/// selectivities of the edges inside it. Each join rounds `k + 1` times for its `k` edges, so
+/// a plan of `U` rounds at most `R = m + n` times over `m` edges and `n` relations, each time
+/// by a factor within `1 ± 2⁻⁵³`; two splits differ by a factor of at least
+/// `(1 − 2⁻⁵³)^(2R) ≥ 1 − R·2⁻⁵²`, and one more rounding scales the incumbent down. With
+/// `R ≤ 2²⁰` that is far inside `1 − 2⁻³²`. A relation with zero rows makes every set holding
+/// it exactly zero in every split.
+pub const CARDINALITY_FLOOR_FACTOR: f64 = 1.0 - 1.0 / (1u64 << 32) as f64;
+
+/// The largest relation-plus-edge count for which [`CARDINALITY_FLOOR_FACTOR`] covers the
+/// rounding of a plan's cardinality.
+const MAX_FLOOR_ROUNDINGS: usize = 1 << 20;
+
+/// [`CARDINALITY_FLOOR_FACTOR`] when `combiner`'s query passes the guard described there, else
+/// `0.0`. One pass over the relations and edges, once per query.
+fn cardinality_floor<M: CostModel<W> + ?Sized, const W: usize>(
+    combiner: &JoinCombiner<'_, M, W>,
+) -> f64 {
+    let graph = combiner.graph;
+    let (Some(selectivities), false) = (&combiner.inner_selectivities, combiner.enforce_tes) else {
+        return 0.0;
+    };
+    if graph.has_complex_edges() || graph.node_count() + graph.edge_count() > MAX_FLOOR_ROUNDINGS {
+        return 0.0;
+    }
+    // Every product of the statistics lies between the product of the factors below one
+    // (`low`) and the product of those above (`high`); zero-row relations are exact and left
+    // out. The slack of 4 covers the rounding of these two products and of the plans'.
+    let (mut low, mut high) = (1.0_f64, 1.0_f64);
+    for r in 0..graph.node_count() {
+        let c = combiner.catalog.cardinality(r);
+        if !(c.is_finite() && c >= 0.0) {
+            return 0.0;
+        } else if c >= 1.0 {
+            high *= c;
+        } else if c > 0.0 {
+            low *= c;
+        }
+    }
+    for &sel in selectivities.iter() {
+        if !(sel > 0.0 && sel <= 1.0) {
+            return 0.0;
+        }
+        low *= sel;
+    }
+    if low >= 4.0 * f64::MIN_POSITIVE && high <= f64::MAX / 4.0 {
+        CARDINALITY_FLOOR_FACTOR
+    } else {
+        0.0
+    }
 }
 
 impl<'a, M: CostModel<W> + ?Sized, const W: usize> CostBasedHandler<'a, M, W> {
@@ -320,6 +436,7 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> CostBasedHandler<'a, M, W> {
     pub fn new(combiner: JoinCombiner<'a, M, W>) -> Self {
         CostBasedHandler {
             table: DpTable::with_relations(combiner.graph().node_count()),
+            cardinality_floor: cardinality_floor(&combiner),
             combiner,
             edge_buf: Vec::new(),
             ccps: 0,
@@ -366,13 +483,18 @@ impl<M: CostModel<W> + ?Sized, const W: usize> CcpHandler<W> for CostBasedHandle
         let a = self.table.class(slot1).stats();
         let b = self.table.class(slot2).stats();
         debug_assert_eq!((a.set, b.set), (s1, s2), "slots of a different pair");
-        // The accumulated-cost floor (see `CostModel`): no candidate costs less than its
-        // inputs, and the incumbent keeps ties, so a pair whose inputs already cost as much as
-        // the union's best plan cannot win. It is counted and skipped; debug builds still cost
-        // it, to check that the table would have rejected it.
+        // The cost floor (see `CostModel`): no candidate costs less than its output
+        // cardinality plus its inputs' costs, in either orientation, and the incumbent keeps
+        // ties. The output term is the incumbent's cardinality shrunk by the rounding margin
+        // when cardinality is split-invariant, zero otherwise. A pair whose floor reaches the
+        // union's best plan cannot win; it is counted and skipped. Debug builds still cost it,
+        // to check that the table would have rejected it.
         let union = self.table.slot(s1 | s2);
-        let floor = a.cost + b.cost;
-        let dominated = union.is_some_and(|slot| floor >= self.table.class(slot).cost);
+        let dominated = union.is_some_and(|slot| {
+            let incumbent = self.table.class(slot);
+            let output = incumbent.cardinality * self.cardinality_floor;
+            (output + a.cost + b.cost).min(output + b.cost + a.cost) >= incumbent.cost
+        });
         if dominated && !cfg!(debug_assertions) {
             return EmitSignal::Continue;
         }
@@ -383,8 +505,14 @@ impl<M: CostModel<W> + ?Sized, const W: usize> CcpHandler<W> for CostBasedHandle
             return EmitSignal::Continue;
         };
         debug_assert!(
-            candidate.cost >= floor,
-            "a join cost below its inputs' cost"
+            {
+                let join = candidate
+                    .best_join
+                    .expect("a combined class records its join");
+                let (left, right) = if join.left == a.set { (a, b) } else { (b, a) };
+                candidate.cost >= candidate.cardinality + left.cost + right.cost
+            },
+            "a join cost below its output cardinality plus its inputs' cost"
         );
         match union {
             Some(slot) => {
@@ -564,11 +692,11 @@ pub struct BudgetedHandler<H, const W: usize = 1> {
 
 impl<H: CcpHandler<W>, const W: usize> BudgetedHandler<H, W> {
     /// How many pairs pass between two wall-clock polls (a power of two; the check runs when
-    /// `ccp_count % INTERVAL == 0`). At the 14–180 ns per cost-based pair measured on a 2-core
-    /// x86-64 VM (best of 15 runs: 14–16 ns on cliques of 12–14 relations, where the cost
-    /// floor skips most pairs; 36–70 ns on chains, cycles and stars of 12–20 relations; 175 ns
-    /// on the 20-relation star, 5M pairs over a 500k-class table), 1024 pairs ≈ 14–180 µs of
-    /// deadline slack — far below any useful time budget.
+    /// `ccp_count % INTERVAL == 0`). At the 12–85 ns per cost-based pair measured on a 2-core
+    /// x86-64 VM (best of 15 runs: 12–13 ns on cliques of 12–14 relations, where the cost
+    /// floor skips most pairs; 19–60 ns on chains, cycles and stars of 12–20 relations; 83 ns
+    /// on the 20-relation star, 5M pairs over a 500k-class table, best of 3), 1024 pairs ≈
+    /// 12–85 µs of deadline slack — far below any useful time budget.
     pub const DEADLINE_CHECK_INTERVAL: usize = 1024;
 
     /// Wraps `inner`, allowing it to process at most `budget` csg-cmp-pairs.
@@ -809,6 +937,143 @@ mod tests {
         assert_eq!(class.cost, incumbent - tiny);
         let join = class.best_join.unwrap();
         assert_eq!((join.left, join.right), (ns(&[0]), ns(&[1, 2])));
+    }
+
+    #[test]
+    fn the_cardinality_floor_counts_a_dominated_pair_without_costing_it() {
+        // {0,1} costs 100 and {1,2} 105; {0,1} ⋈ {2} plans {0,1,2} (10.5 rows) for 110.5. The
+        // pair {0} ⋈ {1,2} has inputs costing less than that, but they plus the 10.5 output
+        // rows every split of {0,1,2} shares reach it.
+        let (g, c) = chain3_with([10.0, 1000.0, 10.5], [0.01, 0.01]);
+        let model = CountingCout::default();
+        let mut h = CostBasedHandler::new(JoinCombiner::new(&g, &c, &model));
+        assert_eq!(h.cardinality_floor, CARDINALITY_FLOOR_FACTOR);
+        for r in 0..3 {
+            h.init_leaf(r);
+        }
+        let _ = emit(&mut h, ns(&[0]), ns(&[1]));
+        let _ = emit(&mut h, ns(&[1]), ns(&[2]));
+        let _ = emit(&mut h, ns(&[0, 1]), ns(&[2]));
+        let full = h.table().get(ns(&[0, 1, 2])).unwrap();
+        assert_eq!((full.cardinality, full.cost), (10.5, 110.5));
+        let inputs = h.table().get(ns(&[1, 2])).unwrap().cost;
+        assert!(
+            inputs < full.cost,
+            "the inputs' cost alone does not dominate"
+        );
+        let before: Vec<PlanClass> = h.table().classes().copied().collect();
+        let calls = model.0.get();
+
+        let _ = emit(&mut h, ns(&[0]), ns(&[1, 2]));
+        assert_eq!(h.ccp_count(), 4);
+        assert_eq!(h.table().classes().copied().collect::<Vec<_>>(), before);
+        // Release builds skip the cost calls; debug builds make them to cross-check the skip.
+        let expected = if cfg!(debug_assertions) { 2 } else { 0 };
+        assert_eq!(model.0.get() - calls, expected);
+    }
+
+    #[test]
+    fn a_pair_just_under_the_cardinality_floor_still_improves_its_class() {
+        // Exact binary arithmetic: {0,1} costs 1024 and {1,2} costs 1024 − 2⁻³⁰. Both splits
+        // of {0,1,2} give 1 − 2⁻⁴⁰ rows, so the second pair's inputs plus the incumbent's rows
+        // fall 2⁻³⁰ short of the incumbent's 1025 − 2⁻⁴⁰: it is costed and wins by 2⁻³⁰, a
+        // step the rounding margin (a relative 2⁻³² of one row) does not swallow.
+        let tiny = 1.0 / 1024.0;
+        let step = tiny * tiny * tiny; // 2⁻³⁰
+        let (g, c) = chain3_with([tiny, 1024.0 * 1024.0, tiny], [1.0, 1.0 - step * tiny]);
+        let model = CountingCout::default();
+        let mut h = CostBasedHandler::new(JoinCombiner::new(&g, &c, &model));
+        assert_eq!(h.cardinality_floor, CARDINALITY_FLOOR_FACTOR);
+        for r in 0..3 {
+            h.init_leaf(r);
+        }
+        let _ = emit(&mut h, ns(&[0]), ns(&[1]));
+        let _ = emit(&mut h, ns(&[1]), ns(&[2]));
+        let _ = emit(&mut h, ns(&[0, 1]), ns(&[2]));
+        let full = ns(&[0, 1, 2]);
+        let incumbent = *h.table().get(full).unwrap();
+        assert_eq!(incumbent.cardinality, 1.0 - step * tiny);
+        assert_eq!(incumbent.cost, 1025.0 - step * tiny);
+        let inputs = h.table().get(ns(&[1, 2])).unwrap().cost;
+        assert_eq!(inputs + incumbent.cardinality, incumbent.cost - step);
+        let calls = model.0.get();
+
+        let _ = emit(&mut h, ns(&[0]), ns(&[1, 2]));
+        assert_eq!(model.0.get() - calls, 2, "both orientations are costed");
+        let class = h.table().get(full).unwrap();
+        assert_eq!(class.cost, incumbent.cost - step);
+        assert_eq!(class.cardinality, incumbent.cardinality);
+        let join = class.best_join.unwrap();
+        assert_eq!((join.left, join.right), (ns(&[0]), ns(&[1, 2])));
+    }
+
+    #[test]
+    fn the_cardinality_floor_margin_keeps_a_pair_that_wins_by_a_rounding_step() {
+        // Both splits of {0,1,2} have inputs of the same cost, and the same cardinality in
+        // exact arithmetic, but {0} ⋈ {1,2} rounds its cardinality one step lower, so it wins
+        // by that step. Without the margin, the incumbent's cardinality plus the inputs would
+        // reach the incumbent's cost and skip it.
+        let (g, c) = chain3_with([116.0, 954.0, 3.48], [0.024, 0.8]);
+        let mut h = CostBasedHandler::new(JoinCombiner::new(&g, &c, &CoutCost));
+        for r in 0..3 {
+            h.init_leaf(r);
+        }
+        let _ = emit(&mut h, ns(&[0]), ns(&[1]));
+        let _ = emit(&mut h, ns(&[1]), ns(&[2]));
+        let _ = emit(&mut h, ns(&[0, 1]), ns(&[2]));
+        let full = ns(&[0, 1, 2]);
+        let incumbent = *h.table().get(full).unwrap();
+        let inputs = h.table().get(ns(&[1, 2])).unwrap().cost;
+        assert_eq!(inputs, h.table().get(ns(&[0, 1])).unwrap().cost);
+        assert!(incumbent.cardinality + inputs >= incumbent.cost);
+
+        let _ = emit(&mut h, ns(&[0]), ns(&[1, 2]));
+        let class = h.table().get(full).unwrap();
+        assert!(class.cardinality < incumbent.cardinality);
+        assert!(class.cost < incumbent.cost);
+        let join = class.best_join.unwrap();
+        assert_eq!((join.left, join.right), (ns(&[0]), ns(&[1, 2])));
+    }
+
+    #[test]
+    fn the_cardinality_floor_applies_only_where_every_split_shares_the_cardinality() {
+        let floor_of = |g: &Hypergraph, c: &Catalog, tes: bool| {
+            let combiner = JoinCombiner::new(g, c, &CoutCost).with_tes_enforcement(tes);
+            CostBasedHandler::new(combiner).cardinality_floor
+        };
+        let on = CARDINALITY_FLOOR_FACTOR;
+        // Zero-row and sub-unit relations keep it; the bounds come from the other factors.
+        for cards in [
+            [0.0, 1000.0, 10.0],
+            [0.5, 1e-3, 0.25],
+            [1e100, 1e100, 1e100],
+        ] {
+            let (g, c) = chain3_with(cards, [0.01, 1e-100]);
+            assert_eq!(floor_of(&g, &c, false), on, "{cards:?}");
+            assert_eq!(floor_of(&g, &c, true), 0.0, "TES enforcement, {cards:?}");
+        }
+        // Products that could saturate at `f64::MAX` or leave the normal range turn it off.
+        let (g, c) = chain3_with([1e300, 1e10, 1.0], [1.0, 1.0]);
+        assert_eq!(floor_of(&g, &c, false), 0.0);
+        let (g, c) = chain3_with([1.0, 1.0, 1.0], [1e-300, 1e-10]);
+        assert_eq!(floor_of(&g, &c, false), 0.0);
+        let (g, c) = chain3_with([1e-200, 1.0, 1e-110], [1.0, 1.0]);
+        assert_eq!(floor_of(&g, &c, false), 0.0);
+        // So do a non-inner edge, a lateral reference and a hyperedge.
+        let (g, _) = chain3();
+        let mut cb = Catalog::builder(3);
+        cb.annotate_edge(0, EdgeAnnotation::with_op(0.5, JoinOp::LeftOuter));
+        assert_eq!(floor_of(&g, &cb.build(), false), 0.0);
+        let mut cb = Catalog::builder(3);
+        cb.set_lateral_refs(2, ns(&[1]));
+        assert_eq!(floor_of(&g, &cb.build(), false), 0.0);
+        let mut b = Hypergraph::builder(3);
+        b.add_simple_edge(0, 1);
+        b.add_hyperedge(ns(&[0, 1]), ns(&[2]));
+        assert_eq!(
+            floor_of(&b.build(), &Catalog::uniform(3, 10.0, 2, 0.5), false),
+            0.0
+        );
     }
 
     #[test]

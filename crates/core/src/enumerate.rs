@@ -14,6 +14,11 @@
 //!
 //! Generalized hyperedges (Sec. 6) need no special treatment here: the neighborhood and
 //! connectivity primitives of `qo-hypergraph` already resolve their flexible node sets.
+//!
+//! Each recursion carries its set's union of simple-edge neighbors
+//! ([`Hypergraph::simple_neighbor_union`]) alongside the set: growing a set by `n` ORs in the
+//! neighbors of `n`'s nodes, so no neighborhood or connectivity preparation walks every member
+//! of the set again.
 
 use qo_bitset::NodeSet;
 use qo_catalog::{CcpHandler, CountingHandler, EmitSignal};
@@ -65,17 +70,24 @@ impl<'a, H: CcpHandler<W>, const W: usize> DpHyp<'a, H, W> {
         }
         for v in (0..n).rev() {
             let single = NodeSet::single(v);
+            let neighbors = self.graph.simple_neighbors(v);
             if let Some(slot) = self.handler.slot(single) {
-                propagate!(self.emit_csg(single, slot));
+                propagate!(self.emit_csg(single, neighbors, slot));
             }
-            propagate!(self.enumerate_csg_rec(single, NodeSet::prefix_through(v)));
+            propagate!(self.enumerate_csg_rec(single, neighbors, NodeSet::prefix_through(v)));
         }
         EmitSignal::Continue
     }
 
-    /// `EnumerateCsgRec`: extends the connected set `s1` by subsets of its neighborhood.
-    fn enumerate_csg_rec(&mut self, s1: NodeSet<W>, x: NodeSet<W>) -> EmitSignal {
-        let neighborhood = self.graph.neighborhood(s1, x);
+    /// `EnumerateCsgRec`: extends the connected set `s1`, whose simple-edge neighbor union is
+    /// `neighbors1`, by subsets of its neighborhood.
+    fn enumerate_csg_rec(
+        &mut self,
+        s1: NodeSet<W>,
+        neighbors1: NodeSet<W>,
+        x: NodeSet<W>,
+    ) -> EmitSignal {
+        let neighborhood = self.graph.neighborhood_with(s1, x, neighbors1);
         if neighborhood.is_empty() {
             return EmitSignal::Continue;
         }
@@ -83,27 +95,30 @@ impl<'a, H: CcpHandler<W>, const W: usize> DpHyp<'a, H, W> {
         for n in neighborhood.subsets() {
             let grown = s1 | n;
             if let Some(slot) = self.handler.slot(grown) {
-                propagate!(self.emit_csg(grown, slot));
+                let neighbors = neighbors1 | self.graph.simple_neighbor_union(n);
+                propagate!(self.emit_csg(grown, neighbors, slot));
             }
         }
         let x_extended = x | neighborhood;
         for n in neighborhood.subsets() {
-            propagate!(self.enumerate_csg_rec(s1 | n, x_extended));
+            let neighbors = neighbors1 | self.graph.simple_neighbor_union(n);
+            propagate!(self.enumerate_csg_rec(s1 | n, neighbors, x_extended));
         }
         EmitSignal::Continue
     }
 
-    /// `EmitCsg`: for a connected set `s1` (whose class sits at `slot`), finds all seed nodes
-    /// of potential complements and starts their recursive expansion.
-    fn emit_csg(&mut self, s1: NodeSet<W>, slot: H::Slot) -> EmitSignal {
+    /// `EmitCsg`: for a connected set `s1` (whose class sits at `slot` and whose simple-edge
+    /// neighbor union is `neighbors1`), finds all seed nodes of potential complements and starts
+    /// their recursive expansion.
+    fn emit_csg(&mut self, s1: NodeSet<W>, neighbors1: NodeSet<W>, slot: H::Slot) -> EmitSignal {
         let min = s1.min_node().expect("EmitCsg called with an empty set");
         let x = s1 | NodeSet::prefix_through(min);
-        let neighborhood = self.graph.neighborhood(s1, x);
+        let neighborhood = self.graph.neighborhood_with(s1, x, neighbors1);
         if neighborhood.is_empty() {
             return EmitSignal::Continue;
         }
         let csg = Csg {
-            from: self.graph.connecting_from(s1),
+            from: self.graph.connecting_from_with(s1, neighbors1),
             slot,
         };
         for v in neighborhood.iter_descending() {
@@ -114,20 +129,23 @@ impl<'a, H: CcpHandler<W>, const W: usize> DpHyp<'a, H, W> {
             // complement. Forbid the neighbors that are still to be processed at this level to
             // avoid duplicate complements.
             let forbidden = x | (NodeSet::prefix_through(v) & neighborhood);
-            propagate!(self.enumerate_cmp_rec(csg, s2, forbidden));
+            let neighbors2 = self.graph.simple_neighbors(v);
+            propagate!(self.enumerate_cmp_rec(csg, s2, neighbors2, forbidden));
         }
         EmitSignal::Continue
     }
 
-    /// `EnumerateCmpRec`: extends the complement `s2` by subsets of its neighborhood, emitting a
-    /// csg-cmp-pair whenever the grown complement is connected and linked to `s1`.
+    /// `EnumerateCmpRec`: extends the complement `s2`, whose simple-edge neighbor union is
+    /// `neighbors2`, by subsets of its neighborhood, emitting a csg-cmp-pair whenever the grown
+    /// complement is connected and linked to `s1`.
     fn enumerate_cmp_rec(
         &mut self,
         s1: Csg<H::Slot, W>,
         s2: NodeSet<W>,
+        neighbors2: NodeSet<W>,
         x: NodeSet<W>,
     ) -> EmitSignal {
-        let neighborhood = self.graph.neighborhood(s2, x);
+        let neighborhood = self.graph.neighborhood_with(s2, x, neighbors2);
         if neighborhood.is_empty() {
             return EmitSignal::Continue;
         }
@@ -136,7 +154,8 @@ impl<'a, H: CcpHandler<W>, const W: usize> DpHyp<'a, H, W> {
         }
         let x_extended = x | neighborhood;
         for n in neighborhood.subsets() {
-            propagate!(self.enumerate_cmp_rec(s1, s2 | n, x_extended));
+            let neighbors = neighbors2 | self.graph.simple_neighbor_union(n);
+            propagate!(self.enumerate_cmp_rec(s1, s2 | n, neighbors, x_extended));
         }
         EmitSignal::Continue
     }

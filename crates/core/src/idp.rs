@@ -123,30 +123,32 @@ fn select_blocks<const W: usize>(
             .then(a.cmp(&b))
     });
 
-    let mut edge_buf = Vec::new();
     for &seed in &by_card {
-        let mut selected = vec![seed];
+        // Block indexes, as a bitmask: there are at most as many blocks as relations.
+        let mut selected = NodeSet::<W>::single(seed);
         let mut union = blocks[seed].set;
         while selected.len() < k {
+            // The growing union, prepared once per growth step for every candidate's test.
+            let from = graph.connecting_from(union);
             let mut best: Option<usize> = None;
             let mut best_edges = 0usize;
             for &i in &by_card {
-                if selected.contains(&i) {
+                if selected.contains(i) {
                     continue;
                 }
                 match strategy {
                     IdpStrategy::SmallestCardinality => {
-                        if graph.has_connecting_edge(union, blocks[i].set) {
+                        if graph.has_connecting_edge_from(from, blocks[i].set) {
                             best = Some(i);
                             break; // by_card is sorted: the first connected block is the cheapest
                         }
                     }
                     IdpStrategy::ConnectedSmallest => {
-                        graph.connecting_edges_into(union, blocks[i].set, &mut edge_buf);
+                        let edges = graph.connecting_edge_count_from(from, blocks[i].set);
                         // Strictly more connecting edges wins; by_card order makes "first seen
                         // at this edge count" the cardinality tie-break.
-                        if edge_buf.len() > best_edges {
-                            best_edges = edge_buf.len();
+                        if edges > best_edges {
+                            best_edges = edges;
                             best = Some(i);
                         }
                     }
@@ -155,14 +157,13 @@ fn select_blocks<const W: usize>(
             match best {
                 Some(i) => {
                     union |= blocks[i].set;
-                    selected.push(i);
+                    selected.insert(i);
                 }
                 None => break,
             }
         }
         if selected.len() >= 2 {
-            selected.sort_unstable();
-            return Some(selected);
+            return Some(selected.iter().collect());
         }
         // The seed is isolated from every other block; try the next seed — another component
         // may still have mergeable blocks.

@@ -108,11 +108,19 @@ impl<const W: usize> Hypergraph<W> {
     /// exclusion set).
     #[inline]
     pub fn simple_neighbors_of_set(&self, s: NodeSet<W>) -> NodeSet<W> {
-        let mut n = NodeSet::EMPTY;
-        for node in s {
-            n |= self.simple_neighbors[node];
-        }
-        n - s
+        self.simple_neighbor_union(s) - s
+    }
+
+    /// The union of [`simple_neighbors`](Self::simple_neighbors) over the nodes of `s`, members
+    /// of `s` included. An enumerator that grows a set node by node carries this union down
+    /// its recursion, one OR per added node, and hands it to
+    /// [`neighborhood_with`](Self::neighborhood_with) and
+    /// [`connecting_from_with`](Self::connecting_from_with) instead of walking every member
+    /// of the set on each call.
+    #[inline]
+    pub fn simple_neighbor_union(&self, s: NodeSet<W>) -> NodeSet<W> {
+        s.iter()
+            .fold(NodeSet::EMPTY, |n, node| n | self.simple_neighbors[node])
     }
 
     /// Is there at least one hyperedge connecting `s1` and `s2` (Def. 4 / Def. 7)?
@@ -124,9 +132,21 @@ impl<const W: usize> Hypergraph<W> {
     /// tests: its simple-edge neighbors are collected once here instead of on every test.
     #[inline]
     pub fn connecting_from(&self, s1: NodeSet<W>) -> ConnectingFrom<W> {
+        self.connecting_from_with(s1, self.simple_neighbor_union(s1))
+    }
+
+    /// [`connecting_from`](Self::connecting_from) for a set whose
+    /// [`simple_neighbor_union`](Self::simple_neighbor_union) the caller already holds.
+    #[inline]
+    pub fn connecting_from_with(
+        &self,
+        s1: NodeSet<W>,
+        simple_union: NodeSet<W>,
+    ) -> ConnectingFrom<W> {
+        debug_assert_eq!(simple_union, self.simple_neighbor_union(s1));
         ConnectingFrom {
             set: s1,
-            simple_neighbors: self.simple_neighbors_of_set(s1),
+            simple_neighbors: simple_union - s1,
         }
     }
 
@@ -141,6 +161,28 @@ impl<const W: usize> Hypergraph<W> {
         self.complex_edges
             .iter()
             .any(|&eid| self.edges[eid].connects(s1.set, s2))
+    }
+
+    /// How many edges connect the prepared `s1` and `s2`: the length of
+    /// [`connecting_edges`](Self::connecting_edges), without collecting the list. The simple
+    /// edges are counted between the nodes of `s2` that neighbor `s1` and the nodes of `s1`
+    /// that neighbor those, so nothing walks the rest of `s1`.
+    pub fn connecting_edge_count_from(&self, s1: ConnectingFrom<W>, s2: NodeSet<W>) -> usize {
+        let near2 = s1.simple_neighbors & s2;
+        let mut count = 0;
+        if !near2.is_empty() {
+            let near1 = self.simple_neighbors_of_set(near2) & s1.set;
+            for w in 0..self.edges.len().div_ceil(64) {
+                let both = self.incidence_word(near1, w) & self.incidence_word(near2, w);
+                count += both.count_ones() as usize;
+            }
+        }
+        count
+            + self
+                .complex_edges
+                .iter()
+                .filter(|&&eid| self.edges[eid].connects(s1.set, s2))
+                .count()
     }
 
     /// All edge ids connecting `s1` and `s2`. These are the predicates that `EmitCsgCmp`
@@ -160,14 +202,9 @@ impl<const W: usize> Hypergraph<W> {
         // Only the smaller side's neighbors on the other side can end a simple edge between them.
         let small = if s1.len() <= s2.len() { s1 } else { s2 };
         let touched = self.simple_neighbors_of_set(small) & (s1 | s2);
-        let words = self.edges.len().div_ceil(64);
-        let incidence = |s: NodeSet<W>, w| {
-            s.iter()
-                .fold(0, |acc, v| acc | self.simple_incidence[v * words + w])
-        };
         let mut complex = self.complex_edges.iter().peekable();
-        for w in 0..words {
-            let mut bits = incidence(small, w) & incidence(touched, w);
+        for w in 0..self.edges.len().div_ceil(64) {
+            let mut bits = self.incidence_word(small, w) & self.incidence_word(touched, w);
             while let Some(&eid) = complex.next_if(|&&eid| eid < (w + 1) * 64) {
                 if self.edges[eid].connects(s1, s2) {
                     bits |= 1 << (eid % 64);
@@ -178,6 +215,15 @@ impl<const W: usize> Hypergraph<W> {
                 bits &= bits - 1;
             }
         }
+    }
+
+    /// Word `w` of the simple-edge incidence of `s`: the OR of its nodes' words, flagging every
+    /// simple edge with an endpoint in `s` among ids `64·w .. 64·w + 63`.
+    #[inline]
+    fn incidence_word(&self, s: NodeSet<W>, w: usize) -> u64 {
+        let words = self.edges.len().div_ceil(64);
+        s.iter()
+            .fold(0, |acc, v| acc | self.simple_incidence[v * words + w])
     }
 
     /// All edge ids whose referenced nodes are fully contained in `s` (used by cardinality
@@ -302,7 +348,7 @@ impl<const W: usize> HypergraphBuilder<W> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qo_bitset::NodeSet128;
 
@@ -406,7 +452,7 @@ mod tests {
     }
 
     /// SplitMix64 step, the randomness behind [`random_graph`].
-    fn next(state: &mut u64) -> u64 {
+    pub(crate) fn next(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = *state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -416,7 +462,7 @@ mod tests {
 
     /// A random graph over `n` relations with `edge_count` edges, about a quarter of them
     /// complex or generalized and spread over every id word, plus random disjoint side pairs.
-    fn random_graph<const W: usize>(
+    pub(crate) fn random_graph<const W: usize>(
         seed: u64,
         n: usize,
         edge_count: usize,
@@ -474,6 +520,8 @@ mod tests {
                 .collect();
             g.connecting_edges_into(s1, s2, &mut buf);
             assert_eq!(buf, expected, "{s1:?} vs {s2:?} in {g:?}");
+            let count = g.connecting_edge_count_from(g.connecting_from(s1), s2);
+            assert_eq!(count, expected.len(), "{s1:?} vs {s2:?} in {g:?}");
         }
     }
 

@@ -9,10 +9,15 @@
 //! 3. take `min(v)` of each remaining hypernode (Eq. 1).
 //!
 //! Simple edges contribute their (singleton) endpoints directly via the precomputed per-node
-//! neighbor masks; only the complex/generalized edges need to be scanned.
+//! neighbor masks, or via their union over `S` when an enumerator threads it through its
+//! recursion; only the complex/generalized edges need to be scanned.
 
 use crate::graph::Hypergraph;
 use qo_bitset::NodeSet;
+
+/// Complex-edge candidates [`Hypergraph::neighborhood_with`] keeps on the stack; only a set
+/// that reaches more hypernodes than this spills its candidate list to the heap.
+const INLINE_CANDIDATES: usize = 8;
 
 impl<const W: usize> Hypergraph<W> {
     /// Computes the neighborhood `N(S, X)` of `s` under the exclusion set `x`.
@@ -22,16 +27,32 @@ impl<const W: usize> Hypergraph<W> {
     /// set (the enumeration algorithms do this implicitly through the connectivity check against
     /// the DP table, exactly as described in the paper).
     pub fn neighborhood(&self, s: NodeSet<W>, x: NodeSet<W>) -> NodeSet<W> {
+        self.neighborhood_with(s, x, self.simple_neighbor_union(s))
+    }
+
+    /// [`neighborhood`](Self::neighborhood) of `s` given its
+    /// [`simple_neighbor_union`](Self::simple_neighbor_union), which an enumerator threads
+    /// through its recursion instead of recomputing it from every member of `s`.
+    pub fn neighborhood_with(
+        &self,
+        s: NodeSet<W>,
+        x: NodeSet<W>,
+        simple_union: NodeSet<W>,
+    ) -> NodeSet<W> {
+        debug_assert_eq!(simple_union, self.simple_neighbor_union(s));
         let forbidden = s | x;
         // Simple edges: all endpoints adjacent to S that are not forbidden.
-        let mut n = self.simple_neighbors_of_set(s) - forbidden;
+        let mut n = simple_union - forbidden;
 
         if !self.has_complex_edges() {
             return n;
         }
 
-        // Complex and generalized edges: collect candidate hypernodes E↓'(S, X).
-        let mut candidates: Vec<NodeSet<W>> = Vec::new();
+        // Complex and generalized edges: collect candidate hypernodes E↓'(S, X), inline up to
+        // INLINE_CANDIDATES of them.
+        let mut inline = [NodeSet::EMPTY; INLINE_CANDIDATES];
+        let mut len = 0;
+        let mut spilled: Vec<NodeSet<W>> = Vec::new();
         for &eid in self.complex_edge_ids() {
             let edge = self.edge(eid);
             let Some(target) = edge.target_from(s) else {
@@ -44,10 +65,21 @@ impl<const W: usize> Hypergraph<W> {
                 // A singleton hypernode behaves exactly like a simple-edge neighbor (and
                 // subsumes every larger candidate containing it).
                 n |= target;
+            } else if len < INLINE_CANDIDATES {
+                inline[len] = target;
+                len += 1;
             } else {
-                candidates.push(target);
+                if spilled.is_empty() {
+                    spilled.extend_from_slice(&inline);
+                }
+                spilled.push(target);
             }
         }
+        let candidates = if spilled.is_empty() {
+            &inline[..len]
+        } else {
+            &spilled[..]
+        };
 
         // Subsumption elimination: keep only minimal hypernodes (E↓(S, X)), then add their
         // representatives min(v).
@@ -72,6 +104,8 @@ impl<const W: usize> Hypergraph<W> {
 
 #[cfg(test)]
 mod tests {
+    use super::INLINE_CANDIDATES;
+    use crate::graph::tests::{next, random_graph};
     use crate::{Hyperedge, Hypergraph};
     use qo_bitset::NodeSet;
 
@@ -189,5 +223,125 @@ mod tests {
         assert_eq!(g.neighborhood(s, s), ns(&[0]));
         // Excluding R0 (and everything below it, as Bmin does) removes it.
         assert_eq!(g.neighborhood(s, s | ns(&[0])), NodeSet::EMPTY);
+    }
+
+    /// The neighborhood with every candidate hypernode collected into a `Vec`, as it was
+    /// computed before the inline buffer: the oracle for the buffer and its spill.
+    fn neighborhood_in_a_vec<const W: usize>(
+        g: &Hypergraph<W>,
+        s: NodeSet<W>,
+        x: NodeSet<W>,
+    ) -> NodeSet<W> {
+        let forbidden = s | x;
+        let mut n = g.simple_neighbors_of_set(s) - forbidden;
+        let mut candidates = Vec::new();
+        for &eid in g.complex_edge_ids() {
+            match g.edge(eid).target_from(s) {
+                Some(t) if !t.intersects(forbidden) && t.is_singleton() => n |= t,
+                Some(t) if !t.intersects(forbidden) => candidates.push(t),
+                _ => {}
+            }
+        }
+        'outer: for (i, &v) in candidates.iter().enumerate() {
+            if v.intersects(n) {
+                continue;
+            }
+            for (j, &u) in candidates.iter().enumerate() {
+                if i != j && (u.is_proper_subset_of(v) || (u == v && j < i)) {
+                    continue 'outer;
+                }
+            }
+            n |= v.min_singleton();
+        }
+        n
+    }
+
+    /// Grows random sets node by node in `g`, threading their simple-neighbor union as the
+    /// enumerator does, and checks the threaded neighborhood and connectivity preparation
+    /// against the from-scratch ones and the `Vec` oracle under random exclusion sets.
+    fn assert_threaded_matches_from_scratch<const W: usize>(g: &Hypergraph<W>, seed: u64) {
+        let n = g.node_count();
+        let mut state = seed;
+        for _ in 0..8 {
+            let start = next(&mut state) as usize % n;
+            let (mut s, mut union) = (NodeSet::single(start), g.simple_neighbors(start));
+            while s.len() < n {
+                let mut x = NodeSet::EMPTY;
+                for v in 0..n {
+                    if next(&mut state).is_multiple_of(4) {
+                        x.insert(v);
+                    }
+                }
+                let scratch = g.neighborhood(s, x);
+                assert_eq!(g.neighborhood_with(s, x, union), scratch, "{s:?} / {x:?}");
+                assert_eq!(neighborhood_in_a_vec(g, s, x), scratch, "{s:?} / {x:?}");
+                assert_eq!(g.connecting_from_with(s, union), g.connecting_from(s));
+                let v = (0..n)
+                    .cycle()
+                    .skip(next(&mut state) as usize % n)
+                    .find(|&v| !s.contains(v))
+                    .expect("a node outside s");
+                s.insert(v);
+                union |= g.simple_neighbors(v);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random one-word hypergraphs, a quarter of their edges complex or generalized.
+        #[test]
+        fn prop_threaded_neighborhood_matches_from_scratch(
+            seed in proptest::prelude::any::<u64>(),
+            n in 2usize..65,
+            edge_count in 1usize..200,
+        ) {
+            let (g, _) = random_graph::<1>(seed, n, edge_count);
+            assert_threaded_matches_from_scratch(&g, seed);
+        }
+
+        /// The same on two-word hypergraphs.
+        #[test]
+        fn prop_wide_threaded_neighborhood_matches_from_scratch(
+            seed in proptest::prelude::any::<u64>(),
+            n in 2usize..129,
+            edge_count in 1usize..300,
+        ) {
+            let (g, _) = random_graph::<2>(seed, n, edge_count);
+            assert_threaded_matches_from_scratch(&g, seed);
+        }
+    }
+
+    #[test]
+    fn neighborhood_spills_candidates_past_the_inline_buffer() {
+        // Hub 0 reaches three times as many two-node hypernodes as the buffer holds, some
+        // nested in others, some overlapping; a path through the spokes links them up.
+        let spokes = 3 * INLINE_CANDIDATES;
+        let n = spokes + 2;
+        let mut b = Hypergraph::builder(n);
+        for i in 1..n - 1 {
+            b.add_simple_edge(i, i + 1);
+            let far = 1 + (i * 7) % spokes;
+            b.add_hyperedge(ns(&[0]), ns(&[i, i + 1]));
+            if far != i && far != i + 1 {
+                b.add_hyperedge(ns(&[0]), ns(&[i, i + 1, far]));
+            }
+        }
+        let g = b.build();
+        let hub = ns(&[0]);
+        let reached = g
+            .complex_edge_ids()
+            .iter()
+            .filter(|&&e| g.edge(e).target_from(hub).is_some())
+            .count();
+        assert!(reached > 2 * INLINE_CANDIDATES);
+        assert_eq!(
+            neighborhood_in_a_vec(&g, hub, hub),
+            g.neighborhood(hub, hub)
+        );
+        for seed in 0..32 {
+            assert_threaded_matches_from_scratch(&g, seed);
+        }
     }
 }

@@ -1,16 +1,31 @@
 //! GOO: greedy operator ordering.
 //!
 //! Not part of the paper's evaluation, but a convenient sanity baseline: it produces a valid
-//! (cross-product-free) plan in `O(n²)` merges and shows how far greedy plans can be from the
+//! (cross-product-free) plan in `n − 1` merges and shows how far greedy plans can be from the
 //! dynamic-programming optimum that DPhyp/DPsize/DPsub all reach.
+//!
+//! The run is incremental. The combined candidate of every connected pair of live classes is
+//! kept from the round that first saw the pair, so a merge tests only the new class against the
+//! live ones: `O(n²)` connectivity tests and combines in all, where rescanning every live pair
+//! at every merge takes `O(n³)`. Each round still reads the candidates in the order of that
+//! rescan, so the plans are the same.
 
 use crate::result::{BaselineError, BaselineResult};
 use qo_catalog::{Catalog, CostModel, DpTable, JoinCombiner, PlanClass, SubPlanStats};
 use qo_hypergraph::{EdgeId, Hypergraph};
 
+/// A live class and the candidates it forms with the younger live classes it connects to.
+struct Live<const W: usize> {
+    /// Creation order: base relations by id, then merged classes as they are made.
+    age: usize,
+    stats: SubPlanStats<W>,
+    /// `(younger class's age, combined candidate)`, by ascending age.
+    pairs: Vec<(usize, PlanClass<W>)>,
+}
+
 /// Runs greedy operator ordering: repeatedly merges the connected pair of classes whose join has
 /// the smallest estimated output cardinality until a single class covering all relations
-/// remains.
+/// remains. Ties go to the pair whose older class is older, then whose younger class is older.
 pub fn goo<M: CostModel<W> + ?Sized, const W: usize>(
     graph: &Hypergraph<W>,
     catalog: &Catalog<W>,
@@ -23,49 +38,75 @@ pub fn goo<M: CostModel<W> + ?Sized, const W: usize>(
     let combiner = JoinCombiner::new(graph, catalog, cost_model);
     // The DpTable doubles as the plan store for reconstruction.
     let mut table = DpTable::new();
-    let mut live: Vec<SubPlanStats<W>> = Vec::with_capacity(n);
-    for v in 0..n {
-        table.insert_leaf(v, catalog.cardinality(v));
-        live.push(SubPlanStats::leaf(v, catalog.cardinality(v)));
-    }
-
+    // Live classes by ascending age.
+    let mut live: Vec<Live<W>> = Vec::with_capacity(n);
     let mut pairs_tested = 0usize;
     let mut cost_calls = 0usize;
     let mut edge_buf: Vec<EdgeId> = Vec::new();
+    // Tests `younger` against every live class and records each candidate with the older one.
+    let mut pair_with_live = |live: &mut [Live<W>], younger: &SubPlanStats<W>, age: usize| {
+        let from = graph.connecting_from(younger.set);
+        for older in live {
+            pairs_tested += 1;
+            if !graph.has_connecting_edge_from(from, older.stats.set) {
+                continue;
+            }
+            graph.connecting_edges_into(older.stats.set, younger.set, &mut edge_buf);
+            if let Some(candidate) = combiner.combine(&older.stats, younger, &edge_buf) {
+                cost_calls += 1;
+                older.pairs.push((age, candidate));
+            }
+        }
+    };
+    for v in 0..n {
+        let leaf = SubPlanStats::leaf(v, catalog.cardinality(v));
+        table.insert_leaf(v, leaf.cardinality);
+        pair_with_live(&mut live, &leaf, v);
+        live.push(Live {
+            age: v,
+            stats: leaf,
+            pairs: Vec::new(),
+        });
+    }
 
-    while live.len() > 1 {
-        let mut best: Option<(usize, usize, PlanClass<W>)> = None;
-        for i in 0..live.len() {
-            for j in i + 1..live.len() {
-                pairs_tested += 1;
-                if !graph.has_connecting_edge(live[i].set, live[j].set) {
-                    continue;
-                }
-                graph.connecting_edges_into(live[i].set, live[j].set, &mut edge_buf);
-                if let Some(candidate) = combiner.combine(&live[i], &live[j], &edge_buf) {
-                    cost_calls += 1;
-                    let better = match &best {
-                        Some((_, _, b)) => candidate.cardinality < b.cardinality,
-                        None => true,
-                    };
-                    if better {
-                        best = Some((i, j, candidate));
-                    }
+    for age in n.. {
+        if live.len() <= 1 {
+            break;
+        }
+        // The first candidate in (older, younger) age order, replaced only by a strictly
+        // smaller cardinality: a NaN never replaces one and, read first, is never replaced.
+        let mut best: Option<(usize, usize, &PlanClass<W>)> = None;
+        for older in &live {
+            for (younger, candidate) in &older.pairs {
+                let better = match best {
+                    Some((_, _, b)) => candidate.cardinality < b.cardinality,
+                    None => true,
+                };
+                if better {
+                    best = Some((older.age, *younger, candidate));
                 }
             }
         }
-        let Some((i, j, winner)) = best else {
+        let Some((a, b, &winner)) = best else {
             return Err(BaselineError::no_complete_plan(&table));
         };
         let merged = winner.stats();
         table.offer(winner);
-        // Remove the higher index first to keep the lower one valid.
-        live.remove(j);
-        live.remove(i);
-        live.push(merged);
+        live.retain_mut(|class| {
+            class
+                .pairs
+                .retain(|&(younger, _)| younger != a && younger != b);
+            class.age != a && class.age != b
+        });
+        pair_with_live(&mut live, &merged, age);
+        live.push(Live {
+            age,
+            stats: merged,
+            pairs: Vec::new(),
+        });
     }
 
-    let class = live.pop().expect("one class remains");
+    let class = live.pop().expect("one class remains").stats;
     let plan = table
         .reconstruct(class.set, graph)
         .expect("greedy classes are reconstructible");

@@ -14,11 +14,14 @@ pub struct BaselineResult {
     /// Its estimated output cardinality.
     pub cardinality: f64,
     /// Number of candidate pairs for which the algorithm invoked the cost function (i.e. both
-    /// inputs existed and were connected).
+    /// inputs existed and were connected). GOO costs each connected pair of live classes once,
+    /// when the younger of the two is made, and keeps the candidate until either is merged.
     pub cost_calls: usize,
     /// Number of candidate pairs *inspected*, including the ones that failed the disjointness
     /// or connectivity tests. The gap between `pairs_tested` and `cost_calls` is exactly the
-    /// wasted work the paper attributes to DPsize/DPsub.
+    /// wasted work the paper attributes to DPsize/DPsub. GOO tests each pair of live classes
+    /// once, when the younger of the two is made: `n(n − 1)/2` pairs of base relations, then
+    /// one per live class at each merge.
     pub pairs_tested: usize,
     /// Number of DP-table entries (connected subgraphs memoized). Greedy algorithms report the
     /// number of intermediate classes they materialize instead.

@@ -23,6 +23,9 @@
 //! results (cost, ccp count, table size) must agree exactly —
 //! `reproduce --experiment table` asserts that, and the tests below also compare every
 //! class's cardinality and best-join sides.
+//!
+//! The test-only [`greedy`] module keeps the rescanning greedy operator ordering that
+//! [`qo_baselines::goo`] replaced with an incremental one, and requires the two to agree.
 
 use qo_bitset::{NodeId, NodeSet};
 use qo_catalog::{CardinalityEstimator, Catalog, CcpHandler, CostModel, EmitSignal, SubPlanStats};
@@ -268,7 +271,7 @@ mod tests {
 
     /// A catalog over `graph` with relation `r`'s cardinality `card(r)` and edge `e`'s
     /// inner-join selectivity `sel(e)`.
-    fn restated(
+    pub(super) fn restated(
         graph: &Hypergraph,
         card: impl Fn(usize) -> f64,
         sel: impl Fn(usize) -> f64,
@@ -326,5 +329,223 @@ mod tests {
                 production.cost
             );
         }
+    }
+}
+
+/// The greedy operator ordering that rescans every live pair at every merge, and the test that
+/// holds the incremental [`qo_baselines::goo`] to it.
+#[cfg(test)]
+mod greedy {
+    use super::tests::restated;
+    use dphyp::QuerySpec;
+    use qo_baselines::{goo, BaselineError, BaselineResult};
+    use qo_catalog::SubPlanStats;
+    use qo_catalog::{Catalog, CostModel, CoutCost, DpTable, JoinCombiner, MixedCost, PlanClass};
+    use qo_hypergraph::{EdgeId, Hypergraph};
+    use qo_workloads::{
+        chain_query_w, clique_query_w, corpus, cycle_query_w, cycle_with_hyperedge_splits,
+        random_catalog, random_hypergraph, star_query_w, star_with_hyperedge_splits,
+        wide_chain_query, wide_cycle_query, wide_star_query, Workload,
+    };
+
+    /// GOO as it ran before it kept candidates between merges: every round tests and combines
+    /// every pair of live classes, `O(n³)` connectivity tests in all. The live classes sit in
+    /// creation order, and the first pair in scan order with a strictly smaller cardinality
+    /// than the best so far wins.
+    fn rescanning_goo<M: CostModel<W> + ?Sized, const W: usize>(
+        graph: &Hypergraph<W>,
+        catalog: &Catalog<W>,
+        cost_model: &M,
+    ) -> Result<BaselineResult, BaselineError> {
+        catalog
+            .validate_for(graph)
+            .map_err(BaselineError::InvalidCatalog)?;
+        let n = graph.node_count();
+        let combiner = JoinCombiner::new(graph, catalog, cost_model);
+        let mut table = DpTable::new();
+        let mut live: Vec<SubPlanStats<W>> = Vec::with_capacity(n);
+        for v in 0..n {
+            table.insert_leaf(v, catalog.cardinality(v));
+            live.push(SubPlanStats::leaf(v, catalog.cardinality(v)));
+        }
+        let mut pairs_tested = 0usize;
+        let mut cost_calls = 0usize;
+        let mut edge_buf: Vec<EdgeId> = Vec::new();
+        while live.len() > 1 {
+            let mut best: Option<(usize, usize, PlanClass<W>)> = None;
+            for i in 0..live.len() {
+                for j in i + 1..live.len() {
+                    pairs_tested += 1;
+                    if !graph.has_connecting_edge(live[i].set, live[j].set) {
+                        continue;
+                    }
+                    graph.connecting_edges_into(live[i].set, live[j].set, &mut edge_buf);
+                    if let Some(candidate) = combiner.combine(&live[i], &live[j], &edge_buf) {
+                        cost_calls += 1;
+                        let better = match &best {
+                            Some((_, _, b)) => candidate.cardinality < b.cardinality,
+                            None => true,
+                        };
+                        if better {
+                            best = Some((i, j, candidate));
+                        }
+                    }
+                }
+            }
+            let Some((i, j, winner)) = best else {
+                return Err(BaselineError::NoCompletePlan {
+                    largest_covered: table.classes().map(|c| c.set.len()).max().unwrap_or(0),
+                });
+            };
+            let merged = winner.stats();
+            table.offer(winner);
+            live.remove(j);
+            live.remove(i);
+            live.push(merged);
+        }
+        let class = live.pop().expect("one class remains");
+        let plan = table
+            .reconstruct(class.set, graph)
+            .expect("greedy classes are reconstructible");
+        Ok(BaselineResult {
+            cost: class.cost,
+            cardinality: class.cardinality,
+            plan,
+            cost_calls,
+            pairs_tested,
+            dp_entries: table.len(),
+        })
+    }
+
+    /// Runs both GOOs under `CoutCost` and `MixedCost` and requires the same plan, cost and
+    /// cardinality bits and `dp_entries`, or the same error. The incremental run may test and
+    /// combine fewer pairs, never more. Returns the number of comparisons made.
+    fn assert_goos_agree<const W: usize>(
+        graph: &Hypergraph<W>,
+        catalog: &Catalog<W>,
+        at: &str,
+    ) -> usize {
+        let models: [&dyn CostModel<W>; 2] = [&CoutCost, &MixedCost];
+        for model in models {
+            let incremental = goo(graph, catalog, model);
+            let reference = rescanning_goo(graph, catalog, model);
+            let at = format!("{at}, {}", model.name());
+            match (&incremental, &reference) {
+                (Ok(new), Ok(old)) => {
+                    assert_eq!(new.plan, old.plan, "{at}");
+                    assert_eq!(
+                        (
+                            new.cost.to_bits(),
+                            new.cardinality.to_bits(),
+                            new.dp_entries
+                        ),
+                        (
+                            old.cost.to_bits(),
+                            old.cardinality.to_bits(),
+                            old.dp_entries
+                        ),
+                        "{at}"
+                    );
+                    assert!(new.pairs_tested <= old.pairs_tested, "{at}");
+                    assert!(new.cost_calls <= old.cost_calls, "{at}");
+                }
+                _ => assert_eq!(incremental, reference, "{at}"),
+            }
+        }
+        models.len()
+    }
+
+    /// `workload`'s graph under its own statistics and under uniform ones, where every
+    /// candidate of one size ties on cardinality.
+    fn assert_goos_agree_on<const W: usize>(w: &Workload<W>) -> usize {
+        let g = &w.graph;
+        let uniform = Catalog::uniform(g.node_count(), 1000.0, g.edge_count(), 0.01);
+        assert_goos_agree(g, &w.catalog, &w.name) + assert_goos_agree(g, &uniform, &w.name)
+    }
+
+    fn corpus_pair<const W: usize>(spec: &QuerySpec, name: &str) -> usize {
+        let (graph, catalog) = spec.instantiate::<W>();
+        assert_goos_agree(&graph, &catalog, name)
+    }
+
+    #[test]
+    fn incremental_goo_matches_the_rescanning_reference() {
+        // Debug builds walk one seed and every 19th size per family; CI runs this in release.
+        let (seeds, step) = if cfg!(debug_assertions) {
+            (1, 19)
+        } else {
+            (15, 1)
+        };
+        let mut compared = 0;
+
+        for q in corpus() {
+            compared += if q.spec.node_count() <= 64 {
+                corpus_pair::<1>(&q.spec, &q.name)
+            } else {
+                corpus_pair::<2>(&q.spec, &q.name)
+            };
+        }
+
+        for seed in 0..seeds * 40 {
+            let n = 2 + (seed as usize * 7) % 29;
+            let graph = random_hypergraph(n, seed as usize % 5, seed as usize % 7, seed);
+            let at = format!("random n = {n}, seed {seed}");
+            compared += assert_goos_agree(&graph, &random_catalog(&graph, seed), &at);
+            let uniform = Catalog::uniform(n, 1000.0, graph.edge_count(), 0.01);
+            compared += assert_goos_agree(&graph, &uniform, &at);
+        }
+
+        for splits in 0..=7 {
+            compared += assert_goos_agree_on(&cycle_with_hyperedge_splits(16, splits, 3));
+            compared += assert_goos_agree_on(&star_with_hyperedge_splits(16, splits, 3));
+        }
+
+        for seed in 0..seeds {
+            for n in (3..=60).step_by(step) {
+                compared += assert_goos_agree_on(&chain_query_w::<1>(n, seed));
+                compared += assert_goos_agree_on(&cycle_query_w::<1>(n, seed));
+                compared += assert_goos_agree_on(&star_query_w::<1>(n - 1, seed));
+                compared += assert_goos_agree_on(&clique_query_w::<1>(n, seed));
+            }
+            for n in (70..=128).step_by(29 * step) {
+                compared += assert_goos_agree_on(&wide_chain_query(n, seed));
+                compared += assert_goos_agree_on(&wide_cycle_query(n, seed));
+                compared += assert_goos_agree_on(&wide_star_query(n - 1, seed));
+            }
+        }
+
+        // Statistics at the edges of f64: zero-row relations, and products that saturate at
+        // `f64::MAX` so that many candidates tie there.
+        for w in [
+            chain_query_w::<1>(12, 5),
+            cycle_query_w::<1>(10, 5),
+            star_query_w::<1>(8, 5),
+            clique_query_w::<1>(8, 5),
+        ] {
+            let g = &w.graph;
+            let zero_rows = restated(
+                g,
+                |r| if r % 3 == 1 { 0.0 } else { 50.0 + r as f64 },
+                |_| 0.1,
+            );
+            compared += assert_goos_agree(g, &zero_rows, &format!("{}, zero-row", w.name));
+            let huge = restated(g, |r| 1e300 * (1.0 + r as f64 / 16.0), |_| 1.0);
+            compared += assert_goos_agree(g, &huge, &format!("{}, near 1e300", w.name));
+        }
+
+        // Disconnected graphs: both stop at the same largest class.
+        let mut b = Hypergraph::<1>::builder(9);
+        for (x, y) in [(0, 1), (1, 2), (2, 3), (4, 5), (6, 7), (7, 8)] {
+            b.add_simple_edge(x, y);
+        }
+        let g = b.build();
+        let catalog = Catalog::uniform(9, 10.0, g.edge_count(), 0.5);
+        compared += assert_goos_agree(&g, &catalog, "three components");
+        assert!(matches!(
+            goo(&g, &catalog, &CoutCost),
+            Err(BaselineError::NoCompletePlan { largest_covered: 4 })
+        ));
+
+        println!("{compared} GOO comparisons, 0 mismatches");
     }
 }

@@ -191,7 +191,8 @@ pub struct BudgetTelemetry {
     pub exact_time_exceeded: bool,
     /// Effective IDP block size, shrunk to fit the budget (`0` when the IDP tier did not run).
     pub idp_k: usize,
-    /// Cost-function calls made by the fallback tier (`0` in the exact tier).
+    /// Cost-function calls made by the fallback tier (`0` in the exact tier): IDP's costed
+    /// candidates, or GOO's combines, one per connected pair of live classes it ever held.
     pub fallback_cost_calls: usize,
 }
 

@@ -50,8 +50,8 @@ fn main() {
         optimal.cost, optimal.ccp_count, optimal.dp_entries
     );
     println!(
-        "GOO:    cost {:>14.1}   ({} pairs inspected)",
-        greedy.cost, greedy.pairs_tested
+        "GOO:    cost {:>14.1}   ({} class pairs tested, {} joins costed)",
+        greedy.cost, greedy.pairs_tested, greedy.cost_calls
     );
     println!(
         "greedy over-cost factor: {:.3}×",

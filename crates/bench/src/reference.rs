@@ -24,7 +24,7 @@
 //! `reproduce --experiment table` asserts that, and the tests below also compare every
 //! class's cardinality and best-join sides.
 //!
-//! The test-only [`greedy`] module keeps the rescanning greedy operator ordering that
+//! The test-only `greedy` module keeps the rescanning greedy operator ordering that
 //! [`qo_baselines::goo`] replaced with an incremental one, and requires the two to agree.
 
 use qo_bitset::{NodeId, NodeSet};

@@ -312,14 +312,6 @@ impl<'a, M: CostModel<W> + ?Sized, const W: usize> JoinCombiner<'a, M, W> {
         }
     }
 
-    /// `true` when [`combine`](Self::combine) succeeds for *every* connected csg-cmp-pair: with
-    /// TES enforcement off and no lateral references, no orientation is ever skipped. The
-    /// adaptive driver's doomed-tier check relies on it: only then does a lower bound on the
-    /// connected pairs bound the pairs the exact tier will emit.
-    pub fn always_combines(&self) -> bool {
-        !self.enforce_tes && !self.catalog.has_lateral_refs()
-    }
-
     fn tes_satisfied(&self, edges: &[EdgeId], s1: NodeSet<W>, s2: NodeSet<W>) -> bool {
         let union = s1 | s2;
         edges.iter().all(|&e| {

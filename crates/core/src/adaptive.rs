@@ -6,12 +6,13 @@
 //! back to the caller; it must degrade gracefully. The driver runs three tiers:
 //!
 //! 1. **Exact** — DPhyp under a csg-cmp-pair budget and an optional wall-clock budget
-//!    ([`AdaptiveOptions::time_budget`]). Both are enforced *inside* the enumeration: the
-//!    [`qo_catalog::BudgetedHandler`] answers [`Abort`](qo_catalog::EmitSignal::Abort) from
-//!    `EmitCsgCmp` once either budget is spent and [`DpHyp`] unwinds immediately, so an
-//!    over-budget query costs at most `budget` pair emissions (or the configured wall time),
-//!    never the full (possibly astronomical) enumeration. A spent *time* budget additionally
-//!    skips the IDP tier and drops straight to greedy ordering.
+//!    ([`AdaptiveOptions::time_budget`]), on the same code path as the unbudgeted
+//!    [`Optimizer`](crate::Optimizer). Both budgets are enforced *inside* the enumeration:
+//!    the [`qo_catalog::BudgetedHandler`] answers [`Abort`](qo_catalog::EmitSignal::Abort)
+//!    from `EmitCsgCmp` once either budget is spent and [`DpHyp`](crate::DpHyp) unwinds
+//!    immediately, so an over-budget query costs at most `budget` pair emissions (or the
+//!    configured wall time), never the full (possibly astronomical) enumeration. A spent
+//!    *time* budget additionally skips the IDP tier and drops straight to greedy ordering.
 //!
 //!    Before enumerating, the driver computes [`qo_hypergraph::ccp_lower_bound`], the exact
 //!    pair count of a spanning tree of the simple edges, in linear time. When it is strictly
@@ -22,13 +23,13 @@
 //!    time budget the tier and plan are unchanged. With one, a skipped query always gets the
 //!    IDP tier, where a deadline firing mid-enumeration used to force greedy ordering.
 //! 2. **IDP** — [`idp`](crate::idp()), iterative dynamic programming with block size `k`. Each
-//!    round's block DP is [`DpHyp`] itself, run over the quotient hypergraph of the selected
-//!    blocks, so both DP tiers share one enumerator. The driver shrinks `k` until `3^k`, a bound
-//!    on one round's csg-cmp-pairs (a clique of `k` blocks has fewer than `3^k/2`), fits the
-//!    same budget, so a *round* never exceeds it; total fallback work is at most
-//!    `rounds × 3^k` (at most `⌈n/(k−1)⌉` rounds), i.e. a small multiple of the budget rather
-//!    than a hard cap — [`BudgetTelemetry::fallback_cost_calls`] reports what was actually
-//!    spent.
+//!    round's block DP is [`DpHyp`](crate::DpHyp) itself, run over the quotient hypergraph of
+//!    the selected blocks, so both DP tiers share one enumerator. The driver shrinks `k` until
+//!    `3^k`, a bound on one round's csg-cmp-pairs (a clique of `k` blocks has fewer than
+//!    `3^k/2`), fits the same budget, so a *round* never exceeds it; total fallback work is
+//!    at most `rounds × 3^k` (at most `⌈n/(k−1)⌉` rounds), i.e. a small multiple of the budget
+//!    rather than a hard cap — [`BudgetTelemetry::fallback_cost_calls`] reports what was
+//!    actually spent.
 //! 3. **Greedy** — [`qo_baselines::goo`] as the last resort when even a 2-block DP would not
 //!    fit (budget < 9) or IDP could not complete a plan.
 //!
@@ -70,20 +71,15 @@
 //! assert_eq!(result.telemetry.exact_ccps, (20 * 20 * 20 - 20) / 6);
 //! ```
 
-use crate::enumerate::DpHyp;
 use crate::idp::{idp, IdpStrategy, MAX_IDP_BLOCK_SIZE};
-use crate::optimizer::{full_plan, CostModelKind, OptimizeError};
+use crate::optimizer::{exact_dp, CostModelKind, ExactDp, OptimizeError};
 use crate::query::QuerySpec;
 use qo_baselines::{goo, BaselineResult};
-use qo_catalog::{
-    BudgetedHandler, Catalog, CcpHandler, CostBasedHandler, CostModel, CoutCost, JoinCombiner,
-    MixedCost,
-};
+use qo_catalog::{Catalog, CostModel, CoutCost, MixedCost};
 use qo_hypergraph::{ccp_lower_bound, Hypergraph};
-use qo_obsv::{RecordingSink, Span, Trace};
+use qo_obsv::Span;
 use qo_plan::PlanNode;
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Options of the [`AdaptiveOptimizer`].
@@ -99,9 +95,10 @@ pub struct AdaptiveOptions {
     pub idp_block_size: usize,
     /// Optional wall-clock budget for the whole optimization. The exact tier polls the
     /// deadline from inside `EmitCsgCmp` (every
-    /// [`BudgetedHandler::DEADLINE_CHECK_INTERVAL`] pairs) and aborts when it has passed; a
-    /// deadline that expires during the exact tier also skips IDP and goes straight to greedy
-    /// ordering, so a tiny time budget still yields a valid plan in (approximately) that time.
+    /// [`qo_catalog::BudgetedHandler::DEADLINE_CHECK_INTERVAL`] pairs) and aborts when it has
+    /// passed; a deadline that expires during the exact tier also skips IDP and goes straight
+    /// to greedy ordering, so a tiny time budget still yields a valid plan in (approximately)
+    /// that time.
     /// A query whose exact tier is skipped by the pair-count lower bound
     /// ([`BudgetTelemetry::exact_skipped`]) spends no time there and goes to IDP while the
     /// deadline is still ahead. `None` — the default — budgets pairs only.
@@ -113,20 +110,12 @@ pub struct AdaptiveOptions {
     /// forming densely connected subgraphs and tie-breaks by cardinality. On uniformly
     /// connected shapes (stars, chains) the two are identical by construction.
     pub idp_strategy: IdpStrategy,
-    /// Structured tracing of this optimization. When enabled, the driver installs a
-    /// [`RecordingSink`] for the duration of the run (shadowing any ambient
-    /// [`qo_obsv::ObsvSink`] on this thread) and attaches the harvested per-phase
-    /// [`Trace`] to [`OptimizeResult::trace`]. The produced plan, cost, tier and budget
-    /// telemetry are bit-identical with tracing on or off — only wall times are observed —
-    /// and plan caches deliberately ignore this knob when keying entries. Defaults to
-    /// `false`, in which case the instrumentation points reduce to a thread-local check.
-    pub trace: bool,
     /// Per-query override of the serving layer's always-on trace sampling rate: trace one
     /// in this many serves of this query (`Some(0)` disables sampling for it entirely).
     /// Surfaced in `.jg` as `option sample_rate = N`. The driver itself ignores the knob —
-    /// sampling is a property of *serving*, not of one optimization — and like `trace` it
-    /// never affects the produced plan, so plan caches exclude it from their options key.
-    /// `None` (the default) defers to the service's configured rate.
+    /// sampling is a property of *serving*, not of one optimization — and since a trace only
+    /// observes wall times, it never affects the produced plan, so plan caches exclude it
+    /// from their options key. `None` (the default) defers to the service's configured rate.
     pub sample_rate: Option<u64>,
 }
 
@@ -143,7 +132,6 @@ impl Default for AdaptiveOptions {
             time_budget: None,
             cost_model: CostModelKind::Cout,
             idp_strategy: IdpStrategy::default(),
-            trace: false,
             sample_rate: None,
         }
     }
@@ -212,10 +200,6 @@ pub struct OptimizeResult {
     pub telemetry: BudgetTelemetry,
     /// DP-table entries materialized by the winning tier.
     pub dp_entries: usize,
-    /// Per-phase span trace of this optimization; `Some` only when
-    /// [`AdaptiveOptions::trace`] was on. Purely observational — two results that differ
-    /// only here describe bit-identical plans.
-    pub trace: Option<Trace>,
 }
 
 /// The tiered driver: budgeted exact DPhyp, then IDP-k, then GOO.
@@ -261,28 +245,7 @@ impl AdaptiveOptimizer {
         }
     }
 
-    /// Entry point of the tiered walk: handles the [`AdaptiveOptions::trace`] knob (install
-    /// a recording sink, run, attach the harvested [`Trace`]) around [`Self::drive_inner`].
     fn drive<M: CostModel<W>, const W: usize>(
-        &self,
-        graph: &Hypergraph<W>,
-        catalog: &Catalog<W>,
-        cost_model: &M,
-    ) -> Result<OptimizeResult, OptimizeError> {
-        if !self.options.trace {
-            return self.drive_inner(graph, catalog, cost_model);
-        }
-        let sink = Arc::new(RecordingSink::new());
-        let result = qo_obsv::with_sink(sink.clone(), || {
-            self.drive_inner(graph, catalog, cost_model)
-        });
-        result.map(|mut r| {
-            r.trace = Some(sink.trace());
-            r
-        })
-    }
-
-    fn drive_inner<M: CostModel<W>, const W: usize>(
         &self,
         graph: &Hypergraph<W>,
         catalog: &Catalog<W>,
@@ -292,13 +255,12 @@ impl AdaptiveOptimizer {
             .validate_for(graph)
             .map_err(OptimizeError::InvalidCatalog)?;
         let deadline = self.options.time_budget.map(|b| Instant::now() + b);
-        let combiner = JoinCombiner::new(graph, catalog, cost_model);
 
         // Tier 1 is skipped when it is certain to abort. Without lateral references (and the
         // driver never enforces TES) every union is registered, so DPhyp emits every
         // csg-cmp-pair of the graph; a lower bound strictly above the budget guarantees the
         // `budget + 1`-th pair, the one the budgeted handler aborts on.
-        let doomed = combiner.always_combines()
+        let doomed = !catalog.has_lateral_refs()
             && ccp_lower_bound(graph).is_some_and(|b| b > self.options.ccp_budget as u128);
         let mut telemetry = BudgetTelemetry {
             ccp_budget: self.options.ccp_budget,
@@ -310,30 +272,30 @@ impl AdaptiveOptimizer {
             fallback_cost_calls: 0,
         };
         if !doomed {
-            // Tier 1: exact DPhyp under the pair budget and, when configured, the deadline.
-            let mut handler =
-                BudgetedHandler::new(CostBasedHandler::new(combiner), self.options.ccp_budget);
-            if let Some(d) = deadline {
-                handler = handler.with_deadline(d);
-            }
-            let span = Span::enter("enumerate");
-            let _ = DpHyp::new(graph, &mut handler).run();
-            drop(span);
-            qo_obsv::event("exact_ccps", handler.ccp_count() as u64);
-            telemetry.exact_ccps = handler.ccp_count();
-            telemetry.exact_aborted = handler.aborted();
-            telemetry.exact_time_exceeded = handler.deadline_exceeded();
-            if !telemetry.exact_aborted {
-                let exact = full_plan(&handler.into_inner().into_table(), graph)?;
-                return Ok(OptimizeResult {
-                    plan: exact.plan,
-                    cost: exact.cost,
-                    cardinality: exact.cardinality,
-                    tier: PlanTier::Exact,
-                    telemetry,
-                    dp_entries: exact.dp_entries,
-                    trace: None,
-                });
+            // Tier 1: exact DPhyp under the pair budget and, when configured, the deadline;
+            // without the TES check, which only the `Optimizer`'s Fig. 8a comparison enables.
+            let budget = self.options.ccp_budget;
+            match exact_dp(graph, catalog, cost_model, false, budget, deadline) {
+                ExactDp::Complete(result) => {
+                    let exact = result?;
+                    telemetry.exact_ccps = exact.ccp_count;
+                    return Ok(OptimizeResult {
+                        plan: exact.plan,
+                        cost: exact.cost,
+                        cardinality: exact.cardinality,
+                        tier: PlanTier::Exact,
+                        telemetry,
+                        dp_entries: exact.dp_entries,
+                    });
+                }
+                ExactDp::Aborted {
+                    ccps,
+                    deadline_exceeded,
+                } => {
+                    telemetry.exact_ccps = ccps;
+                    telemetry.exact_aborted = true;
+                    telemetry.exact_time_exceeded = deadline_exceeded;
+                }
             }
         }
 
@@ -378,7 +340,6 @@ fn finish_fallback(r: BaselineResult, tier: PlanTier, mut t: BudgetTelemetry) ->
         tier,
         telemetry: t,
         dp_entries: r.dp_entries,
-        trace: None,
     }
 }
 

@@ -21,7 +21,7 @@
 //! of the set again.
 
 use qo_bitset::NodeSet;
-use qo_catalog::{CcpHandler, CountingHandler, EmitSignal};
+use qo_catalog::{CcpHandler, EmitSignal};
 use qo_hypergraph::{ConnectingFrom, Hypergraph};
 
 /// Unwinds the enumeration when a handler call answered [`EmitSignal::Abort`].
@@ -180,21 +180,20 @@ struct Csg<S, const W: usize> {
     slot: S,
 }
 
-/// Convenience: runs DPhyp with a [`CountingHandler`] and returns it. Used by tests, the
-/// search-space statistics of the optimizer and the ablation benchmarks. Generic over the mask
-/// width like the enumerator itself.
-pub fn count_ccps_dphyp<const W: usize>(graph: &Hypergraph<W>) -> CountingHandler<W> {
-    let mut handler = CountingHandler::new();
-    let _ = DpHyp::new(graph, &mut handler).run();
-    handler
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+    use qo_catalog::CountingHandler;
     use qo_hypergraph::{enumerate_ccps, Hyperedge, Hypergraph};
     use std::collections::BTreeSet;
+
+    /// Runs DPhyp with a [`CountingHandler`] and returns it.
+    pub(crate) fn count_ccps_dphyp<const W: usize>(graph: &Hypergraph<W>) -> CountingHandler<W> {
+        let mut handler = CountingHandler::new();
+        let _ = DpHyp::new(graph, &mut handler).run();
+        handler
+    }
 
     fn ns(v: &[usize]) -> NodeSet {
         v.iter().copied().collect()

@@ -302,7 +302,7 @@ impl<M: CostModel<W> + ?Sized, const W: usize> CcpHandler<1> for BlockDp<'_, '_,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::count_ccps_dphyp;
+    use crate::enumerate::tests::count_ccps_dphyp;
     use qo_baselines::{dpsize, goo};
     use qo_catalog::CoutCost;
     use qo_plan::PlanNode;

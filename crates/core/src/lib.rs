@@ -36,7 +36,8 @@
 //! * [`enumerate::DpHyp`] is the pure enumeration engine: it walks the hypergraph and reports
 //!   every csg-cmp-pair exactly once to a [`qo_catalog::CcpHandler`].
 //! * [`Optimizer`] is the user-facing facade: it wires the enumeration to the cost-based handler
-//!   of `qo-catalog`, reconstructs the final [`qo_plan::PlanNode`], and offers the full
+//!   of `qo-catalog` (unbudgeted, on the same code path as the adaptive driver's exact tier),
+//!   reconstructs the final [`qo_plan::PlanNode`], and offers the full
 //!   non-inner-join pipeline (operator tree → TES conflict analysis → hypergraph → DPhyp) from
 //!   `qo-algebra`.
 //! * The TES generate-and-test variant the paper compares against in Fig. 8a is available via
@@ -62,7 +63,7 @@ pub use adaptive::{
     PlanTier,
 };
 pub use canon::{canonicalize, same_shape, CanonicalQuery};
-pub use enumerate::{count_ccps_dphyp, DpHyp};
+pub use enumerate::DpHyp;
 pub use optimizer::{
     optimize, CostModelKind, OptimizeError, Optimized, Optimizer, OptimizerOptions,
 };

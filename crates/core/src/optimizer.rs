@@ -4,11 +4,14 @@ use crate::enumerate::DpHyp;
 use qo_algebra::{derive_query, ConflictEncoding, OpTree, OpTreeError};
 use qo_baselines::BaselineError;
 use qo_catalog::{
-    Catalog, CcpHandler, CostBasedHandler, CostModel, CoutCost, DpTable, JoinCombiner, MixedCost,
+    BudgetedHandler, Catalog, CcpHandler, CostBasedHandler, CostModel, CoutCost, JoinCombiner,
+    MixedCost,
 };
 use qo_hypergraph::Hypergraph;
+use qo_obsv::Span;
 use qo_plan::PlanNode;
 use std::fmt;
+use std::time::Instant;
 
 /// Built-in cost models selectable through [`OptimizerOptions`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -166,10 +169,18 @@ impl Optimizer {
         let enforce_tes = self.options.conflict_encoding == ConflictEncoding::TesTest;
         // Dispatch on the model kind exactly once; everything downstream — combiner, handler,
         // `EmitCsgCmp` — is monomorphized per concrete model, so the per-pair hot path has no
-        // virtual dispatch.
-        match self.options.cost_model {
-            CostModelKind::Cout => optimize_graph_with(graph, catalog, &CoutCost, enforce_tes),
-            CostModelKind::Mixed => optimize_graph_with(graph, catalog, &MixedCost, enforce_tes),
+        // virtual dispatch. The budget never aborts: `usize::MAX` pairs are out of reach (585
+        // years at one pair per nanosecond), and there is no deadline.
+        let (ccps, deadline) = (usize::MAX, None);
+        let exact = match self.options.cost_model {
+            CostModelKind::Cout => exact_dp(graph, catalog, &CoutCost, enforce_tes, ccps, deadline),
+            CostModelKind::Mixed => {
+                exact_dp(graph, catalog, &MixedCost, enforce_tes, ccps, deadline)
+            }
+        };
+        match exact {
+            ExactDp::Complete(result) => result,
+            ExactDp::Aborted { .. } => unreachable!("an unbudgeted enumeration never aborts"),
         }
     }
 
@@ -178,69 +189,67 @@ impl Optimizer {
     /// [`ConflictEncoding`], and enumerates with DPhyp.
     pub fn optimize_tree(&self, tree: &OpTree) -> Result<Optimized, OptimizeError> {
         let query = derive_query(tree, self.options.conflict_encoding)?;
-        let enforce_tes = self.options.conflict_encoding == ConflictEncoding::TesTest;
-        match self.options.cost_model {
-            CostModelKind::Cout => {
-                optimize_graph_with(&query.graph, &query.catalog, &CoutCost, enforce_tes)
-            }
-            CostModelKind::Mixed => {
-                optimize_graph_with(&query.graph, &query.catalog, &MixedCost, enforce_tes)
-            }
-        }
+        self.optimize_hypergraph(&query.graph, &query.catalog)
     }
 }
 
-/// Shared optimization driver of the facade. Monomorphized per cost model.
-pub(crate) fn optimize_graph_with<M: CostModel<W>, const W: usize>(
+/// The outcome of [`exact_dp`].
+pub(crate) enum ExactDp {
+    /// The enumeration completed: the optimal plan, or why none covers every relation.
+    Complete(Result<Optimized, OptimizeError>),
+    /// The budget cut it short after `ccps` pairs; `deadline_exceeded` when the wall clock did.
+    Aborted {
+        ccps: usize,
+        deadline_exceeded: bool,
+    },
+}
+
+/// The one exact-DP path, run by [`Optimizer`] and by the adaptive driver's exact tier: builds
+/// the combiner (with the generate-and-test TES check when `enforce_tes`), runs [`DpHyp`] under
+/// a budget of `ccp_budget` pairs and the optional `deadline` inside an `enumerate` span, and
+/// reads the plan for the full relation set off the DP table — or reports
+/// [`OptimizeError::NoCompletePlan`] with the largest connected set the table covers.
+/// Monomorphized per cost model; the caller validates the catalog.
+pub(crate) fn exact_dp<M: CostModel<W>, const W: usize>(
     graph: &Hypergraph<W>,
     catalog: &Catalog<W>,
     cost_model: &M,
     enforce_tes: bool,
-) -> Result<Optimized, OptimizeError> {
+    ccp_budget: usize,
+    deadline: Option<Instant>,
+) -> ExactDp {
     let combiner = JoinCombiner::new(graph, catalog, cost_model).with_tes_enforcement(enforce_tes);
-    let mut handler = CostBasedHandler::new(combiner);
-    let _ = DpHyp::new(graph, &mut handler).run(); // unbudgeted handlers never abort
+    let mut handler = BudgetedHandler::new(CostBasedHandler::new(combiner), ccp_budget);
+    if let Some(d) = deadline {
+        handler = handler.with_deadline(d);
+    }
+    let span = Span::enter("enumerate");
+    let _ = DpHyp::new(graph, &mut handler).run();
+    drop(span);
     let ccp_count = handler.ccp_count();
-    let exact = full_plan(&handler.into_table(), graph)?;
-    Ok(Optimized {
-        plan: exact.plan,
-        cost: exact.cost,
-        cardinality: exact.cardinality,
-        ccp_count,
-        dp_entries: exact.dp_entries,
-    })
-}
-
-/// The best plan of a completed exact enumeration, as read off its DP table.
-pub(crate) struct FullPlan {
-    pub(crate) plan: PlanNode,
-    pub(crate) cost: f64,
-    pub(crate) cardinality: f64,
-    /// Entries in the DP table.
-    pub(crate) dp_entries: usize,
-}
-
-/// The exact-DP tail shared by [`Optimizer`] and the adaptive driver: reconstructs the plan for
-/// the full relation set, or reports [`OptimizeError::NoCompletePlan`] with the largest
-/// connected set the table covers.
-pub(crate) fn full_plan<const W: usize>(
-    table: &DpTable<W>,
-    graph: &Hypergraph<W>,
-) -> Result<FullPlan, OptimizeError> {
+    qo_obsv::event("exact_ccps", ccp_count as u64);
+    if handler.aborted() {
+        return ExactDp::Aborted {
+            ccps: ccp_count,
+            deadline_exceeded: handler.deadline_exceeded(),
+        };
+    }
+    let table = handler.into_inner().into_table();
     let all = graph.all_nodes();
     let Some(class) = table.get(all) else {
         let largest_covered = table.classes().map(|c| c.set.len()).max().unwrap_or(0);
-        return Err(OptimizeError::NoCompletePlan { largest_covered });
+        return ExactDp::Complete(Err(OptimizeError::NoCompletePlan { largest_covered }));
     };
     let plan = table
         .reconstruct(all, graph)
         .expect("class for the full relation set must reconstruct");
-    Ok(FullPlan {
+    ExactDp::Complete(Ok(Optimized {
         plan,
         cost: class.cost,
         cardinality: class.cardinality,
+        ccp_count,
         dp_entries: table.len(),
-    })
+    }))
 }
 
 /// Convenience shorthand: optimizes an annotated hypergraph with default options and the `C_out`

@@ -11,7 +11,7 @@
 //! offending source bytes, so a bad statistic in line 40 of a corpus file is a one-line fix,
 //! not a NaN cost surfacing three crates later.
 
-use crate::ast::{JoinDecl, OptionValue, QueryDecl, RelationDecl};
+use crate::ast::{JoinDecl, OptionDecl, OptionValue, QueryDecl, RelationDecl};
 use crate::parser::parse;
 use crate::span::{JgError, Span};
 use dphyp::{
@@ -36,10 +36,6 @@ pub struct QueryOptions {
     pub cost_model: Option<CostModelKind>,
     /// `option idp_strategy = smallest | connected` — block selection of the IDP fallback.
     pub idp_strategy: Option<IdpStrategy>,
-    /// `option trace = on | off` — per-phase span tracing of the optimization, attached to
-    /// `OptimizeResult::trace`. Plans are bit-identical at every setting; only wall times
-    /// are observed.
-    pub trace: Option<bool>,
     /// `option sample_rate = <int ≥ 0>` — per-query override of the serving layer's
     /// always-on trace sampling rate (trace 1 in N serves; `0` disables sampling for this
     /// query). Purely observational: plans are bit-identical at every setting.
@@ -55,7 +51,6 @@ impl QueryOptions {
             time_budget: self.time_budget.or(base.time_budget),
             cost_model: self.cost_model.unwrap_or(base.cost_model),
             idp_strategy: self.idp_strategy.unwrap_or(base.idp_strategy),
-            trace: self.trace.unwrap_or(base.trace),
             sample_rate: self.sample_rate.or(base.sample_rate),
         }
     }
@@ -314,87 +309,55 @@ fn check_disjoint(
 fn lower_options(q: &QueryDecl) -> Result<QueryOptions, JgError> {
     let mut opts = QueryOptions::default();
     for o in &q.options {
-        // Duplicate options are rejected like every other duplicate attribute of the
-        // language — a silent last-wins would let a pasted-in override go unnoticed.
-        let duplicate = match o.key.text.as_str() {
-            "ccp_budget" => opts.ccp_budget.is_some(),
-            "idp_block_size" => opts.idp_block_size.is_some(),
-            "time_budget_ms" => opts.time_budget.is_some(),
-            "cost_model" => opts.cost_model.is_some(),
-            "idp_strategy" => opts.idp_strategy.is_some(),
-            "trace" => opts.trace.is_some(),
-            "sample_rate" => opts.sample_rate.is_some(),
-            _ => false,
-        };
-        if duplicate {
-            return Err(JgError::new(
-                format!("duplicate option `{}`", o.key.text),
-                o.key.span,
-            ));
-        }
+        let value = &o.value;
         match o.key.text.as_str() {
-            "ccp_budget" => {
-                opts.ccp_budget = Some(option_usize(&o.value, 1, "ccp_budget")?);
-            }
-            "idp_block_size" => {
-                opts.idp_block_size = Some(option_usize(&o.value, 2, "idp_block_size")?);
-            }
-            "time_budget_ms" => match &o.value {
+            "ccp_budget" => set_once(&mut opts.ccp_budget, o, || {
+                option_usize(value, 1, "ccp_budget")
+            })?,
+            "idp_block_size" => set_once(&mut opts.idp_block_size, o, || {
+                option_usize(value, 2, "idp_block_size")
+            })?,
+            "time_budget_ms" => set_once(&mut opts.time_budget, o, || match value {
                 OptionValue::Number(n) if n.value.is_finite() && n.value > 0.0 => {
                     // ms → ns, rounding once: exact (and pretty-print round-trippable) for
                     // every whole- or fractional-millisecond value a `.jg` file will carry.
-                    opts.time_budget = Some(Duration::from_nanos((n.value * 1e6).round() as u64));
+                    Ok(Duration::from_nanos((n.value * 1e6).round() as u64))
                 }
-                v => {
-                    return Err(JgError::new(
-                        "`time_budget_ms` expects a positive number of milliseconds",
-                        v.span(),
-                    ))
-                }
-            },
-            "cost_model" => match &o.value {
-                OptionValue::Symbol(s) if s.text == "cout" => {
-                    opts.cost_model = Some(CostModelKind::Cout);
-                }
-                OptionValue::Symbol(s) if s.text == "mixed" => {
-                    opts.cost_model = Some(CostModelKind::Mixed);
-                }
-                v => {
-                    return Err(JgError::new(
-                        "`cost_model` expects `cout` or `mixed`",
-                        v.span(),
-                    ))
-                }
-            },
-            "idp_strategy" => match &o.value {
+                v => Err(JgError::new(
+                    "`time_budget_ms` expects a positive number of milliseconds",
+                    v.span(),
+                )),
+            })?,
+            "cost_model" => set_once(&mut opts.cost_model, o, || match value {
+                OptionValue::Symbol(s) if s.text == "cout" => Ok(CostModelKind::Cout),
+                OptionValue::Symbol(s) if s.text == "mixed" => Ok(CostModelKind::Mixed),
+                v => Err(JgError::new(
+                    "`cost_model` expects `cout` or `mixed`",
+                    v.span(),
+                )),
+            })?,
+            "idp_strategy" => set_once(&mut opts.idp_strategy, o, || match value {
                 OptionValue::Symbol(s) if s.text == "smallest" => {
-                    opts.idp_strategy = Some(IdpStrategy::SmallestCardinality);
+                    Ok(IdpStrategy::SmallestCardinality)
                 }
                 OptionValue::Symbol(s) if s.text == "connected" => {
-                    opts.idp_strategy = Some(IdpStrategy::ConnectedSmallest);
+                    Ok(IdpStrategy::ConnectedSmallest)
                 }
-                v => {
-                    return Err(JgError::new(
-                        "`idp_strategy` expects `smallest` or `connected`",
-                        v.span(),
-                    ))
-                }
-            },
-            "trace" => match &o.value {
-                OptionValue::Symbol(s) if s.text == "on" => opts.trace = Some(true),
-                OptionValue::Symbol(s) if s.text == "off" => opts.trace = Some(false),
-                v => return Err(JgError::new("`trace` expects `on` or `off`", v.span())),
-            },
-            "sample_rate" => {
-                // 0 is meaningful (sampling off for this query), so the minimum is 0.
-                opts.sample_rate = Some(option_usize(&o.value, 0, "sample_rate")? as u64);
-            }
+                v => Err(JgError::new(
+                    "`idp_strategy` expects `smallest` or `connected`",
+                    v.span(),
+                )),
+            })?,
+            // 0 is meaningful (sampling off for this query), so the minimum is 0.
+            "sample_rate" => set_once(&mut opts.sample_rate, o, || {
+                option_usize(value, 0, "sample_rate").map(|r| r as u64)
+            })?,
             other => {
                 return Err(JgError::new(
                     format!(
                         "unknown option `{other}` (expected one of: ccp_budget, \
                          idp_block_size, time_budget_ms, cost_model, idp_strategy, \
-                         trace, sample_rate)"
+                         sample_rate)"
                     ),
                     o.key.span,
                 ))
@@ -402,6 +365,24 @@ fn lower_options(q: &QueryDecl) -> Result<QueryOptions, JgError> {
         }
     }
     Ok(opts)
+}
+
+/// Parses `o`'s value into `slot`. Duplicate options are rejected like every other duplicate
+/// attribute of the language — a silent last-wins would let a pasted-in override go
+/// unnoticed — before the value is looked at.
+fn set_once<T>(
+    slot: &mut Option<T>,
+    o: &OptionDecl,
+    parse: impl FnOnce() -> Result<T, JgError>,
+) -> Result<(), JgError> {
+    if slot.is_some() {
+        return Err(JgError::new(
+            format!("duplicate option `{}`", o.key.text),
+            o.key.span,
+        ));
+    }
+    *slot = Some(parse()?);
+    Ok(())
 }
 
 fn option_usize(value: &OptionValue, min: usize, key: &str) -> Result<usize, JgError> {
@@ -584,8 +565,9 @@ mod tests {
 
     #[test]
     fn retired_parallelism_option_is_an_unknown_key() {
-        // A retired key gets the ordinary spanned unknown-option diagnostic.
-        for (key, value) in [("parallelism", "4"), ("pruning", "on")] {
+        // A retired key gets the ordinary spanned unknown-option diagnostic, which lists the
+        // six live keys.
+        for (key, value) in [("parallelism", "4"), ("pruning", "on"), ("trace", "on")] {
             let src = format!("query t {{\nrelation a cardinality=1\noption {key} = {value}\n}}");
             let err = parse_queries(&src).unwrap_err();
             assert!(
@@ -594,28 +576,13 @@ mod tests {
                 err.message
             );
             assert_eq!(err.span.start, src.find(key).unwrap());
-            let valid_keys = err.message.split_once("expected one of:").unwrap().1;
-            assert!(valid_keys.contains("ccp_budget"));
-            assert!(!valid_keys.contains(key), "{}", err.message);
+            let valid_keys = err.message.split_once("expected one of: ").unwrap().1;
+            assert_eq!(
+                valid_keys,
+                "ccp_budget, idp_block_size, time_budget_ms, cost_model, idp_strategy, \
+                 sample_rate)"
+            );
         }
-    }
-
-    #[test]
-    fn trace_option_lowers_and_validates() {
-        let ok = &q("relation a cardinality=1\noption trace = on").unwrap()[0];
-        assert_eq!(ok.options.trace, Some(true));
-        assert!(ok.adaptive_options().trace);
-        let ok = &q("relation a cardinality=1\noption trace = off").unwrap()[0];
-        assert_eq!(ok.options.trace, Some(false));
-        assert!(!ok.adaptive_options().trace);
-        let err = q("relation a cardinality=1\noption trace = 1").unwrap_err();
-        assert!(err.message.contains("`on` or `off`"));
-        let src = "query t {\nrelation a cardinality=1\noption trace = on\noption trace = off\n}";
-        let err = parse_queries(src).unwrap_err();
-        assert!(err.message.contains("duplicate option `trace`"));
-        // Unset leaves the driver default (untraced) in place.
-        let ok = &q("relation a cardinality=1").unwrap()[0];
-        assert!(!ok.adaptive_options().trace);
     }
 
     #[test]

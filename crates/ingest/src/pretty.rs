@@ -80,9 +80,6 @@ pub fn to_jg(q: &IngestQuery) -> String {
         };
         writeln!(out, "  option idp_strategy = {name}").unwrap();
     }
-    if let Some(t) = o.trace {
-        writeln!(out, "  option trace = {}", if t { "on" } else { "off" }).unwrap();
-    }
     if let Some(r) = o.sample_rate {
         writeln!(out, "  option sample_rate = {r}").unwrap();
     }
@@ -121,7 +118,6 @@ mod tests {
   option time_budget_ms = 250.0
   option cost_model = mixed
   option idp_strategy = connected
-  option trace = on
   option sample_rate = 512
 }
 ";

@@ -75,11 +75,6 @@ fn random_query(seed: u64) -> IngestQuery {
             1 => Some(IdpStrategy::SmallestCardinality),
             _ => Some(IdpStrategy::ConnectedSmallest),
         },
-        trace: match rng.random_range(0u32..3) {
-            0 => None,
-            1 => Some(false),
-            _ => Some(true),
-        },
         // Includes 0, the "sampling off for this query" setting.
         sample_rate: (rng.random_range(0u32..2) == 0).then(|| rng.random_range(0u64..100_000)),
     };

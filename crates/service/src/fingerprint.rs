@@ -67,9 +67,8 @@ fn stats_hash(spec: &QuerySpec) -> u64 {
 /// Digests every [`AdaptiveOptions`] field that can change which plan an optimization
 /// produces. Entries are only reusable by requests with an equal key.
 ///
-/// `trace` and `sample_rate` are intentionally left out: plans are bit-identical across
-/// tracing settings and sampling rates (see the crate docs), so keying on either would only
-/// fragment the cache.
+/// `sample_rate` is intentionally left out: plans are bit-identical at every sampling rate
+/// (see the crate docs), so keying on it would only fragment the cache.
 pub fn options_key(options: &AdaptiveOptions) -> u64 {
     let model_rank = match options.cost_model {
         CostModelKind::Cout => 0u64,
@@ -153,21 +152,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_never_fragments_the_options_key() {
-        // Tracing only observes wall times — the produced plan is bit-identical with the
-        // recorder on or off — so both settings must map onto the same cache entry.
-        let base = AdaptiveOptions::default();
-        let key = options_key(&base);
-        for trace in [false, true] {
-            assert_eq!(key, options_key(&AdaptiveOptions { trace, ..base }));
-        }
-    }
-
-    #[test]
     fn sample_rate_never_fragments_the_options_key() {
         // The always-on sampler only decides which serves get a recording sink — plans,
-        // costs and tiers are bit-identical at every rate — so, like `trace`, the knob must
-        // map every setting onto the same cache entry.
+        // costs and tiers are bit-identical at every rate — so the knob must map every
+        // setting onto the same cache entry.
         let base = AdaptiveOptions::default();
         let key = options_key(&base);
         for sample_rate in [None, Some(0), Some(1), Some(1024)] {

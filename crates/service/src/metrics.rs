@@ -123,9 +123,8 @@ impl ServiceMetrics {
         }
     }
 
-    /// A bounded trace recording evicted `spans` spans and `events` events — silent ring
-    /// eviction made visible. Fed by both the sampler's per-serve recordings and
-    /// per-optimization `trace = on` recordings.
+    /// A sampled serve's bounded trace recording evicted `spans` spans and `events` events —
+    /// silent ring eviction made visible.
     pub(crate) fn record_trace_drops(&self, spans: u64, events: u64) {
         if spans > 0 {
             self.trace_dropped_spans.add(spans);
@@ -146,9 +145,6 @@ impl ServiceMetrics {
             PlanTier::Exact => self.optimizer_plans_exact.inc(),
             PlanTier::Idp => self.optimizer_plans_idp.inc(),
             PlanTier::Greedy => self.optimizer_plans_greedy.inc(),
-        }
-        if let Some(trace) = &result.trace {
-            self.record_trace_drops(trace.dropped_spans, trace.dropped_events);
         }
     }
 

@@ -6,8 +6,8 @@
 //! cargo run --example complex_predicates
 //! ```
 
-use dphyp::{count_ccps_dphyp, optimize, Hyperedge, Hypergraph, NodeSet};
-use qo_catalog::{Catalog, CcpHandler};
+use dphyp::{optimize, Hyperedge, Hypergraph, NodeSet};
+use qo_catalog::Catalog;
 use qo_hypergraph::{count_ccps, count_connected_subgraphs};
 
 fn main() {
@@ -37,12 +37,8 @@ fn main() {
         count_connected_subgraphs(&graph)
     );
     println!("  csg-cmp-pairs       : {}", count_ccps(&graph));
-    println!(
-        "  DPhyp emissions     : {}",
-        count_ccps_dphyp(&graph).ccp_count()
-    );
-
     let result = optimize(&graph, &catalog).expect("plannable");
+    println!("  DPhyp emissions     : {}", result.ccp_count);
     println!("  optimal plan        : {}", result.plan.compact());
     println!("  cost                : {:.1}", result.cost);
     println!();

@@ -5,17 +5,19 @@
 //!   no allocation, no event records. The overhead test pins a per-call bound two orders of
 //!   magnitude above the measured cost, so planning stays within noise of
 //!   pre-instrumentation without flaking on loaded CI machines.
-//! * **Tracing never changes the answer** — plans, costs and telemetry are bit-identical
-//!   with `trace` on vs. off, on every corpus query; the trace rides on the result as pure
-//!   extra output. The `.jg` surface (`option trace = on`) lowers into the same knob.
+//! * **Tracing never changes the answer** — tracing an optimization means installing a sink
+//!   around the call (`qo_obsv::with_sink`). Plans, costs and telemetry are bit-identical with
+//!   and without a recording sink, on every corpus query, and the recording holds the
+//!   planning phase. Under an ambient sink the service's sampler tees into it, so a sampled
+//!   serve's exemplar and the ambient trace both see that phase.
 //! * **One metrics surface** — each serve is recorded once, with one clock, in the unified
 //!   registry; `Service::cache_stats()` is a view over it, and the Prometheus rendering has a
 //!   stable shape from the first serve (everything is pre-registered), pinned by a golden
 //!   prefix.
 
-use dphyp::{AdaptiveOptions, PlanTier, QuerySpec};
-use qo_obsv::{RecordingSink, Span};
-use qo_service::{PlanSource, Service, ServiceOptions};
+use dphyp::{PlanTier, QuerySpec};
+use qo_obsv::{RecordingSink, Span, Trace};
+use qo_service::{PlanSource, SamplerOptions, Service, ServiceOptions};
 use qo_workloads::corpus::{corpus, corpus_query};
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,17 +46,22 @@ fn inert_spans_stay_within_noise_of_pre_instrumentation() {
     );
 }
 
-/// `trace = on` must be pure observation: identical plan, cost, tier and telemetry on every
-/// corpus query, with the recorded trace attached only to the traced result.
+/// Spans of the three planning phases (exact enumeration, IDP, greedy) in `trace`.
+fn planning_spans(trace: &Trace) -> usize {
+    ["enumerate", "idp", "greedy"]
+        .iter()
+        .map(|phase| trace.phase_count(phase))
+        .sum()
+}
+
+/// Planning under a recording sink must be pure observation: identical plan, cost, tier and
+/// telemetry on every corpus query, with the planning phase in the recording.
 #[test]
 fn plans_are_bit_identical_with_tracing_on_and_off() {
     for q in corpus() {
         let off = q.plan().unwrap_or_else(|e| panic!("{}: {e}", q.name));
-        let on = q
-            .plan_with(AdaptiveOptions {
-                trace: true,
-                ..AdaptiveOptions::default()
-            })
+        let sink = Arc::new(RecordingSink::new());
+        let on = qo_obsv::with_sink(sink.clone(), || q.plan())
             .unwrap_or_else(|e| panic!("{}: {e}", q.name));
         assert_eq!(on.plan, off.plan, "{}: plan differs under tracing", q.name);
         assert_eq!(on.cost, off.cost, "{}: cost differs under tracing", q.name);
@@ -64,53 +71,58 @@ fn plans_are_bit_identical_with_tracing_on_and_off() {
             "{}: telemetry differs under tracing",
             q.name
         );
-        assert!(off.trace.is_none(), "{}: untraced run has no trace", q.name);
-        let trace = on
-            .trace
-            .as_ref()
-            .unwrap_or_else(|| panic!("{}: traced run must attach its recording", q.name));
         assert!(
-            trace.phase_count("enumerate") + trace.phase_count("idp") + trace.phase_count("greedy")
-                > 0,
+            planning_spans(&sink.trace()) > 0,
             "{}: the trace must cover at least one planning phase",
             q.name
         );
     }
 }
 
-/// The `.jg` surface: `option trace = on` in a query block lowers into the driver knob and
-/// produces a trace, without perturbing the plan of the identical untraced source.
+/// The sampler tees into an ambient sink rather than shadowing it: with every serve sampled,
+/// each corpus query's exemplar and the ambient trace around the serve both record its
+/// planning phase.
 #[test]
-fn jg_trace_option_attaches_a_trace() {
-    let source = "\
-query t1 {
-  relation a cardinality=1000
-  relation b cardinality=100
-  relation c cardinality=10
-  join a -- b selectivity=0.01
-  join b -- c selectivity=0.1
-  option trace = on
+fn sampled_exemplar_and_ambient_trace_both_record_the_planning_phase() {
+    for q in corpus() {
+        // A fresh service per query keeps every serve a cold optimization (isomorphic corpus
+        // twins would otherwise be cache hits, which plan nothing).
+        let service = Service::new(ServiceOptions {
+            sampling: SamplerOptions {
+                sample_rate: 1,
+                ..SamplerOptions::default()
+            },
+            ..ServiceOptions::default()
+        });
+        let sink = Arc::new(RecordingSink::new());
+        let served = qo_obsv::with_sink(sink.clone(), || service.plan_ingest(&q))
+            .unwrap_or_else(|e| panic!("{}: {e}", q.name));
+        let trace_id = served
+            .trace_id
+            .unwrap_or_else(|| panic!("{}: rate 1 samples every serve", q.name));
+        let exemplar = service
+            .sampler()
+            .exemplars()
+            .into_iter()
+            .find(|ex| ex.trace_id == trace_id)
+            .unwrap_or_else(|| panic!("{}: the exemplar of trace {trace_id} is kept", q.name));
+        assert!(
+            planning_spans(&exemplar.trace) > 0,
+            "{}: the exemplar must record the planning phase, got {:?}",
+            q.name,
+            exemplar.trace.spans
+        );
+        let ambient = sink.trace();
+        assert!(
+            planning_spans(&ambient) > 0,
+            "{}: the ambient trace must record the planning phase, got {:?}",
+            q.name,
+            ambient.spans
+        );
+    }
 }
-";
-    let queries = qo_ingest::parse_queries(source).expect("source parses");
-    let traced = queries[0].plan().expect("plannable");
-    let trace = traced
-        .trace
-        .expect("`option trace = on` must attach a trace");
-    assert!(
-        trace.phase_count("enumerate") > 0,
-        "enumeration was spanned"
-    );
 
-    let untraced_source = source.replace("option trace = on", "option trace = off");
-    let queries = qo_ingest::parse_queries(&untraced_source).expect("source parses");
-    let untraced = queries[0].plan().expect("plannable");
-    assert!(untraced.trace.is_none());
-    assert_eq!(traced.plan, untraced.plan, "trace must not change the plan");
-    assert_eq!(traced.cost, untraced.cost);
-}
-
-/// An ambient sink (installed by the caller, not the `trace` option) observes the service's
+/// An ambient sink (installed by the caller around the serve) observes the service's
 /// full serving pipeline: parse and lower from the ingest layer, then canonicalize and serve.
 #[test]
 fn ambient_sink_records_the_full_serving_pipeline() {

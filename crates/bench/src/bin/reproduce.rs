@@ -751,7 +751,7 @@ fn sampler_fastpath_overhead_ns(calls: u64) -> f64 {
     });
     let started = std::time::Instant::now();
     for i in 0..calls {
-        let ticket = std::hint::black_box(sampler.begin_serve(0));
+        let ticket = std::hint::black_box(sampler.begin_serve());
         std::hint::black_box(sampler.finish_serve(ticket, 64 + (i & 7)));
     }
     started.elapsed().as_nanos() as f64 / calls as f64

@@ -659,54 +659,31 @@ impl<const W: usize> CcpHandler<W> for CountingHandler<W> {
     }
 }
 
-/// Decorates any [`CcpHandler`] with a csg-cmp-pair budget and an optional wall-clock
-/// deadline: the wrapped handler processes at most `budget` pairs, and the first pair beyond
-/// the budget — or the first deadline check past the deadline — answers [`EmitSignal::Abort`]
+/// Decorates any [`CcpHandler`] with a csg-cmp-pair budget: the wrapped handler processes at
+/// most `budget` pairs, and the first pair beyond the budget answers [`EmitSignal::Abort`]
 /// *without* the pair being forwarded.
 ///
 /// The pair boundary is deliberately exclusive of the abort: a budget exactly equal to the
 /// true pair count of a query lets the enumeration complete (the budget-th pair is still
 /// processed; only a would-be `budget + 1`-th aborts), so "budget = known ccp count" never
-/// falls back spuriously. The deadline is polled every
-/// [`DEADLINE_CHECK_INTERVAL`](Self::DEADLINE_CHECK_INTERVAL) pairs — including before the
-/// very first one, so even a zero time budget aborts immediately — keeping the `Instant::now`
-/// syscall off the per-pair hot path. This is the budget state behind the adaptive
-/// optimization driver in the `dphyp` crate, which reacts to [`BudgetedHandler::aborted`] by
-/// re-planning with iterative dynamic programming or greedy operator ordering.
+/// falls back spuriously. This is the budget state behind the adaptive optimization driver in
+/// the `dphyp` crate, which reacts to [`BudgetedHandler::aborted`] by re-planning with
+/// iterative dynamic programming or greedy operator ordering.
 #[derive(Clone, Debug)]
 pub struct BudgetedHandler<H, const W: usize = 1> {
     inner: H,
     budget: usize,
-    deadline: Option<std::time::Instant>,
     aborted: bool,
-    deadline_exceeded: bool,
 }
 
 impl<H: CcpHandler<W>, const W: usize> BudgetedHandler<H, W> {
-    /// How many pairs pass between two wall-clock polls (a power of two; the check runs when
-    /// `ccp_count % INTERVAL == 0`). At the 12–85 ns per cost-based pair measured on a 2-core
-    /// x86-64 VM (best of 15 runs: 12–13 ns on cliques of 12–14 relations, where the cost
-    /// floor skips most pairs; 19–60 ns on chains, cycles and stars of 12–20 relations; 83 ns
-    /// on the 20-relation star, 5M pairs over a 500k-class table, best of 3), 1024 pairs ≈
-    /// 12–85 µs of deadline slack — far below any useful time budget.
-    pub const DEADLINE_CHECK_INTERVAL: usize = 1024;
-
     /// Wraps `inner`, allowing it to process at most `budget` csg-cmp-pairs.
     pub fn new(inner: H, budget: usize) -> Self {
         BudgetedHandler {
             inner,
             budget,
-            deadline: None,
             aborted: false,
-            deadline_exceeded: false,
         }
-    }
-
-    /// Additionally aborts the enumeration once `deadline` has passed (checked every
-    /// [`DEADLINE_CHECK_INTERVAL`](Self::DEADLINE_CHECK_INTERVAL) pairs).
-    pub fn with_deadline(mut self, deadline: std::time::Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 
     /// The configured pair budget.
@@ -714,14 +691,9 @@ impl<H: CcpHandler<W>, const W: usize> BudgetedHandler<H, W> {
         self.budget
     }
 
-    /// Did the enumeration hit the budget (pairs or wall clock) and abort?
+    /// Did the enumeration hit the pair budget and abort?
     pub fn aborted(&self) -> bool {
         self.aborted
-    }
-
-    /// Was the abort caused by the wall-clock deadline (rather than the pair budget)?
-    pub fn deadline_exceeded(&self) -> bool {
-        self.deadline_exceeded
     }
 
     /// A shared reference to the wrapped handler.
@@ -754,17 +726,9 @@ impl<H: CcpHandler<W>, const W: usize> CcpHandler<W> for BudgetedHandler<H, W> {
         s2: NodeSet<W>,
         slot2: H::Slot,
     ) -> EmitSignal {
-        let count = self.inner.ccp_count();
-        if count >= self.budget {
+        if self.inner.ccp_count() >= self.budget {
             self.aborted = true;
             return EmitSignal::Abort;
-        }
-        if let Some(deadline) = self.deadline {
-            if count % Self::DEADLINE_CHECK_INTERVAL == 0 && std::time::Instant::now() >= deadline {
-                self.aborted = true;
-                self.deadline_exceeded = true;
-                return EmitSignal::Abort;
-            }
         }
         self.inner.emit_ccp(s1, slot1, s2, slot2)
     }
@@ -1298,32 +1262,6 @@ mod tests {
         assert_eq!(emit(&mut h, ns(&[0]), ns(&[1])), EmitSignal::Abort);
         assert!(h.aborted());
         assert_eq!(h.ccp_count(), 0);
-    }
-
-    #[test]
-    fn expired_deadline_aborts_the_very_first_pair() {
-        let mut h = BudgetedHandler::new(CountingHandler::<1>::new(), usize::MAX)
-            .with_deadline(std::time::Instant::now() - std::time::Duration::from_millis(1));
-        h.init_leaf(0);
-        h.init_leaf(1);
-        // ccp_count == 0 is a check point, so the expired deadline fires before any pair.
-        assert_eq!(emit(&mut h, ns(&[0]), ns(&[1])), EmitSignal::Abort);
-        assert!(h.aborted());
-        assert!(h.deadline_exceeded());
-        assert_eq!(h.ccp_count(), 0);
-    }
-
-    #[test]
-    fn generous_deadline_does_not_interfere_with_the_pair_budget() {
-        let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
-        let mut h = BudgetedHandler::new(CountingHandler::<1>::new(), 1).with_deadline(far);
-        for r in 0..3 {
-            h.init_leaf(r);
-        }
-        assert_eq!(emit(&mut h, ns(&[0]), ns(&[1])), EmitSignal::Continue);
-        assert_eq!(emit(&mut h, ns(&[0, 1]), ns(&[2])), EmitSignal::Abort);
-        assert!(h.aborted());
-        assert!(!h.deadline_exceeded(), "the pair budget aborted, not time");
     }
 
     /// Exhaustive little DP over `chain3` through the cost-based handler.

@@ -5,23 +5,21 @@
 //! `(n−1)·2^(n−2)` pairs, ≈ `10^30` at `n = 96`). A production planner cannot hand such queries
 //! back to the caller; it must degrade gracefully. The driver runs three tiers:
 //!
-//! 1. **Exact** — DPhyp under a csg-cmp-pair budget and an optional wall-clock budget
-//!    ([`AdaptiveOptions::time_budget`]), on the same code path as the unbudgeted
-//!    [`Optimizer`](crate::Optimizer). Both budgets are enforced *inside* the enumeration:
-//!    the [`qo_catalog::BudgetedHandler`] answers [`Abort`](qo_catalog::EmitSignal::Abort)
-//!    from `EmitCsgCmp` once either budget is spent and [`DpHyp`](crate::DpHyp) unwinds
-//!    immediately, so an over-budget query costs at most `budget` pair emissions (or the
-//!    configured wall time), never the full (possibly astronomical) enumeration. A spent
-//!    *time* budget additionally skips the IDP tier and drops straight to greedy ordering.
+//! 1. **Exact** — DPhyp under a csg-cmp-pair budget ([`AdaptiveOptions::ccp_budget`]), on the
+//!    same code path as the unbudgeted [`Optimizer`](crate::Optimizer). The budget is enforced
+//!    *inside* the enumeration: the [`qo_catalog::BudgetedHandler`] answers
+//!    [`Abort`](qo_catalog::EmitSignal::Abort) from `EmitCsgCmp` once it is spent and
+//!    [`DpHyp`](crate::DpHyp) unwinds immediately, so an over-budget query costs at most
+//!    `budget` pair emissions, never the full (possibly astronomical) enumeration. The budget
+//!    counts pairs, not wall time, so the tier and the plan never depend on the host's speed.
 //!
 //!    Before enumerating, the driver computes [`qo_hypergraph::ccp_lower_bound`], the exact
 //!    pair count of a spanning tree of the simple edges, in linear time. When it is strictly
 //!    above the budget and the query has no lateral references (so DPhyp emits every pair of
 //!    the graph), the exact tier is certain to abort and is skipped: no `enumerate` span,
 //!    `exact_ccps = 0` and [`BudgetTelemetry::exact_skipped`] set. The fallback
-//!    that follows is exactly the one an aborted enumeration would have reached, so without a
-//!    time budget the tier and plan are unchanged. With one, a skipped query always gets the
-//!    IDP tier, where a deadline firing mid-enumeration used to force greedy ordering.
+//!    that follows is exactly the one an aborted enumeration would have reached, so the tier
+//!    and plan are unchanged.
 //! 2. **IDP** — [`idp`](crate::idp()), iterative dynamic programming with block size `k`. Each
 //!    round's block DP is [`DpHyp`](crate::DpHyp) itself, run over the quotient hypergraph of
 //!    the selected blocks, so both DP tiers share one enumerator. The driver shrinks `k` until
@@ -33,8 +31,9 @@
 //! 3. **Greedy** — [`qo_baselines::goo`] as the last resort when even a 2-block DP would not
 //!    fit (budget < 9) or IDP could not complete a plan.
 //!
-//! [`OptimizeResult`] reports which tier produced the plan and the budget telemetry (pairs
-//! spent in the exact tier, whether it aborted or was skipped, the effective `k`). Width
+//! [`OptimizeResult`] reports which tier produced the plan (any tier but
+//! [`PlanTier::Exact`] means the exact tier aborted or was skipped) and the budget telemetry
+//! (pairs spent in the exact tier, whether it was skipped, the effective `k`). Width
 //! dispatch works like [`Optimizer::optimize_spec`](crate::Optimizer::optimize_spec): hand the
 //! driver a width-agnostic [`QuerySpec`] and it instantiates the narrowest sufficient node-set
 //! width.
@@ -55,7 +54,6 @@
 //! let result = driver.optimize_spec(&star).unwrap();
 //! assert_ne!(result.tier, PlanTier::Exact); // the driver fell back automatically …
 //! assert_eq!(result.plan.scan_count(), 40); // … and still produced a complete plan.
-//! assert!(result.telemetry.exact_aborted);
 //! // Its spanning tree alone has more pairs than the budget, so not one was enumerated.
 //! assert!(result.telemetry.exact_skipped);
 //! assert_eq!(result.telemetry.exact_ccps, 0);
@@ -80,7 +78,6 @@ use qo_hypergraph::{ccp_lower_bound, Hypergraph};
 use qo_obsv::Span;
 use qo_plan::PlanNode;
 use std::fmt;
-use std::time::{Duration, Instant};
 
 /// Options of the [`AdaptiveOptimizer`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,16 +90,6 @@ pub struct AdaptiveOptions {
     /// block round's bound (`3^k` csg-cmp-pairs of DPhyp over the round's quotient hypergraph)
     /// fits `ccp_budget`. Capped at [`MAX_IDP_BLOCK_SIZE`].
     pub idp_block_size: usize,
-    /// Optional wall-clock budget for the whole optimization. The exact tier polls the
-    /// deadline from inside `EmitCsgCmp` (every
-    /// [`qo_catalog::BudgetedHandler::DEADLINE_CHECK_INTERVAL`] pairs) and aborts when it has
-    /// passed; a deadline that expires during the exact tier also skips IDP and goes straight
-    /// to greedy ordering, so a tiny time budget still yields a valid plan in (approximately)
-    /// that time.
-    /// A query whose exact tier is skipped by the pair-count lower bound
-    /// ([`BudgetTelemetry::exact_skipped`]) spends no time there and goes to IDP while the
-    /// deadline is still ahead. `None` — the default — budgets pairs only.
-    pub time_budget: Option<Duration>,
     /// Cost model shared by all tiers.
     pub cost_model: CostModelKind,
     /// How the IDP tier selects each round's blocks: smallest-cardinality-first (the default)
@@ -110,29 +97,19 @@ pub struct AdaptiveOptions {
     /// forming densely connected subgraphs and tie-breaks by cardinality. On uniformly
     /// connected shapes (stars, chains) the two are identical by construction.
     pub idp_strategy: IdpStrategy,
-    /// Per-query override of the serving layer's always-on trace sampling rate: trace one
-    /// in this many serves of this query (`Some(0)` disables sampling for it entirely).
-    /// Surfaced in `.jg` as `option sample_rate = N`. The driver itself ignores the knob —
-    /// sampling is a property of *serving*, not of one optimization — and since a trace only
-    /// observes wall times, it never affects the produced plan, so plan caches exclude it
-    /// from their options key. `None` (the default) defers to the service's configured rate.
-    pub sample_rate: Option<u64>,
 }
 
 impl Default for AdaptiveOptions {
     /// One million pairs (≈ 14–180 ms of cost-based enumeration at the 14–180 ns per pair
     /// measured on a 2-core x86-64 VM over chain, cycle, star and clique shapes, the low end
     /// on cliques, where the cost floor skips most pairs — chain/cycle queries of 100+
-    /// relations stay exact, 20+-relation stars fall back), blocks of up to 10, and no
-    /// wall-clock budget.
+    /// relations stay exact, 20+-relation stars fall back) and blocks of up to 10.
     fn default() -> Self {
         AdaptiveOptions {
             ccp_budget: 1_000_000,
             idp_block_size: 10,
-            time_budget: None,
             cost_model: CostModelKind::Cout,
             idp_strategy: IdpStrategy::default(),
-            sample_rate: None,
         }
     }
 }
@@ -166,17 +143,11 @@ pub struct BudgetTelemetry {
     /// Pairs the exact tier processed before completing or aborting (≤ `ccp_budget`; `0` when
     /// the tier was skipped).
     pub exact_ccps: usize,
-    /// Did the exact tier give up — hit a budget mid-enumeration, or get skipped because it
-    /// was certain to? Exactly when this holds, the plan comes from a fallback tier.
-    pub exact_aborted: bool,
     /// Was the exact tier skipped without enumerating a single pair, because a spanning-tree
     /// lower bound on the query's csg-cmp-pair count ([`qo_hypergraph::ccp_lower_bound`])
-    /// already exceeds `ccp_budget`? Implies `exact_aborted`. Only queries without lateral
+    /// already exceeds `ccp_budget`? Implies a fallback tier. Only queries without lateral
     /// references are skipped: for those, DPhyp provably emits every pair of the graph.
     pub exact_skipped: bool,
-    /// Did the exact tier abort because the wall-clock budget (rather than the pair budget)
-    /// ran out? Implies `exact_aborted`; always `false` without a configured time budget.
-    pub exact_time_exceeded: bool,
     /// Effective IDP block size, shrunk to fit the budget (`0` when the IDP tier did not run).
     pub idp_k: usize,
     /// Cost-function calls made by the fallback tier (`0` in the exact tier): IDP's costed
@@ -254,7 +225,6 @@ impl AdaptiveOptimizer {
         catalog
             .validate_for(graph)
             .map_err(OptimizeError::InvalidCatalog)?;
-        let deadline = self.options.time_budget.map(|b| Instant::now() + b);
 
         // Tier 1 is skipped when it is certain to abort. Without lateral references (and the
         // driver never enforces TES) every union is registered, so DPhyp emits every
@@ -265,17 +235,15 @@ impl AdaptiveOptimizer {
         let mut telemetry = BudgetTelemetry {
             ccp_budget: self.options.ccp_budget,
             exact_ccps: 0,
-            exact_aborted: doomed,
             exact_skipped: doomed,
-            exact_time_exceeded: false,
             idp_k: 0,
             fallback_cost_calls: 0,
         };
         if !doomed {
-            // Tier 1: exact DPhyp under the pair budget and, when configured, the deadline;
-            // without the TES check, which only the `Optimizer`'s Fig. 8a comparison enables.
+            // Tier 1: exact DPhyp under the pair budget, without the TES check, which only the
+            // `Optimizer`'s Fig. 8a comparison enables.
             let budget = self.options.ccp_budget;
-            match exact_dp(graph, catalog, cost_model, false, budget, deadline) {
+            match exact_dp(graph, catalog, cost_model, false, budget) {
                 ExactDp::Complete(result) => {
                     let exact = result?;
                     telemetry.exact_ccps = exact.ccp_count;
@@ -288,30 +256,19 @@ impl AdaptiveOptimizer {
                         dp_entries: exact.dp_entries,
                     });
                 }
-                ExactDp::Aborted {
-                    ccps,
-                    deadline_exceeded,
-                } => {
-                    telemetry.exact_ccps = ccps;
-                    telemetry.exact_aborted = true;
-                    telemetry.exact_time_exceeded = deadline_exceeded;
-                }
+                ExactDp::Aborted { ccps } => telemetry.exact_ccps = ccps,
             }
         }
 
         // Tier 2: IDP with the block size shrunk until one round's worst case (3^k pairs)
-        // fits the same budget. Skipped when the wall clock has already run out — IDP rounds
-        // are not deadline-instrumented, so a spent time budget goes straight to greedy.
-        let time_left = deadline.is_none_or(|d| Instant::now() < d);
-        if time_left {
-            if let Some(k) = self.effective_idp_k() {
-                telemetry.idp_k = k;
-                let _span = Span::enter("idp");
-                // A plan IDP cannot complete (pathological hyperedge connectivity) may still
-                // be reachable by GOO's exhaustive pair scan — fall through on `None`.
-                if let Some(r) = idp(graph, catalog, cost_model, k, self.options.idp_strategy) {
-                    return Ok(finish_fallback(r, PlanTier::Idp, telemetry));
-                }
+        // fits the same budget.
+        if let Some(k) = self.effective_idp_k() {
+            telemetry.idp_k = k;
+            let _span = Span::enter("idp");
+            // A plan IDP cannot complete (pathological hyperedge connectivity) may still be
+            // reachable by GOO's exhaustive pair scan — fall through on `None`.
+            if let Some(r) = idp(graph, catalog, cost_model, k, self.options.idp_strategy) {
+                return Ok(finish_fallback(r, PlanTier::Idp, telemetry));
             }
         }
 
@@ -387,7 +344,6 @@ mod tests {
             assert_eq!(adaptive.cardinality, exact.cardinality);
             assert_eq!(adaptive.telemetry.exact_ccps, exact.ccp_count);
             assert_eq!(adaptive.dp_entries, exact.dp_entries);
-            assert!(!adaptive.telemetry.exact_aborted);
             assert_eq!(adaptive.telemetry.idp_k, 0);
         }
     }
@@ -418,7 +374,7 @@ mod tests {
         assert_ne!(below.tier, PlanTier::Exact);
         // A chain is its own spanning tree, so the lower bound is the true count: the doomed
         // exact tier is skipped outright.
-        assert!(below.telemetry.exact_skipped && below.telemetry.exact_aborted);
+        assert!(below.telemetry.exact_skipped);
         assert_eq!(below.telemetry.exact_ccps, 0);
     }
 
@@ -436,7 +392,6 @@ mod tests {
             assert_eq!(r.plan.scan_count(), 10);
             assert_eq!(r.plan.join_count(), 9);
             assert!(r.telemetry.exact_ccps <= budget);
-            assert!(r.telemetry.exact_aborted);
             assert_eq!(
                 r.telemetry.idp_k, 0,
                 "no IDP round fits a budget of {budget}"
@@ -458,49 +413,12 @@ mod tests {
         .unwrap();
         assert_eq!(r.tier, PlanTier::Idp);
         assert_eq!(r.telemetry.idp_k, 8);
-        assert!(r.telemetry.exact_skipped && r.telemetry.exact_aborted);
+        assert!(r.telemetry.exact_skipped);
         assert_eq!(r.telemetry.exact_ccps, 0);
         assert_eq!(r.plan.scan_count(), 17);
         // The fallback plan cannot beat the true optimum.
         let exact = optimize_spec(&spec).unwrap();
         assert!(r.cost >= exact.cost - 1e-9);
-    }
-
-    #[test]
-    fn tiny_time_budget_still_yields_a_valid_fallback_plan() {
-        // star-17: ~524k pairs, far more than a microsecond of enumeration. The deadline
-        // aborts the exact tier, and — the clock being spent — the driver skips IDP and
-        // answers with a complete greedy plan.
-        let spec = star_spec(16);
-        let r = AdaptiveOptimizer::new(AdaptiveOptions {
-            time_budget: Some(Duration::from_micros(1)),
-            ..Default::default()
-        })
-        .optimize_spec(&spec)
-        .unwrap();
-        assert_eq!(r.tier, PlanTier::Greedy, "a spent clock must skip IDP");
-        assert!(r.telemetry.exact_aborted);
-        assert!(r.telemetry.exact_time_exceeded);
-        assert_eq!(r.plan.scan_count(), 17);
-        assert_eq!(r.plan.join_count(), 16);
-        assert!(r.cost.is_finite());
-    }
-
-    #[test]
-    fn a_skipped_exact_tier_leaves_the_time_budget_to_idp() {
-        // star-41: 40 · 2^39 pairs, far over the default budget. The exact tier is skipped
-        // before the clock can run out in it, so the deadline no longer forces greedy.
-        let spec = star_spec(40);
-        let r = AdaptiveOptimizer::new(AdaptiveOptions {
-            time_budget: Some(Duration::from_secs(1)),
-            ..Default::default()
-        })
-        .optimize_spec(&spec)
-        .unwrap();
-        assert_eq!(r.tier, PlanTier::Idp);
-        assert!(r.telemetry.exact_skipped);
-        assert!(!r.telemetry.exact_time_exceeded);
-        assert_eq!(r.plan.scan_count(), 41);
     }
 
     #[test]
@@ -518,24 +436,9 @@ mod tests {
         })
         .optimize_spec(&b.build())
         .unwrap();
-        assert!(r.telemetry.exact_aborted);
+        assert_ne!(r.tier, PlanTier::Exact);
         assert!(!r.telemetry.exact_skipped);
         assert_eq!(r.telemetry.exact_ccps, 10_000);
-    }
-
-    #[test]
-    fn generous_time_budget_leaves_the_exact_tier_untouched() {
-        let spec = chain_spec(12);
-        let with_time = AdaptiveOptimizer::new(AdaptiveOptions {
-            time_budget: Some(Duration::from_secs(3600)),
-            ..Default::default()
-        })
-        .optimize_spec(&spec)
-        .unwrap();
-        assert_eq!(with_time.tier, PlanTier::Exact);
-        assert!(!with_time.telemetry.exact_time_exceeded);
-        let plain = optimize_spec(&spec).unwrap();
-        assert_eq!(with_time.cost, plain.cost, "bit-identical to plain DPhyp");
     }
 
     #[test]

@@ -11,7 +11,6 @@ use qo_hypergraph::Hypergraph;
 use qo_obsv::Span;
 use qo_plan::PlanNode;
 use std::fmt;
-use std::time::Instant;
 
 /// Built-in cost models selectable through [`OptimizerOptions`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -170,13 +169,11 @@ impl Optimizer {
         // Dispatch on the model kind exactly once; everything downstream — combiner, handler,
         // `EmitCsgCmp` — is monomorphized per concrete model, so the per-pair hot path has no
         // virtual dispatch. The budget never aborts: `usize::MAX` pairs are out of reach (585
-        // years at one pair per nanosecond), and there is no deadline.
-        let (ccps, deadline) = (usize::MAX, None);
+        // years at one pair per nanosecond).
+        let ccps = usize::MAX;
         let exact = match self.options.cost_model {
-            CostModelKind::Cout => exact_dp(graph, catalog, &CoutCost, enforce_tes, ccps, deadline),
-            CostModelKind::Mixed => {
-                exact_dp(graph, catalog, &MixedCost, enforce_tes, ccps, deadline)
-            }
+            CostModelKind::Cout => exact_dp(graph, catalog, &CoutCost, enforce_tes, ccps),
+            CostModelKind::Mixed => exact_dp(graph, catalog, &MixedCost, enforce_tes, ccps),
         };
         match exact {
             ExactDp::Complete(result) => result,
@@ -197,16 +194,13 @@ impl Optimizer {
 pub(crate) enum ExactDp {
     /// The enumeration completed: the optimal plan, or why none covers every relation.
     Complete(Result<Optimized, OptimizeError>),
-    /// The budget cut it short after `ccps` pairs; `deadline_exceeded` when the wall clock did.
-    Aborted {
-        ccps: usize,
-        deadline_exceeded: bool,
-    },
+    /// The pair budget cut it short after `ccps` pairs.
+    Aborted { ccps: usize },
 }
 
 /// The one exact-DP path, run by [`Optimizer`] and by the adaptive driver's exact tier: builds
 /// the combiner (with the generate-and-test TES check when `enforce_tes`), runs [`DpHyp`] under
-/// a budget of `ccp_budget` pairs and the optional `deadline` inside an `enumerate` span, and
+/// a budget of `ccp_budget` pairs inside an `enumerate` span, and
 /// reads the plan for the full relation set off the DP table — or reports
 /// [`OptimizeError::NoCompletePlan`] with the largest connected set the table covers.
 /// Monomorphized per cost model; the caller validates the catalog.
@@ -216,23 +210,16 @@ pub(crate) fn exact_dp<M: CostModel<W>, const W: usize>(
     cost_model: &M,
     enforce_tes: bool,
     ccp_budget: usize,
-    deadline: Option<Instant>,
 ) -> ExactDp {
     let combiner = JoinCombiner::new(graph, catalog, cost_model).with_tes_enforcement(enforce_tes);
     let mut handler = BudgetedHandler::new(CostBasedHandler::new(combiner), ccp_budget);
-    if let Some(d) = deadline {
-        handler = handler.with_deadline(d);
-    }
     let span = Span::enter("enumerate");
     let _ = DpHyp::new(graph, &mut handler).run();
     drop(span);
     let ccp_count = handler.ccp_count();
     qo_obsv::event("exact_ccps", ccp_count as u64);
     if handler.aborted() {
-        return ExactDp::Aborted {
-            ccps: ccp_count,
-            deadline_exceeded: handler.deadline_exceeded(),
-        };
+        return ExactDp::Aborted { ccps: ccp_count };
     }
     let table = handler.into_inner().into_table();
     let all = graph.all_nodes();

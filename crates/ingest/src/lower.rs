@@ -20,7 +20,6 @@ use dphyp::{
 };
 use qo_plan::JoinOp;
 use std::collections::HashMap;
-use std::time::Duration;
 
 /// Per-query planner options parsed from `option` statements; every field overlays the
 /// corresponding [`AdaptiveOptions`] default when set.
@@ -30,16 +29,10 @@ pub struct QueryOptions {
     pub ccp_budget: Option<usize>,
     /// `option idp_block_size = <int>` — upper bound on the IDP fallback's block size.
     pub idp_block_size: Option<usize>,
-    /// `option time_budget_ms = <number>` — wall-clock budget for the exact tier.
-    pub time_budget: Option<Duration>,
     /// `option cost_model = cout | mixed`.
     pub cost_model: Option<CostModelKind>,
     /// `option idp_strategy = smallest | connected` — block selection of the IDP fallback.
     pub idp_strategy: Option<IdpStrategy>,
-    /// `option sample_rate = <int ≥ 0>` — per-query override of the serving layer's
-    /// always-on trace sampling rate (trace 1 in N serves; `0` disables sampling for this
-    /// query). Purely observational: plans are bit-identical at every setting.
-    pub sample_rate: Option<u64>,
 }
 
 impl QueryOptions {
@@ -48,10 +41,8 @@ impl QueryOptions {
         AdaptiveOptions {
             ccp_budget: self.ccp_budget.unwrap_or(base.ccp_budget),
             idp_block_size: self.idp_block_size.unwrap_or(base.idp_block_size),
-            time_budget: self.time_budget.or(base.time_budget),
             cost_model: self.cost_model.unwrap_or(base.cost_model),
             idp_strategy: self.idp_strategy.unwrap_or(base.idp_strategy),
-            sample_rate: self.sample_rate.or(base.sample_rate),
         }
     }
 }
@@ -317,17 +308,6 @@ fn lower_options(q: &QueryDecl) -> Result<QueryOptions, JgError> {
             "idp_block_size" => set_once(&mut opts.idp_block_size, o, || {
                 option_usize(value, 2, "idp_block_size")
             })?,
-            "time_budget_ms" => set_once(&mut opts.time_budget, o, || match value {
-                OptionValue::Number(n) if n.value.is_finite() && n.value > 0.0 => {
-                    // ms → ns, rounding once: exact (and pretty-print round-trippable) for
-                    // every whole- or fractional-millisecond value a `.jg` file will carry.
-                    Ok(Duration::from_nanos((n.value * 1e6).round() as u64))
-                }
-                v => Err(JgError::new(
-                    "`time_budget_ms` expects a positive number of milliseconds",
-                    v.span(),
-                )),
-            })?,
             "cost_model" => set_once(&mut opts.cost_model, o, || match value {
                 OptionValue::Symbol(s) if s.text == "cout" => Ok(CostModelKind::Cout),
                 OptionValue::Symbol(s) if s.text == "mixed" => Ok(CostModelKind::Mixed),
@@ -348,16 +328,11 @@ fn lower_options(q: &QueryDecl) -> Result<QueryOptions, JgError> {
                     v.span(),
                 )),
             })?,
-            // 0 is meaningful (sampling off for this query), so the minimum is 0.
-            "sample_rate" => set_once(&mut opts.sample_rate, o, || {
-                option_usize(value, 0, "sample_rate").map(|r| r as u64)
-            })?,
             other => {
                 return Err(JgError::new(
                     format!(
                         "unknown option `{other}` (expected one of: ccp_budget, \
-                         idp_block_size, time_budget_ms, cost_model, idp_strategy, \
-                         sample_rate)"
+                         idp_block_size, cost_model, idp_strategy)"
                     ),
                     o.key.span,
                 ))
@@ -552,22 +527,25 @@ mod tests {
             ok.adaptive_options().idp_strategy,
             IdpStrategy::ConnectedSmallest
         );
-        let err = q("relation a cardinality=1\noption time_budget_ms = -5").unwrap_err();
-        assert!(err.message.contains("positive number"));
         let src =
             "query t {\nrelation a cardinality=1\noption ccp_budget = 9\noption ccp_budget = 7\n}";
         let err = parse_queries(src).unwrap_err();
         assert!(err.message.contains("duplicate option `ccp_budget`"));
         assert_eq!(err.span.start, src.rfind("ccp_budget").unwrap());
-        let ok = &q("relation a cardinality=1\noption time_budget_ms = 2.5").unwrap()[0];
-        assert_eq!(ok.options.time_budget, Some(Duration::from_micros(2500)));
     }
 
     #[test]
     fn retired_parallelism_option_is_an_unknown_key() {
         // A retired key gets the ordinary spanned unknown-option diagnostic, which lists the
-        // six live keys.
-        for (key, value) in [("parallelism", "4"), ("pruning", "on"), ("trace", "on")] {
+        // four live keys.
+        let retired = [
+            ("parallelism", "4"),
+            ("pruning", "on"),
+            ("trace", "on"),
+            ("time_budget_ms", "5000"),
+            ("sample_rate", "1"),
+        ];
+        for (key, value) in retired {
             let src = format!("query t {{\nrelation a cardinality=1\noption {key} = {value}\n}}");
             let err = parse_queries(&src).unwrap_err();
             assert!(
@@ -579,31 +557,9 @@ mod tests {
             let valid_keys = err.message.split_once("expected one of: ").unwrap().1;
             assert_eq!(
                 valid_keys,
-                "ccp_budget, idp_block_size, time_budget_ms, cost_model, idp_strategy, \
-                 sample_rate)"
+                "ccp_budget, idp_block_size, cost_model, idp_strategy)"
             );
         }
-    }
-
-    #[test]
-    fn sample_rate_option_lowers_and_validates() {
-        let ok = &q("relation a cardinality=1\noption sample_rate = 512").unwrap()[0];
-        assert_eq!(ok.options.sample_rate, Some(512));
-        assert_eq!(ok.adaptive_options().sample_rate, Some(512));
-        // 0 is valid and meaningful: sampling off for this query.
-        let ok = &q("relation a cardinality=1\noption sample_rate = 0").unwrap()[0];
-        assert_eq!(ok.options.sample_rate, Some(0));
-        let err = q("relation a cardinality=1\noption sample_rate = 1.5").unwrap_err();
-        assert!(err.message.contains("`sample_rate` expects an integer ≥ 0"));
-        let err = q("relation a cardinality=1\noption sample_rate = fast").unwrap_err();
-        assert!(err.message.contains("`sample_rate` expects an integer ≥ 0"));
-        let src = "query t {\nrelation a cardinality=1\noption sample_rate = 1\n\
-                   option sample_rate = 2\n}";
-        let err = parse_queries(src).unwrap_err();
-        assert!(err.message.contains("duplicate option `sample_rate`"));
-        // Unset defers to the serving layer's configured rate.
-        let ok = &q("relation a cardinality=1").unwrap()[0];
-        assert_eq!(ok.adaptive_options().sample_rate, None);
     }
 
     #[test]

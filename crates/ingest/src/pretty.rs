@@ -58,14 +58,6 @@ pub fn to_jg(q: &IngestQuery) -> String {
     if let Some(k) = o.idp_block_size {
         writeln!(out, "  option idp_block_size = {k}").unwrap();
     }
-    if let Some(t) = o.time_budget {
-        writeln!(
-            out,
-            "  option time_budget_ms = {:?}",
-            t.as_nanos() as f64 / 1e6
-        )
-        .unwrap();
-    }
     if let Some(m) = o.cost_model {
         let name = match m {
             dphyp::CostModelKind::Cout => "cout",
@@ -79,9 +71,6 @@ pub fn to_jg(q: &IngestQuery) -> String {
             dphyp::IdpStrategy::ConnectedSmallest => "connected",
         };
         writeln!(out, "  option idp_strategy = {name}").unwrap();
-    }
-    if let Some(r) = o.sample_rate {
-        writeln!(out, "  option sample_rate = {r}").unwrap();
     }
     out.push_str("}\n");
     out
@@ -115,10 +104,8 @@ mod tests {
   join dim -- extra selectivity=0.5 flex={tf}
   option ccp_budget = 12345
   option idp_block_size = 6
-  option time_budget_ms = 250.0
   option cost_model = mixed
   option idp_strategy = connected
-  option sample_rate = 512
 }
 ";
         let q = &parse_queries(src).unwrap()[0];

@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use qo_ingest::{parse_queries, to_jg, IngestQuery, QueryOptions, OP_NAMES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
 /// Builds a random — but always *valid* — query from one seed: 2–12 relations, a spanning
 /// set of simple edges plus random hyperedges (disjoint sides, occasional flex sets and
@@ -63,8 +62,6 @@ fn random_query(seed: u64) -> IngestQuery {
     let options = QueryOptions {
         ccp_budget: (rng.random_range(0u32..2) == 0).then(|| rng.random_range(1usize..10_000_000)),
         idp_block_size: (rng.random_range(0u32..2) == 0).then(|| rng.random_range(2usize..25)),
-        time_budget: (rng.random_range(0u32..2) == 0)
-            .then(|| Duration::from_millis(rng.random_range(1u64..100_000))),
         cost_model: match rng.random_range(0u32..3) {
             0 => None,
             1 => Some(CostModelKind::Cout),
@@ -75,8 +72,6 @@ fn random_query(seed: u64) -> IngestQuery {
             1 => Some(IdpStrategy::SmallestCardinality),
             _ => Some(IdpStrategy::ConnectedSmallest),
         },
-        // Includes 0, the "sampling off for this query" setting.
-        sample_rate: (rng.random_range(0u32..2) == 0).then(|| rng.random_range(0u64..100_000)),
     };
 
     let row_overrides = (0..n)

@@ -205,13 +205,13 @@ impl SamplingSink {
         &self.options
     }
 
-    /// Admits one serve, deciding whether to trace it. `rate` is the effective sampling
-    /// rate for *this* serve (callers may override the configured rate per query); the
-    /// unsampled path is two relaxed atomics and a branch — no lock, no allocation, no
-    /// sink installation.
+    /// Admits one serve, deciding whether to trace it at the configured
+    /// [`sample_rate`](SamplerOptions::sample_rate); the unsampled path is two relaxed
+    /// atomics and a branch — no lock, no allocation, no sink installation.
     #[inline]
-    pub fn begin_serve(&self, rate: u64) -> ServeTicket {
+    pub fn begin_serve(&self) -> ServeTicket {
         let seq = self.serves.fetch_add(1, Ordering::Relaxed);
+        let rate = self.options.sample_rate;
         let rate_hit = rate != 0 && seq.is_multiple_of(rate);
         // `swap` only after a positive `load`: the common unsampled serve must not issue an
         // atomic write on the armed flag.
@@ -364,8 +364,8 @@ mod tests {
     use crate::span::{event, with_sink, Span};
     use std::time::Instant;
 
-    fn serve_once(sampler: &SamplingSink, rate: u64, latency_ns: u64) -> Option<SampleOutcome> {
-        let ticket = sampler.begin_serve(rate);
+    fn serve_once(sampler: &SamplingSink, latency_ns: u64) -> Option<SampleOutcome> {
+        let ticket = sampler.begin_serve();
         if let Some(sample) = &ticket.sample {
             let guard = sample.install();
             let _root = Span::enter("serve");
@@ -384,7 +384,7 @@ mod tests {
         });
         let mut sampled = Vec::new();
         for seq in 0..12u64 {
-            if let Some(outcome) = serve_once(&sampler, 4, 100) {
+            if let Some(outcome) = serve_once(&sampler, 100) {
                 sampled.push((seq, outcome.trace_id));
             }
         }
@@ -413,7 +413,7 @@ mod tests {
             ..SamplerOptions::default()
         });
         for _ in 0..100 {
-            assert!(serve_once(&sampler, 0, 50).is_none());
+            assert!(serve_once(&sampler, 50).is_none());
         }
         assert_eq!(sampler.stats().sampled, 0);
         assert_eq!(sampler.stats().serves, 100);
@@ -429,15 +429,15 @@ mod tests {
         };
         let sampler = SamplingSink::new(options);
         for _ in 0..10 {
-            assert!(serve_once(&sampler, 0, 100).is_none());
+            assert!(serve_once(&sampler, 100).is_none());
         }
         // 100 ns EWMA; a 10 µs serve is far beyond 4×.
         assert!(
-            serve_once(&sampler, 0, 10_000).is_none(),
+            serve_once(&sampler, 10_000).is_none(),
             "the slow serve itself is past tracing"
         );
         assert!(sampler.stats().armed);
-        let outcome = serve_once(&sampler, 0, 100).expect("the armed serve is traced");
+        let outcome = serve_once(&sampler, 100).expect("the armed serve is traced");
         assert!(outcome.trace_id > 0);
         assert!(!sampler.stats().armed, "arming is one-shot");
         assert_eq!(sampler.stats().slow_serves, 1);
@@ -459,7 +459,7 @@ mod tests {
                 ..SamplerOptions::default()
             });
             for i in 0..64u64 {
-                serve_once(&sampler, 1, 100 + i);
+                serve_once(&sampler, 100 + i);
             }
             sampler
                 .exemplars()
@@ -478,7 +478,7 @@ mod tests {
         let ambient = Arc::new(RecordingSink::new());
         let sampler = SamplingSink::new(SamplerOptions::default());
         with_sink(ambient.clone(), || {
-            serve_once(&sampler, 1, 100);
+            serve_once(&sampler, 100);
         });
         assert_eq!(
             ambient.trace().phase_count("serve"),
@@ -490,13 +490,15 @@ mod tests {
 
     #[test]
     fn unsampled_begin_finish_stays_within_the_inert_span_budget() {
-        let sampler = SamplingSink::new(SamplerOptions::default());
-        // Burn the sampled first serve so the loop below is pure unsampled path.
-        serve_once(&sampler, 1024, 100);
+        // Rate 0 and a constant latency: every serve takes the unsampled path.
+        let sampler = SamplingSink::new(SamplerOptions {
+            sample_rate: 0,
+            ..SamplerOptions::default()
+        });
         const CALLS: u64 = 200_000;
         let started = Instant::now();
         for _ in 0..CALLS {
-            let ticket = std::hint::black_box(sampler.begin_serve(0));
+            let ticket = std::hint::black_box(sampler.begin_serve());
             sampler.finish_serve(ticket, 100);
         }
         let per_call_ns = started.elapsed().as_nanos() as f64 / CALLS as f64;

@@ -27,7 +27,7 @@ use dphyp::{same_shape, PlanTier, QuerySpec};
 use qo_plan::PlanNode;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Sizing of the plan cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,8 +67,8 @@ pub(crate) struct Entry {
     /// under weaker options must never satisfy a request paying for stronger ones.
     pub options: u64,
     /// The winning plan, with its cost and estimated cardinality at the root; a drifted
-    /// variant re-costs it bottom-up.
-    pub plan: PlanNode,
+    /// variant re-costs it bottom-up. Shared with the answers served from it.
+    pub plan: Arc<PlanNode>,
     /// The tier that produced the join order.
     pub tier: PlanTier,
 }
@@ -76,12 +76,12 @@ pub(crate) struct Entry {
 /// Outcome of a cache lookup.
 pub(crate) enum Lookup {
     /// Shape and statistics match: the cached plan is current.
-    Hit { plan: PlanNode, tier: PlanTier },
+    Hit { plan: Arc<PlanNode>, tier: PlanTier },
     /// Same shape, drifted statistics: re-cost the plan of the nearest statistics variant
     /// (ties to most recent), `distance` away from the request
     /// ([`QuerySpec::stats_distance`]).
     Shape {
-        plan: PlanNode,
+        plan: Arc<PlanNode>,
         tier: PlanTier,
         distance: f64,
     },
@@ -95,9 +95,9 @@ pub(crate) enum Lookup {
 /// counts are the live `qo_cache_*_total` counters, and the latency totals are the sums of the
 /// matching `qo_serve_*_ns` histograms. Each serve is timed by one clock, from sampler
 /// admission (after canonicalization) to the cache path's answer; it excludes
-/// canonicalization, regret pinning and flight recording. On a warm hit canonicalization is
-/// the largest layer, so [`avg_hit_ns`](Self::avg_hit_ns) sits well below the end-to-end
-/// latency a caller measures around `Service::plan_spec`.
+/// canonicalization, the mapping into the caller's ids, regret pinning and flight recording.
+/// On a warm hit canonicalization is the largest layer, so [`avg_hit_ns`](Self::avg_hit_ns)
+/// sits well below the end-to-end latency a caller measures around `Service::plan_spec`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Full hits (plan served from cache unchanged).
@@ -344,7 +344,7 @@ mod tests {
     /// Caches `spec` under stats key `stats`, with a one-scan plan whose relation id `tag`
     /// identifies the variant a lookup returns.
     fn insert(cache: &PlanCache, spec: QuerySpec, stats: u64, tag: usize) {
-        let plan = PlanNode::scan(tag, 1.0);
+        let plan = Arc::new(PlanNode::scan(tag, 1.0));
         let entry = Entry {
             spec,
             stats,

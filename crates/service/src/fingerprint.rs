@@ -14,8 +14,9 @@
 //! serving layer needs are distinguishable by construction: full hit (both equal), stats drift
 //! (shape equal, stats changed → incremental re-cost), and miss.
 //!
-//! Orthogonal to both halves, [`options_key`] digests every [`AdaptiveOptions`] field that can
-//! change the *produced plan* (cost model, budgets, IDP configuration). A cached plan is only
+//! Orthogonal to both halves, [`options_key`] digests every [`AdaptiveOptions`] field (cost
+//! model, pair budget, IDP configuration), since each can change the *produced plan*; none
+//! reads the clock, so equal keys on an equal spec give the same plan. A cached plan is only
 //! reused — verbatim *or* as a re-cost seed — by requests with the identical options key: a
 //! plan produced under a 1-pair budget must never satisfy a caller paying for exact
 //! enumeration, and an options change is neither a hit nor a drift but a fresh optimization.
@@ -64,11 +65,8 @@ fn stats_hash(spec: &QuerySpec) -> u64 {
     epoch
 }
 
-/// Digests every [`AdaptiveOptions`] field that can change which plan an optimization
+/// Digests every [`AdaptiveOptions`] field, since each can change which plan an optimization
 /// produces. Entries are only reusable by requests with an equal key.
-///
-/// `sample_rate` is intentionally left out: plans are bit-identical at every sampling rate
-/// (see the crate docs), so keying on it would only fragment the cache.
 pub fn options_key(options: &AdaptiveOptions) -> u64 {
     let model_rank = match options.cost_model {
         CostModelKind::Cout => 0u64,
@@ -83,11 +81,6 @@ pub fn options_key(options: &AdaptiveOptions) -> u64 {
         .fold(options.ccp_budget as u64)
         .fold(options.idp_block_size as u64)
         .fold(strategy_rank)
-        .fold(
-            options
-                .time_budget
-                .map_or(u64::MAX, |d| d.as_nanos() as u64),
-        )
         .finalize()
         .0
 }
@@ -96,7 +89,6 @@ pub fn options_key(options: &AdaptiveOptions) -> u64 {
 mod tests {
     use super::*;
     use dphyp::canonicalize;
-    use std::time::Duration;
 
     fn star(cards: [f64; 4], sel: f64) -> CanonicalQuery {
         let mut b = QuerySpec::builder(4);
@@ -142,30 +134,8 @@ mod tests {
                 idp_strategy: IdpStrategy::ConnectedSmallest,
                 ..base
             },
-            AdaptiveOptions {
-                time_budget: Some(Duration::from_millis(5)),
-                ..base
-            },
         ] {
             assert_ne!(key, options_key(&changed), "{changed:?}");
-        }
-    }
-
-    #[test]
-    fn sample_rate_never_fragments_the_options_key() {
-        // The always-on sampler only decides which serves get a recording sink — plans,
-        // costs and tiers are bit-identical at every rate — so the knob must map every
-        // setting onto the same cache entry.
-        let base = AdaptiveOptions::default();
-        let key = options_key(&base);
-        for sample_rate in [None, Some(0), Some(1), Some(1024)] {
-            assert_eq!(
-                key,
-                options_key(&AdaptiveOptions {
-                    sample_rate,
-                    ..base
-                })
-            );
         }
     }
 

@@ -15,7 +15,7 @@ use qo_obsv::{MetricsSnapshot, SamplerOptions, SamplingSink, Span};
 use qo_plan::PlanNode;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Configuration of a [`Service`].
@@ -30,10 +30,10 @@ pub struct ServiceOptions {
     /// CPU, capped by the number of distinct shapes in the batch (see
     /// [`effective_batch_threads`]).
     pub batch_threads: usize,
-    /// The always-on trace sampler's configuration: rate (default 1-in-1024, overridable
-    /// per query via [`AdaptiveOptions::sample_rate`]), exemplar reservoir, slow-serve
-    /// threshold. Sampling is pure observation — plans, costs and tiers are bit-identical
-    /// with any setting — and the unsampled fast path costs two relaxed atomics per serve.
+    /// The always-on trace sampler's configuration: rate (default 1-in-1024), exemplar
+    /// reservoir, slow-serve threshold. Sampling is pure observation — plans, costs and tiers
+    /// are bit-identical with any setting — and the unsampled fast path costs two relaxed
+    /// atomics per serve. To trace one query, run its serve under [`qo_obsv::with_sink`].
     pub sampling: SamplerOptions,
     /// Capacity of the serve flight recorder's ring ([`Service::flight_recorder`]): how
     /// many recent serves stay reconstructible post-mortem.
@@ -417,8 +417,9 @@ impl Service {
     /// actual work, and the completed serve lands in the flight recorder. The unsampled
     /// path adds two relaxed atomics and one ring push — sampling never changes the answer.
     ///
-    /// One clock times the serve, from sampler admission to the cache path's answer (regret
-    /// pinning and flight recording excluded). Its reading feeds the sampler, the outcome's
+    /// One clock times the serve, from sampler admission to the cache path's answer in
+    /// canonical ids (the mapping into the caller's ids, regret pinning and flight recording
+    /// excluded). Its reading feeds the sampler, the outcome's
     /// counter and histogram — recorded once, under the cache path's source — and the flight
     /// record, which also keeps the cache path's re-cost decision and optimization telemetry
     /// unless a pin replaced its answer.
@@ -428,10 +429,7 @@ impl Service {
         adaptive: AdaptiveOptions,
     ) -> Result<ServedPlan, OptimizeError> {
         let start = Instant::now();
-        let rate = adaptive
-            .sample_rate
-            .unwrap_or(self.options.sampling.sample_rate);
-        let ticket = self.sampler.begin_serve(rate);
+        let ticket = self.sampler.begin_serve();
         let seq = ticket.seq;
         let result = match &ticket.sample {
             Some(sample) => {
@@ -448,45 +446,54 @@ impl Service {
             self.metrics
                 .record_trace_drops(o.dropped_spans, o.dropped_events);
         }
-        result.map(|answer| {
-            let Answer {
-                mut served,
-                mut decision,
-                mut optimization,
-            } = answer;
-            self.metrics.record_serve(served.source, latency_ns);
-            served.serve_seq = seq;
-            served.trace_id = outcome.map(|o| o.trace_id);
-            served.order_digest = served.plan.order_digest();
-            served.layout = layout_digest(canonical);
+        result.map(|mut answer| {
+            self.metrics.record_serve(answer.source, latency_ns);
+            let trace_id = outcome.map(|o| o.trace_id);
+            let layout = layout_digest(canonical);
+            let mut plan = canonical.plan_to_original(&answer.plan);
+            let mut order_digest = plan.order_digest();
             // Regret shell: if execution feedback has measured this candidate worse than the
             // best-known order for the shape (or spent the exploration budget), serve the
             // proven best instead. Shapes never reported through `observe_execution` have no
             // ledger state and skip this entirely.
-            if let Some(pin) =
-                self.regret
-                    .pin(served.fingerprint.shape, served.layout, served.order_digest)
+            if let Some(pin) = self
+                .regret
+                .pin(answer.fingerprint.shape, layout, order_digest)
             {
-                if let Some(pinned) = self.serve_pinned(canonical, &adaptive, &served, pin) {
-                    served = pinned;
-                    decision = None;
-                    optimization = None;
+                let digest = pin.digest;
+                if let Some(pinned) =
+                    self.serve_pinned(canonical, &adaptive, answer.fingerprint, pin)
+                {
+                    answer = pinned;
+                    plan = canonical.plan_to_original(&answer.plan);
+                    order_digest = digest;
                 }
             }
             self.flight.record(ServeRecord {
                 seq,
-                fingerprint: served.fingerprint,
-                tier: served.tier,
-                source: served.source,
+                fingerprint: answer.fingerprint,
+                tier: answer.tier,
+                source: answer.source,
                 latency_ns,
-                cost: served.cost,
-                decision,
-                optimization,
+                cost: answer.cost,
+                decision: answer.decision,
+                optimization: answer.optimization,
                 true_cost: None,
                 max_q_error: None,
-                trace_id: served.trace_id,
+                trace_id,
             });
-            served
+            ServedPlan {
+                plan,
+                cost: answer.cost,
+                cardinality: answer.cardinality,
+                tier: answer.tier,
+                source: answer.source,
+                fingerprint: answer.fingerprint,
+                serve_seq: seq,
+                trace_id,
+                order_digest,
+                layout,
+            }
         })
     }
 
@@ -499,29 +506,20 @@ impl Service {
         adaptive: AdaptiveOptions,
     ) -> Result<Answer, OptimizeError> {
         let _span = Span::enter("serve");
-        let fp = Fingerprint::of(canonical);
+        let fingerprint = Fingerprint::of(canonical);
         let opts_key = options_key(&adaptive);
 
-        match self.cache.lookup(fp, opts_key, &canonical.spec) {
-            Lookup::Hit { plan, tier } => {
-                let served = ServedPlan {
-                    plan: canonical.plan_to_original(&plan),
-                    cost: plan.cost(),
-                    cardinality: plan.cardinality(),
-                    tier,
-                    source: PlanSource::CacheHit,
-                    fingerprint: fp,
-                    serve_seq: 0,
-                    trace_id: None,
-                    order_digest: 0,
-                    layout: 0,
-                };
-                Ok(Answer {
-                    served,
-                    decision: None,
-                    optimization: None,
-                })
-            }
+        match self.cache.lookup(fingerprint, opts_key, &canonical.spec) {
+            Lookup::Hit { plan, tier } => Ok(Answer {
+                cost: plan.cost(),
+                cardinality: plan.cardinality(),
+                plan,
+                tier,
+                source: PlanSource::CacheHit,
+                fingerprint,
+                decision: None,
+                optimization: None,
+            }),
             Lookup::Shape {
                 plan,
                 tier,
@@ -537,42 +535,27 @@ impl Service {
                     // A greedy ordering that beats the re-costed order shows it has gone
                     // stale under the new statistics: re-optimize in full.
                     if plan.cost() <= greedy_cost {
-                        let served = ServedPlan {
-                            plan: canonical.plan_to_original(&plan),
+                        let plan = Arc::new(plan);
+                        self.insert(canonical, fingerprint, opts_key, &plan, tier);
+                        return Ok(Answer {
                             cost: plan.cost(),
                             cardinality: plan.cardinality(),
+                            plan,
                             tier,
                             source: PlanSource::Recost,
-                            fingerprint: fp,
-                            serve_seq: 0,
-                            trace_id: None,
-                            order_digest: 0,
-                            layout: 0,
-                        };
-                        let evicted = self.cache.insert(
-                            fp.shape,
-                            Entry {
-                                spec: canonical.spec.clone(),
-                                stats: fp.stats,
-                                options: opts_key,
-                                plan,
-                                tier,
-                            },
-                        );
-                        self.metrics.record_evictions(evicted);
-                        return Ok(Answer {
-                            served,
+                            fingerprint,
                             decision: Some(decision),
                             optimization: None,
                         });
                     }
                 }
-                let mut answer = self.optimize_and_insert(canonical, fp, opts_key, adaptive)?;
-                answer.served.source = PlanSource::RecostFallback;
+                let mut answer =
+                    self.optimize_and_insert(canonical, fingerprint, opts_key, adaptive)?;
+                answer.source = PlanSource::RecostFallback;
                 answer.decision = Some(decision);
                 Ok(answer)
             }
-            Lookup::Miss => self.optimize_and_insert(canonical, fp, opts_key, adaptive),
+            Lookup::Miss => self.optimize_and_insert(canonical, fingerprint, opts_key, adaptive),
         }
     }
 
@@ -580,46 +563,53 @@ impl Service {
     fn optimize_and_insert(
         &self,
         canonical: &CanonicalQuery,
-        fp: Fingerprint,
+        fingerprint: Fingerprint,
         opts_key: u64,
         adaptive: AdaptiveOptions,
     ) -> Result<Answer, OptimizeError> {
         let result = AdaptiveOptimizer::new(adaptive).optimize_spec(&canonical.spec)?;
         self.metrics.record_optimize(&result);
-        let served = ServedPlan {
-            plan: canonical.plan_to_original(&result.plan),
+        let plan = Arc::new(result.plan);
+        self.insert(canonical, fingerprint, opts_key, &plan, result.tier);
+        Ok(Answer {
+            plan,
             cost: result.cost,
             cardinality: result.cardinality,
             tier: result.tier,
             source: PlanSource::Miss,
-            fingerprint: fp,
-            serve_seq: 0,
-            trace_id: None,
-            order_digest: 0,
-            layout: 0,
-        };
-        let evicted = self.cache.insert(
-            fp.shape,
-            Entry {
-                spec: canonical.spec.clone(),
-                stats: fp.stats,
-                options: opts_key,
-                plan: result.plan,
-                tier: result.tier,
-            },
-        );
-        self.metrics.record_evictions(evicted);
-        Ok(Answer {
-            served,
+            fingerprint,
             decision: None,
             optimization: Some(result.telemetry),
         })
     }
 
+    /// Caches `plan` (canonical ids) as the variant of `canonical`'s statistics under
+    /// `opts_key`, counting the entries the insert evicts.
+    fn insert(
+        &self,
+        canonical: &CanonicalQuery,
+        fingerprint: Fingerprint,
+        opts_key: u64,
+        plan: &Arc<PlanNode>,
+        tier: PlanTier,
+    ) {
+        let evicted = self.cache.insert(
+            fingerprint.shape,
+            Entry {
+                spec: canonical.spec.clone(),
+                stats: fingerprint.stats,
+                options: opts_key,
+                plan: Arc::clone(plan),
+                tier,
+            },
+        );
+        self.metrics.record_evictions(evicted);
+    }
+
     /// Dresses the regret ledger's proven-best order as this serve's answer: the stored
     /// plan (original ids, layout-matched by [`RegretLedger::pin`]) is translated into
-    /// canonical ids, re-costed bottom-up under the current statistics for honest cost and
-    /// cardinality figures, and translated back. The pin is served whatever the greedy probe
+    /// canonical ids and re-costed bottom-up under the current statistics for honest cost and
+    /// cardinality figures. The pin is served whatever the greedy probe
     /// would say, so no probe runs. `None` keeps the model's candidate: the pin is waived only
     /// when the stored order names a relation or edge id the query does not have, or when the
     /// re-cost itself fails (the stored order no longer covers the spec), rather than failing
@@ -628,9 +618,9 @@ impl Service {
         &self,
         canonical: &CanonicalQuery,
         adaptive: &AdaptiveOptions,
-        served: &ServedPlan,
+        fingerprint: Fingerprint,
         pin: PinnedPlan,
-    ) -> Option<ServedPlan> {
+    ) -> Option<Answer> {
         let n = canonical.spec.node_count();
         let edges = canonical.edge_to_original.len();
         // A plan reported under this serve's fingerprint that names ids the query does not
@@ -650,24 +640,34 @@ impl Service {
         }
         let cplan = pin.plan.map_ids(&|r| node_inv[r], &|e| edge_inv[e]);
         let plan = recost_spec(&canonical.spec, &cplan, adaptive).ok()??;
-        Some(ServedPlan {
-            plan: canonical.plan_to_original(&plan),
+        Some(Answer {
             cost: plan.cost(),
             cardinality: plan.cardinality(),
+            plan: Arc::new(plan),
             tier: pin.tier,
             source: PlanSource::Pinned,
-            fingerprint: served.fingerprint,
-            serve_seq: served.serve_seq,
-            trace_id: served.trace_id,
-            order_digest: pin.digest,
-            layout: served.layout,
+            fingerprint,
+            decision: None,
+            optimization: None,
         })
     }
 }
 
-/// The cache path's answer to one serve, with the decisions its flight record keeps.
+/// The cache path's answer to one serve, in canonical ids, with the decisions its flight
+/// record keeps. [`Service::serve`] maps it into the caller's ids.
 struct Answer {
-    served: ServedPlan,
+    /// The plan, shared with its cache entry.
+    plan: Arc<PlanNode>,
+    /// Its cost under the configured cost model.
+    cost: f64,
+    /// Its estimated output cardinality.
+    cardinality: f64,
+    /// The tier that produced the join order.
+    tier: PlanTier,
+    /// Which serving path answered.
+    source: PlanSource,
+    /// The query's fingerprint.
+    fingerprint: Fingerprint,
     /// The re-cost decision of a shape lookup.
     decision: Option<RecostDecision>,
     /// The budget telemetry of a full optimization.

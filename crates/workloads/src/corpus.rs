@@ -177,10 +177,6 @@ mod tests {
             "some query pins a ccp budget"
         );
         assert!(
-            has(&|q| q.options.time_budget.is_some()),
-            "some query pins a wall-clock budget"
-        );
-        assert!(
             has(&|q| q.options.cost_model.is_some()),
             "some query picks a cost model"
         );

@@ -50,13 +50,12 @@ fn budget_exactly_equal_to_the_true_ccp_count_stays_exact() {
 
     let at_budget = with_budget(true_ccps).optimize_spec(&spec).unwrap();
     assert_eq!(at_budget.tier, PlanTier::Exact);
-    assert!(!at_budget.telemetry.exact_aborted);
     assert_eq!(at_budget.telemetry.exact_ccps, true_ccps);
 
     let one_short = with_budget(true_ccps - 1).optimize_spec(&spec).unwrap();
     assert_ne!(one_short.tier, PlanTier::Exact);
     // A star is its own spanning tree: the lower bound is the true count, one over budget.
-    assert!(one_short.telemetry.exact_skipped && one_short.telemetry.exact_aborted);
+    assert!(one_short.telemetry.exact_skipped);
     assert_eq!(one_short.telemetry.exact_ccps, 0);
     // The fallback still covers every relation.
     assert_eq!(one_short.plan.scan_count(), 11);
@@ -72,7 +71,6 @@ fn zero_and_one_budgets_return_valid_greedy_plans() {
             assert_eq!(r.plan.scan_count(), n);
             assert_eq!(r.plan.join_count(), n - 1);
             assert!(r.cost.is_finite() && r.cost > 0.0);
-            assert!(r.telemetry.exact_aborted);
             assert_eq!(r.telemetry.idp_k, 0);
         }
     }
@@ -92,7 +90,7 @@ fn the_96_relation_star_plans_without_manual_algorithm_selection() {
     assert_eq!(r.tier, PlanTier::Idp);
     assert_eq!(r.plan.scan_count(), 96);
     assert_eq!(r.plan.join_count(), 95);
-    assert!(r.telemetry.exact_skipped && r.telemetry.exact_aborted);
+    assert!(r.telemetry.exact_skipped);
     assert_eq!(
         r.telemetry.exact_ccps, 0,
         "not one pair of a doomed enumeration"
@@ -111,7 +109,7 @@ fn default_budget_enforces_a_hard_ceiling_on_enumeration_work() {
 
     let star = optimize_adaptive(&star_spec(24, SEED)).unwrap();
     assert_ne!(star.tier, PlanTier::Exact, "star-25 has ~100M pairs");
-    assert!(star.telemetry.exact_skipped && star.telemetry.exact_aborted);
+    assert!(star.telemetry.exact_skipped);
     assert_eq!(star.telemetry.exact_ccps, 0);
     assert_eq!(star.plan.scan_count(), 25);
 }
@@ -213,7 +211,6 @@ fn a_bound_under_the_budget_still_aborts_inside_the_enumeration() {
         .optimize_spec(&clique_spec(8, SEED))
         .unwrap();
     assert_ne!(r.tier, PlanTier::Exact);
-    assert!(r.telemetry.exact_aborted);
     assert!(!r.telemetry.exact_skipped);
     assert_eq!(r.telemetry.exact_ccps, 1_000);
 }
@@ -256,7 +253,6 @@ fn check_skip(name: &str, spec: &QuerySpec, options: AdaptiveOptions) -> bool {
     if !r.telemetry.exact_skipped {
         return false;
     }
-    assert!(r.telemetry.exact_aborted, "{name}");
     assert_eq!(r.telemetry.exact_ccps, 0, "{name}");
     assert_ne!(r.tier, PlanTier::Exact, "{name}");
     if spec.node_count() <= 64 {

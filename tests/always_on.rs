@@ -77,42 +77,6 @@ fn plans_are_bit_identical_with_ambient_sampling_on_and_off() {
     }
 }
 
-/// The `.jg` surface: `option sample_rate = 1` forces a trace for that query's serves while
-/// `option sample_rate = 0` opts out, both overriding the service-wide default — and neither
-/// perturbs the plan.
-#[test]
-fn jg_sample_rate_option_controls_per_query_tracing() {
-    let source = "\
-query s1 {
-  relation a cardinality=1000
-  relation b cardinality=100
-  relation c cardinality=10
-  join a -- b selectivity=0.01
-  join b -- c selectivity=0.1
-  option sample_rate = 1
-}
-";
-    // Service default would sample only 1-in-1024; the per-query option forces every serve.
-    let service = Service::default();
-    let traced = &service.plan_jg(source).expect("plannable")[0];
-    assert!(
-        traced.trace_id.is_some(),
-        "sample_rate = 1 must trace the serve"
-    );
-
-    let opt_out = source.replace("option sample_rate = 1", "option sample_rate = 0");
-    // A fresh service so the serve counter starts at zero — seq 0 would be rate-sampled by
-    // the 1-in-1024 default, which is exactly what the opt-out must override.
-    let service = Service::default();
-    let untraced = &service.plan_jg(&opt_out).expect("plannable")[0];
-    assert!(untraced.trace_id.is_none(), "sample_rate = 0 opts out");
-    assert_eq!(
-        traced.plan, untraced.plan,
-        "sampling must not change the plan"
-    );
-    assert_eq!(traced.cost, untraced.cost);
-}
-
 /// Every serve leaves one structured record in the flight recorder, in serve order, with the
 /// path and the cost the caller saw; `dump()` renders them without any prior opt-in.
 #[test]

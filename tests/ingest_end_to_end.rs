@@ -38,9 +38,7 @@ fn every_corpus_query_plans_through_the_adaptive_driver() {
             q.name
         );
         if r.tier == PlanTier::Exact {
-            assert!(!r.telemetry.exact_aborted, "{}", q.name);
-        } else {
-            assert!(r.telemetry.exact_aborted, "{}", q.name);
+            assert!(!r.telemetry.exact_skipped, "{}", q.name);
         }
     }
 }
@@ -67,14 +65,15 @@ fn corpus_options_steer_the_tier_ladder() {
         "the 28-relation snowflake must exhaust its pinned budget and fall back"
     );
     // Its spanning-tree lower bound already exceeds the budget: no pair is enumerated.
-    assert!(r.telemetry.exact_skipped && r.telemetry.exact_aborted);
+    assert!(r.telemetry.exact_skipped);
     assert_eq!(r.telemetry.exact_ccps, 0);
     assert!(r.telemetry.idp_k <= 8);
 
-    let timed = corpus_query("dsb_grand_25").unwrap();
-    assert!(timed.adaptive_options().time_budget.is_some());
-    let r = timed.plan().unwrap();
+    let grand = corpus_query("dsb_grand_25").unwrap();
+    assert_eq!(grand.adaptive_options().ccp_budget, 200_000);
+    let r = grand.plan().unwrap();
     assert_ne!(r.tier, PlanTier::Exact);
+    assert!(r.telemetry.exact_skipped);
     assert_eq!(r.plan.scan_count(), 25);
 }
 

@@ -18,8 +18,7 @@ use qo_workloads::corpus::corpus;
 use qo_workloads::{clique_spec, cycle_spec, star_spec};
 
 /// The corpus with its own planner options, then the `cold_mix` synthetic ladder (cycles 8–13,
-/// stars with 6–11 satellites, cliques 6–10) under statistics seeds 1–3. Time budgets are
-/// dropped so the output depends on nothing but the code.
+/// stars with 6–11 satellites, cliques 6–10) under statistics seeds 1–3.
 fn workload() -> Vec<(String, QuerySpec, AdaptiveOptions)> {
     let mut out: Vec<_> = corpus()
         .into_iter()
@@ -50,9 +49,6 @@ fn workload() -> Vec<(String, QuerySpec, AdaptiveOptions)> {
                 Default::default(),
             ));
         }
-    }
-    for (_, _, options) in &mut out {
-        options.time_budget = None;
     }
     out
 }

@@ -667,7 +667,6 @@ fn run_obsv_rows(quick: bool) -> ObsvRows {
             sample_rate: 0,
             // Rate 0 still slow-arms by design; the control must never trace.
             warmup: u64::MAX,
-            ..qo_service::SamplerOptions::default()
         },
         ..qo_service::ServiceOptions::default()
     });
@@ -747,7 +746,6 @@ fn sampler_fastpath_overhead_ns(calls: u64) -> f64 {
     let sampler = SamplingSink::new(SamplerOptions {
         sample_rate: 0,
         warmup: u64::MAX,
-        ..SamplerOptions::default()
     });
     let started = std::time::Instant::now();
     for i in 0..calls {

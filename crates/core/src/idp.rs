@@ -5,10 +5,13 @@
 //! Stocker it repeatedly **selects** up to `k` of the current blocks (initially one per
 //! relation) greedily, **solves** the join order within the selection exactly by running
 //! [`DpHyp`] over the selection's quotient hypergraph (one node per block), and **collapses**
-//! the best solved set into one block. A round enumerates at most `3^k` pairs, through the
-//! same [`JoinCombiner`] and [`DpTable`] as the exact tier. With `k ≥ n` the first round *is*
-//! exact DP; the thinning/synthesis analysis of bounded-subproblem DP (Ji et al.,
-//! arXiv:2202.12208) explains why moderate `k` stays near-optimal.
+//! the best solved set into one block. Selection follows one rule, by connectivity: the
+//! cheapest block with a connected partner seeds it, and it grows by the block with the most
+//! hyperedges into the selection, ties going to the smallest cardinality. A round enumerates
+//! at most `3^k` pairs, through the same [`JoinCombiner`] and [`DpTable`] as the exact tier.
+//! With `k ≥ n` the first round *is* exact DP; the thinning/synthesis analysis of
+//! bounded-subproblem DP (Ji et al., arXiv:2202.12208) explains why moderate `k` stays
+//! near-optimal.
 
 use crate::enumerate::DpHyp;
 use qo_baselines::BaselineResult;
@@ -22,28 +25,10 @@ use qo_hypergraph::{EdgeId, Hyperedge, Hypergraph};
 /// `2^k`-entry vector, so a larger `k` would exhaust memory before its `3^k` pairs finish.
 pub const MAX_IDP_BLOCK_SIZE: usize = 24;
 
-/// How a round's blocks are selected before the exact within-selection DP.
-///
-/// Both strategies only ever select mutually reachable blocks (a selection that cannot merge
-/// would waste the round); they differ in *which* connected block joins the selection next.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum IdpStrategy {
-    /// Grow the selection by the smallest-cardinality block connected to it — GOO's
-    /// smallest-output-first intuition, one level coarser. The original (default) strategy.
-    #[default]
-    SmallestCardinality,
-    /// Connectivity-aware growth: prefer the candidate with the most hyperedges connecting it
-    /// to the selection (densely connected selections give the block DP more predicates to
-    /// exploit and keep intermediate results selective), tie-breaking by smallest cardinality.
-    /// On shapes where every candidate is equally connected — stars, chains — the tie-break
-    /// makes this identical to [`IdpStrategy::SmallestCardinality`], so it can only change
-    /// plans where real connectivity differences exist.
-    ConnectedSmallest,
-}
-
-/// Runs IDP-k over the hypergraph: `strategy` selects each round's at most `k` blocks, DPhyp
-/// orders the joins inside them. `k ≥ n` is one exact DP over all relations; small `k`
-/// approaches greedy behavior. `catalog` must be valid for `graph` (the driver checks it).
+/// Runs IDP-k over the hypergraph: each round selects at most `k` connected blocks (most
+/// hyperedges into the selection first), DPhyp orders the joins inside them. `k ≥ n` is one
+/// exact DP over all relations; small `k` approaches greedy behavior. `catalog` must be valid
+/// for `graph` (the driver checks it).
 ///
 /// `cost_calls` counts the candidates costed, `pairs_tested` the csg-cmp-pairs enumerated.
 /// `None` when no plan covers every relation (the graph is disconnected).
@@ -55,7 +40,6 @@ pub fn idp<M: CostModel<W> + ?Sized, const W: usize>(
     catalog: &Catalog<W>,
     cost_model: &M,
     k: usize,
-    strategy: IdpStrategy,
 ) -> Option<BaselineResult> {
     assert!(
         (2..=MAX_IDP_BLOCK_SIZE).contains(&k),
@@ -73,7 +57,7 @@ pub fn idp<M: CostModel<W> + ?Sized, const W: usize>(
 
     let (mut cost_calls, mut pairs_tested) = (0, 0);
     while blocks.len() > 1 {
-        let selected = select_blocks(graph, &blocks, k, strategy)?;
+        let selected = select_blocks(graph, &blocks, k)?;
         let sets: Vec<NodeSet<W>> = selected.iter().map(|&i| blocks[i].set).collect();
         let round = BlockDp::run(&combiner, &mut table, &sets);
         cost_calls += round.cost_calls;
@@ -104,15 +88,15 @@ pub fn idp<M: CostModel<W> + ?Sized, const W: usize>(
 
 /// Greedy selection of up to `k` mutually reachable blocks: the smallest-cardinality block that
 /// has at least one connected partner seeds the selection, which then grows by repeatedly
-/// adding one block connected to the selection's union — the cheapest one under
-/// [`IdpStrategy::SmallestCardinality`], the most-connected one (cheapest among equals) under
-/// [`IdpStrategy::ConnectedSmallest`]. Returns ascending block indexes, or `None` if no two
-/// blocks are connected (the graph has collapsed into disconnected components).
+/// adding the block with the most hyperedges connecting it to the selection's union, the
+/// smallest cardinality among equals. Densely connected selections give the block DP more
+/// predicates to apply; on shapes where every candidate is equally connected (stars, chains)
+/// the rule is smallest-cardinality-first. Returns ascending block indexes, or `None` if no
+/// two blocks are connected (the graph has collapsed into disconnected components).
 fn select_blocks<const W: usize>(
     graph: &Hypergraph<W>,
     blocks: &[SubPlanStats<W>],
     k: usize,
-    strategy: IdpStrategy,
 ) -> Option<Vec<usize>> {
     // Candidate seeds, cheapest first: small blocks keep intermediate results small.
     let mut by_card: Vec<usize> = (0..blocks.len()).collect();
@@ -136,22 +120,12 @@ fn select_blocks<const W: usize>(
                 if selected.contains(i) {
                     continue;
                 }
-                match strategy {
-                    IdpStrategy::SmallestCardinality => {
-                        if graph.has_connecting_edge_from(from, blocks[i].set) {
-                            best = Some(i);
-                            break; // by_card is sorted: the first connected block is the cheapest
-                        }
-                    }
-                    IdpStrategy::ConnectedSmallest => {
-                        let edges = graph.connecting_edge_count_from(from, blocks[i].set);
-                        // Strictly more connecting edges wins; by_card order makes "first seen
-                        // at this edge count" the cardinality tie-break.
-                        if edges > best_edges {
-                            best_edges = edges;
-                            best = Some(i);
-                        }
-                    }
+                let edges = graph.connecting_edge_count_from(from, blocks[i].set);
+                // Strictly more connecting edges wins; by_card order makes "first seen at this
+                // edge count" the cardinality tie-break.
+                if edges > best_edges {
+                    best_edges = edges;
+                    best = Some(i);
                 }
             }
             match best {
@@ -343,7 +317,7 @@ mod tests {
         let cards = [10.0, 500.0, 20.0, 8000.0, 50.0, 5.0, 900.0];
         let (g, c) = chain(7, &cards, 0.01);
         for k in 2..=8 {
-            let r = idp(&g, &c, &CoutCost, k, IdpStrategy::default()).unwrap();
+            let r = idp(&g, &c, &CoutCost, k).unwrap();
             assert_eq!(r.plan.relations(), g.all_nodes(), "k = {k}");
             assert_eq!(r.plan.join_count(), 6, "k = {k}");
             assert!(r.cost.is_finite() && r.cost > 0.0);
@@ -356,11 +330,11 @@ mod tests {
         let cards = [10.0, 500.0, 20.0, 8000.0, 50.0, 5.0];
         let (g, c) = chain(6, &cards, 0.01);
         let exact = dpsize(&g, &c, &CoutCost).unwrap();
-        let r = idp(&g, &c, &CoutCost, 6, IdpStrategy::default()).unwrap();
+        let r = idp(&g, &c, &CoutCost, 6).unwrap();
         assert_eq!(r.cost, exact.cost, "k = n must reproduce the DP optimum");
         let (g, c) = star(6);
         let exact = dpsize(&g, &c, &CoutCost).unwrap();
-        let r = idp(&g, &c, &CoutCost, 8, IdpStrategy::default()).unwrap();
+        let r = idp(&g, &c, &CoutCost, 8).unwrap();
         assert_eq!(r.cost, exact.cost);
     }
 
@@ -369,7 +343,7 @@ mod tests {
         let (g, c) = star(9);
         let exact = dpsize(&g, &c, &CoutCost).unwrap();
         for k in [2, 3, 4, 5] {
-            let r = idp(&g, &c, &CoutCost, k, IdpStrategy::default()).unwrap();
+            let r = idp(&g, &c, &CoutCost, k).unwrap();
             assert!(
                 r.cost >= exact.cost - 1e-9,
                 "k = {k}: IDP cost {} below optimum {}",
@@ -385,7 +359,7 @@ mod tests {
         // tie) both GOO and small-k IDP.
         let (g, c) = star(8);
         let greedy = goo(&g, &c, &CoutCost).unwrap();
-        let r = idp(&g, &c, &CoutCost, 10, IdpStrategy::default()).unwrap();
+        let r = idp(&g, &c, &CoutCost, 10).unwrap();
         assert!(r.cost <= greedy.cost + 1e-9);
     }
 
@@ -394,7 +368,7 @@ mod tests {
         // A 40-satellite star is far beyond exact DP (39·2^38 pairs); IDP-6 must finish with
         // work bounded by rounds · 3^6.
         let (g, c) = star(40);
-        let r = idp(&g, &c, &CoutCost, 6, IdpStrategy::default()).unwrap();
+        let r = idp(&g, &c, &CoutCost, 6).unwrap();
         assert_eq!(r.plan.relations(), g.all_nodes());
         assert_eq!(r.plan.join_count(), 40);
         assert!(
@@ -411,7 +385,7 @@ mod tests {
         b.add_simple_edge(2, 3);
         let g = b.build();
         let c = Catalog::uniform(4, 10.0, 2, 0.5);
-        assert!(idp(&g, &c, &CoutCost, 3, IdpStrategy::default()).is_none());
+        assert!(idp(&g, &c, &CoutCost, 3).is_none());
     }
 
     #[test]
@@ -430,7 +404,7 @@ mod tests {
         let g = b.build();
         let c = Catalog::uniform(6, 100.0, 5, 0.1);
         for k in 2..=6 {
-            let r = idp(&g, &c, &CoutCost, k, IdpStrategy::default()).unwrap();
+            let r = idp(&g, &c, &CoutCost, k).unwrap();
             assert_eq!(r.plan.relations(), g.all_nodes(), "k = {k}");
         }
     }
@@ -439,42 +413,14 @@ mod tests {
     #[should_panic(expected = "IDP block size")]
     fn rejects_block_size_below_two() {
         let (g, c) = chain(3, &[1.0, 2.0, 3.0], 0.1);
-        let _ = idp(&g, &c, &CoutCost, 1, IdpStrategy::default());
+        let _ = idp(&g, &c, &CoutCost, 1);
     }
 
     #[test]
-    fn connected_strategy_produces_complete_valid_plans() {
-        let cards = [10.0, 500.0, 20.0, 8000.0, 50.0, 5.0, 900.0];
-        let (g, c) = chain(7, &cards, 0.01);
-        for k in 2..=8 {
-            let r = idp(&g, &c, &CoutCost, k, IdpStrategy::ConnectedSmallest).unwrap();
-            assert_eq!(r.plan.relations(), g.all_nodes(), "k = {k}");
-            assert!(r.cost.is_finite() && r.cost > 0.0);
-        }
-    }
-
-    #[test]
-    fn connected_strategy_matches_the_default_on_uniformly_connected_shapes() {
-        // On a star every candidate block has exactly one edge to the hub, so the cardinality
-        // tie-break makes both strategies pick identical selections — the "never degrades a
-        // star" guarantee in miniature (the driver-level test covers the 96-relation star).
-        for satellites in [8usize, 20, 40] {
-            let (g, c) = star(satellites);
-            for k in [3usize, 5, 6] {
-                let default = idp(&g, &c, &CoutCost, k, IdpStrategy::default()).unwrap();
-                let connected = idp(&g, &c, &CoutCost, k, IdpStrategy::ConnectedSmallest).unwrap();
-                assert_eq!(
-                    connected.cost, default.cost,
-                    "satellites = {satellites}, k = {k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn connected_strategy_prefers_densely_connected_blocks() {
-        // R3 connects to both R0 and R1 (two edges once {R0, R1, R2} is selected), R4 only to
-        // R0. The connectivity-aware growth must absorb R3 before R4 even though R4 is cheaper.
+    fn selection_prefers_densely_connected_blocks() {
+        // R3 connects to both R0 and R1 (two edges once {R0, R1} is selected), R4 only to R0.
+        // The connectivity-aware growth must absorb R3 before R4 even though R4 is cheaper,
+        // and then R2, the cheapest of the singly connected blocks.
         let mut b = Hypergraph::builder(5);
         b.add_simple_edge(0, 1);
         b.add_simple_edge(1, 2);
@@ -482,44 +428,87 @@ mod tests {
         b.add_simple_edge(1, 3);
         b.add_simple_edge(0, 4);
         let g = b.build();
+        let cards = [10.0, 12.0, 14.0, 5_000.0, 20.0];
+        let blocks: Vec<_> = (0..5).map(|v| SubPlanStats::leaf(v, cards[v])).collect();
+        assert_eq!(select_blocks(&g, &blocks, 4), Some(vec![0, 1, 2, 3]));
         let mut cb = Catalog::builder(5);
-        cb.set_cardinality(0, 10.0)
-            .set_cardinality(1, 12.0)
-            .set_cardinality(2, 14.0)
-            .set_cardinality(3, 5_000.0)
-            .set_cardinality(4, 20.0);
+        for (v, &card) in cards.iter().enumerate() {
+            cb.set_cardinality(v, card);
+        }
         for e in 0..5 {
             cb.set_selectivity(e, 0.01);
         }
         let c = cb.build();
-        // k = 4 selects {0,1,2} + one more block. Both strategies must produce complete plans;
-        // the connected one gets the extra predicate of R3 into its block DP.
-        let default = idp(&g, &c, &CoutCost, 4, IdpStrategy::default()).unwrap();
-        let connected = idp(&g, &c, &CoutCost, 4, IdpStrategy::ConnectedSmallest).unwrap();
-        assert_eq!(default.plan.relations(), g.all_nodes());
-        assert_eq!(connected.plan.relations(), g.all_nodes());
-        // Exact DP over the same 5 relations bounds both from below.
+        let r = idp(&g, &c, &CoutCost, 4).unwrap();
+        assert_eq!(r.plan.relations(), g.all_nodes());
+        // Exact DP over the same 5 relations bounds it from below.
         let exact = dpsize(&g, &c, &CoutCost).unwrap();
-        assert!(connected.cost >= exact.cost - 1e-9);
-        assert!(default.cost >= exact.cost - 1e-9);
+        assert!(r.cost >= exact.cost - 1e-9);
+    }
+
+    #[test]
+    fn connected_strategy_produces_complete_valid_plans() {
+        // A chain with chords: candidates differ in how many edges reach the selection, so the
+        // edge count, not only the cardinality, decides each round's growth.
+        let cards = [10.0, 500.0, 20.0, 8000.0, 50.0, 5.0, 900.0];
+        let mut b = Hypergraph::builder(7);
+        for v in 0..6 {
+            b.add_simple_edge(v, v + 1);
+        }
+        b.add_simple_edge(0, 3);
+        b.add_simple_edge(1, 3);
+        b.add_simple_edge(3, 5);
+        b.add_simple_edge(2, 6);
+        let g = b.build();
+        let mut cb = Catalog::builder(7);
+        for (v, &card) in cards.iter().enumerate() {
+            cb.set_cardinality(v, card);
+        }
+        for e in 0..10 {
+            cb.set_selectivity(e, 0.01);
+        }
+        let c = cb.build();
+        let exact = dpsize(&g, &c, &CoutCost).unwrap();
+        for k in 2..=8 {
+            let r = idp(&g, &c, &CoutCost, k).unwrap();
+            assert_eq!(r.plan.relations(), g.all_nodes(), "k = {k}");
+            assert_eq!(r.plan.join_count(), 6, "k = {k}");
+            assert!(r.cost.is_finite() && r.cost >= exact.cost - 1e-9, "k = {k}");
+        }
+        let r = idp(&g, &c, &CoutCost, 7).unwrap();
+        assert_eq!(r.cost, exact.cost, "k = n must reproduce the DP optimum");
     }
 
     #[test]
     fn connected_strategy_handles_hyperedge_gaps() {
+        // The Fig. 2-style halves plus a simple edge 2–3 and skewed cardinalities: once R2 is
+        // selected, R3 is reached by both the simple edge and (with the whole left half) the
+        // hyperedge, so hyperedges count toward the selection rule while partial halves still
+        // have to fall back.
         let mut b = Hypergraph::builder(6);
         b.add_simple_edge(0, 1);
         b.add_simple_edge(1, 2);
         b.add_simple_edge(3, 4);
         b.add_simple_edge(4, 5);
+        b.add_simple_edge(2, 3);
         b.add_hyperedge(
             [0, 1, 2].into_iter().collect(),
             [3, 4, 5].into_iter().collect(),
         );
         let g = b.build();
-        let c = Catalog::uniform(6, 100.0, 5, 0.1);
+        let mut cb = Catalog::builder(6);
+        for (v, &card) in [40.0, 5.0, 300.0, 20.0, 7_000.0, 60.0].iter().enumerate() {
+            cb.set_cardinality(v, card);
+        }
+        for e in 0..6 {
+            cb.set_selectivity(e, 0.05);
+        }
+        let c = cb.build();
+        let exact = dpsize(&g, &c, &CoutCost).unwrap();
         for k in 2..=6 {
-            let r = idp(&g, &c, &CoutCost, k, IdpStrategy::ConnectedSmallest).unwrap();
+            let r = idp(&g, &c, &CoutCost, k).unwrap();
             assert_eq!(r.plan.relations(), g.all_nodes(), "k = {k}");
+            assert!(r.cost >= exact.cost - 1e-9, "k = {k}");
         }
     }
 
@@ -570,7 +559,7 @@ mod tests {
         b.add_simple_edge(0, 2);
         let g = b.build();
         let c = Catalog::uniform(3, 8.0, 3, 0.5);
-        let r = idp(&g, &c, &CoutCost, 3, IdpStrategy::default()).unwrap();
+        let r = idp(&g, &c, &CoutCost, 3).unwrap();
         assert_eq!(r.cost, 96.0);
         let PlanNode::Join { left, right, .. } = &r.plan else {
             panic!("a three-relation plan is a join");

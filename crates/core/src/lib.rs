@@ -70,7 +70,7 @@ pub use optimizer::{
 pub use query::{optimize_spec, QuerySpec, QuerySpecBuilder, SpecEdge, MAX_WIDE_NODES};
 pub use recost::{recost_spec, recost_spec_with_probe, Recosted};
 
-pub use idp::{idp, IdpStrategy, MAX_IDP_BLOCK_SIZE};
+pub use idp::{idp, MAX_IDP_BLOCK_SIZE};
 
 pub use qo_algebra::{ConflictEncoding, OpTree, Predicate};
 pub use qo_bitset::{NodeId, NodeSet, NodeSet128, NodeSet64};

@@ -15,8 +15,7 @@ use crate::ast::{JoinDecl, OptionDecl, OptionValue, QueryDecl, RelationDecl};
 use crate::parser::parse;
 use crate::span::{JgError, Span};
 use dphyp::{
-    AdaptiveOptimizer, AdaptiveOptions, CostModelKind, IdpStrategy, OptimizeError, OptimizeResult,
-    QuerySpec,
+    AdaptiveOptimizer, AdaptiveOptions, CostModelKind, OptimizeError, OptimizeResult, QuerySpec,
 };
 use qo_plan::JoinOp;
 use std::collections::HashMap;
@@ -31,8 +30,6 @@ pub struct QueryOptions {
     pub idp_block_size: Option<usize>,
     /// `option cost_model = cout | mixed`.
     pub cost_model: Option<CostModelKind>,
-    /// `option idp_strategy = smallest | connected` — block selection of the IDP fallback.
-    pub idp_strategy: Option<IdpStrategy>,
 }
 
 impl QueryOptions {
@@ -42,7 +39,6 @@ impl QueryOptions {
             ccp_budget: self.ccp_budget.unwrap_or(base.ccp_budget),
             idp_block_size: self.idp_block_size.unwrap_or(base.idp_block_size),
             cost_model: self.cost_model.unwrap_or(base.cost_model),
-            idp_strategy: self.idp_strategy.unwrap_or(base.idp_strategy),
         }
     }
 }
@@ -316,23 +312,11 @@ fn lower_options(q: &QueryDecl) -> Result<QueryOptions, JgError> {
                     v.span(),
                 )),
             })?,
-            "idp_strategy" => set_once(&mut opts.idp_strategy, o, || match value {
-                OptionValue::Symbol(s) if s.text == "smallest" => {
-                    Ok(IdpStrategy::SmallestCardinality)
-                }
-                OptionValue::Symbol(s) if s.text == "connected" => {
-                    Ok(IdpStrategy::ConnectedSmallest)
-                }
-                v => Err(JgError::new(
-                    "`idp_strategy` expects `smallest` or `connected`",
-                    v.span(),
-                )),
-            })?,
             other => {
                 return Err(JgError::new(
                     format!(
                         "unknown option `{other}` (expected one of: ccp_budget, \
-                         idp_block_size, cost_model, idp_strategy)"
+                         idp_block_size, cost_model)"
                     ),
                     o.key.span,
                 ))
@@ -516,17 +500,9 @@ mod tests {
         assert!(err.message.contains("`cout` or `mixed`"));
         let err = q("relation a cardinality=1\noption warp_speed = 9").unwrap_err();
         assert!(err.message.contains("unknown option `warp_speed`"));
-        let err = q("relation a cardinality=1\noption idp_strategy = sideways").unwrap_err();
-        assert!(err.message.contains("`smallest` or `connected`"));
-        let ok = &q("relation a cardinality=1\noption idp_strategy = connected").unwrap()[0];
-        assert_eq!(
-            ok.options.idp_strategy,
-            Some(IdpStrategy::ConnectedSmallest)
-        );
-        assert_eq!(
-            ok.adaptive_options().idp_strategy,
-            IdpStrategy::ConnectedSmallest
-        );
+        let ok = &q("relation a cardinality=1\noption cost_model = mixed").unwrap()[0];
+        assert_eq!(ok.options.cost_model, Some(CostModelKind::Mixed));
+        assert_eq!(ok.adaptive_options().cost_model, CostModelKind::Mixed);
         let src =
             "query t {\nrelation a cardinality=1\noption ccp_budget = 9\noption ccp_budget = 7\n}";
         let err = parse_queries(src).unwrap_err();
@@ -537,13 +513,14 @@ mod tests {
     #[test]
     fn retired_parallelism_option_is_an_unknown_key() {
         // A retired key gets the ordinary spanned unknown-option diagnostic, which lists the
-        // four live keys.
+        // three live keys.
         let retired = [
             ("parallelism", "4"),
             ("pruning", "on"),
             ("trace", "on"),
             ("time_budget_ms", "5000"),
             ("sample_rate", "1"),
+            ("idp_strategy", "connected"),
         ];
         for (key, value) in retired {
             let src = format!("query t {{\nrelation a cardinality=1\noption {key} = {value}\n}}");
@@ -555,10 +532,7 @@ mod tests {
             );
             assert_eq!(err.span.start, src.find(key).unwrap());
             let valid_keys = err.message.split_once("expected one of: ").unwrap().1;
-            assert_eq!(
-                valid_keys,
-                "ccp_budget, idp_block_size, cost_model, idp_strategy)"
-            );
+            assert_eq!(valid_keys, "ccp_budget, idp_block_size, cost_model)");
         }
     }
 

@@ -65,13 +65,6 @@ pub fn to_jg(q: &IngestQuery) -> String {
         };
         writeln!(out, "  option cost_model = {name}").unwrap();
     }
-    if let Some(s) = o.idp_strategy {
-        let name = match s {
-            dphyp::IdpStrategy::SmallestCardinality => "smallest",
-            dphyp::IdpStrategy::ConnectedSmallest => "connected",
-        };
-        writeln!(out, "  option idp_strategy = {name}").unwrap();
-    }
     out.push_str("}\n");
     out
 }
@@ -105,7 +98,6 @@ mod tests {
   option ccp_budget = 12345
   option idp_block_size = 6
   option cost_model = mixed
-  option idp_strategy = connected
 }
 ";
         let q = &parse_queries(src).unwrap()[0];

@@ -2,7 +2,7 @@
 //! *identical* lowered query — same `QuerySpec` (bit-identical statistics), identical
 //! instantiated `Hypergraph` and `Catalog`, same options.
 
-use dphyp::{CostModelKind, IdpStrategy, QuerySpec};
+use dphyp::{CostModelKind, QuerySpec};
 use proptest::prelude::*;
 use qo_ingest::{parse_queries, to_jg, IngestQuery, QueryOptions, OP_NAMES};
 use rand::rngs::StdRng;
@@ -66,11 +66,6 @@ fn random_query(seed: u64) -> IngestQuery {
             0 => None,
             1 => Some(CostModelKind::Cout),
             _ => Some(CostModelKind::Mixed),
-        },
-        idp_strategy: match rng.random_range(0u32..3) {
-            0 => None,
-            1 => Some(IdpStrategy::SmallestCardinality),
-            _ => Some(IdpStrategy::ConnectedSmallest),
         },
     };
 

@@ -14,7 +14,7 @@
 //!    fresh service produces an exemplar immediately). `sample_rate = 0` disables rate
 //!    sampling.
 //! 2. **Slow-serve arming** — [`SamplingSink::finish_serve`] maintains an integer EWMA of
-//!    serve latency; a serve slower than `slow_factor ×` the EWMA (after `warmup` serves)
+//!    serve latency; a serve slower than `SLOW_FACTOR` (4) × the EWMA (after `warmup` serves)
 //!    *arms* the sampler, and the next serve is traced whatever the counter says. The slow
 //!    serve itself cannot be traced retroactively — tracing it would require paying for a
 //!    sink on every serve, which is exactly what sampling avoids — but slow serves repeat
@@ -33,34 +33,35 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// Capacity of the rate-sampled exemplar reservoir (deterministic replacement once full), and
+/// of the slow-armed ring.
+const RESERVOIR: usize = 16;
+
+/// A serve is *slow* when its latency exceeds `SLOW_FACTOR ×` the EWMA latency; the next
+/// serve is then traced regardless of the rate counter.
+const SLOW_FACTOR: f64 = 4.0;
+
+/// Per-sampled-serve [`RecordingSink`] ring capacity (spans and events each).
+const TRACE_CAPACITY: usize = 512;
+
 /// Configuration of a [`SamplingSink`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SamplerOptions {
     /// Trace one in this many serves (the first serve is always sampled). `0` disables rate
     /// sampling; slow-serve arming still works.
     pub sample_rate: u64,
-    /// Capacity of the rate-sampled exemplar reservoir (deterministic replacement once
-    /// full). A zero capacity is bumped to 1.
-    pub reservoir: usize,
-    /// A serve is *slow* when its latency exceeds `slow_factor ×` the EWMA latency; the
-    /// next serve is then traced regardless of the rate counter.
-    pub slow_factor: f64,
     /// Serves observed before slow detection starts (the EWMA needs to settle first).
     pub warmup: u64,
-    /// Per-sampled-serve [`RecordingSink`] ring capacity (spans and events each).
-    pub trace_capacity: usize,
 }
 
 impl Default for SamplerOptions {
-    /// 1-in-1024 rate sampling, a 16-trace reservoir, slow = 4× the EWMA after 32 serves,
-    /// and 512-record rings — a few kilobytes of steady-state memory at any serve volume.
+    /// 1-in-1024 rate sampling with slow detection after 32 serves. With 16-trace exemplar
+    /// rings of 512-record traces that is a few kilobytes of steady-state memory at any serve
+    /// volume.
     fn default() -> Self {
         SamplerOptions {
             sample_rate: 1024,
-            reservoir: 16,
-            slow_factor: 4.0,
             warmup: 32,
-            trace_capacity: 512,
         }
     }
 }
@@ -228,7 +229,7 @@ impl SamplingSink {
         ServeTicket {
             seq,
             sample: Some(ActiveSample {
-                recording: Arc::new(RecordingSink::with_capacity(self.options.trace_capacity)),
+                recording: Arc::new(RecordingSink::with_capacity(TRACE_CAPACITY)),
                 trigger,
             }),
         }
@@ -250,7 +251,7 @@ impl SamplingSink {
         self.ewma_ns.store(ewma, Ordering::Relaxed);
         let warmed = ticket.seq >= self.options.warmup;
         if warmed && previous_ewma > 0 {
-            let threshold = (previous_ewma as f64 * self.options.slow_factor) as u64;
+            let threshold = (previous_ewma as f64 * SLOW_FACTOR) as u64;
             if latency_ns > threshold {
                 self.slow_serves.fetch_add(1, Ordering::Relaxed);
                 self.armed.store(true, Ordering::Relaxed);
@@ -274,24 +275,23 @@ impl SamplingSink {
         let mut ex = self.exemplars.lock().expect("sampler exemplars poisoned");
         match sample.trigger {
             SampleTrigger::SlowArmed => {
-                if ex.slow.len() == self.options.reservoir.max(1) {
+                if ex.slow.len() == RESERVOIR {
                     ex.slow.pop_front();
                 }
                 ex.slow.push_back(exemplar);
             }
             SampleTrigger::Rate => {
                 ex.rate_seen += 1;
-                let cap = self.options.reservoir.max(1);
-                if ex.reservoir.len() < cap {
+                if ex.reservoir.len() < RESERVOIR {
                     ex.reservoir.push(exemplar);
                 } else {
                     // Algorithm R with a deterministic xorshift64: each of the `rate_seen`
-                    // traces ends up retained with probability cap / rate_seen.
+                    // traces ends up retained with probability RESERVOIR / rate_seen.
                     ex.rng ^= ex.rng << 13;
                     ex.rng ^= ex.rng >> 7;
                     ex.rng ^= ex.rng << 17;
                     let slot = ex.rng % ex.rate_seen;
-                    if (slot as usize) < cap {
+                    if (slot as usize) < RESERVOIR {
                         ex.reservoir[slot as usize] = exemplar;
                     }
                 }
@@ -424,14 +424,12 @@ mod tests {
         let options = SamplerOptions {
             sample_rate: 0, // isolate the slow trigger
             warmup: 4,
-            slow_factor: 4.0,
-            ..SamplerOptions::default()
         };
         let sampler = SamplingSink::new(options);
         for _ in 0..10 {
             assert!(serve_once(&sampler, 100).is_none());
         }
-        // 100 ns EWMA; a 10 µs serve is far beyond 4×.
+        // 100 ns EWMA; a 10 µs serve is far beyond SLOW_FACTOR ×.
         assert!(
             serve_once(&sampler, 10_000).is_none(),
             "the slow serve itself is past tracing"
@@ -455,7 +453,6 @@ mod tests {
         let run = || {
             let sampler = SamplingSink::new(SamplerOptions {
                 sample_rate: 1,
-                reservoir: 4,
                 ..SamplerOptions::default()
             });
             for i in 0..64u64 {
@@ -469,7 +466,7 @@ mod tests {
         };
         let a = run();
         let b = run();
-        assert_eq!(a.len(), 4, "reservoir stays bounded");
+        assert_eq!(a.len(), RESERVOIR, "reservoir stays bounded");
         assert_eq!(a, b, "replacement is deterministic across runs");
     }
 

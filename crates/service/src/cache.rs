@@ -29,6 +29,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+/// Maximum statistics variants kept per shape. Distinct queries with *isomorphic* join graphs
+/// (ubiquitous in JOB-style workloads: the `a`/`b`/`c` variants of a query differ only in
+/// constants, i.e. statistics) share a shape bucket; keeping several variants lets them all
+/// hit instead of thrashing one slot.
+const VARIANTS_PER_SHAPE: usize = 8;
+
 /// Sizing of the plan cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheOptions {
@@ -37,20 +43,14 @@ pub struct CacheOptions {
     /// Number of independently locked shards. Clamped to at least 1; shard capacity is
     /// `capacity / shards`, rounded up.
     pub shards: usize,
-    /// Maximum statistics variants kept per shape. Distinct queries with *isomorphic* join
-    /// graphs (ubiquitous in JOB-style workloads: the `a`/`b`/`c` variants of a query differ
-    /// only in constants, i.e. statistics) share a shape bucket; keeping several variants lets
-    /// them all hit instead of thrashing one slot. Clamped to at least 1.
-    pub variants_per_shape: usize,
 }
 
 impl Default for CacheOptions {
-    /// 1024 plans over 8 shards, up to 8 statistics variants per shape.
+    /// 1024 plans over 8 shards.
     fn default() -> Self {
         CacheOptions {
             capacity: 1024,
             shards: 8,
-            variants_per_shape: 8,
         }
     }
 }
@@ -163,7 +163,6 @@ type Shard = HashMap<u64, Vec<Slot>>;
 pub(crate) struct PlanCache {
     shards: Vec<Mutex<Shard>>,
     shard_capacity: usize,
-    variants_per_shape: usize,
     tick: AtomicU64,
 }
 
@@ -173,7 +172,6 @@ impl PlanCache {
         PlanCache {
             shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             shard_capacity: options.capacity.div_ceil(shards).max(1),
-            variants_per_shape: options.variants_per_shape.max(1),
             tick: AtomicU64::new(0),
         }
     }
@@ -272,7 +270,7 @@ impl PlanCache {
         }
         let mut evicted = 0;
         bucket.push(slot);
-        if bucket.len() > self.variants_per_shape {
+        if bucket.len() > VARIANTS_PER_SHAPE {
             if let Some(oldest) = bucket
                 .iter()
                 .enumerate()

@@ -21,7 +21,7 @@
 //! plan produced under a 1-pair budget must never satisfy a caller paying for exact
 //! enumeration, and an options change is neither a hit nor a drift but a fresh optimization.
 
-use dphyp::{AdaptiveOptions, CanonicalQuery, CostModelKind, IdpStrategy, QuerySpec};
+use dphyp::{AdaptiveOptions, CanonicalQuery, CostModelKind, QuerySpec};
 use qo_catalog::StatsEpoch;
 use std::fmt;
 
@@ -72,15 +72,10 @@ pub fn options_key(options: &AdaptiveOptions) -> u64 {
         CostModelKind::Cout => 0u64,
         CostModelKind::Mixed => 1,
     };
-    let strategy_rank = match options.idp_strategy {
-        IdpStrategy::SmallestCardinality => 0u64,
-        IdpStrategy::ConnectedSmallest => 1,
-    };
     StatsEpoch::SEED
         .fold(model_rank)
         .fold(options.ccp_budget as u64)
         .fold(options.idp_block_size as u64)
-        .fold(strategy_rank)
         .finalize()
         .0
 }
@@ -128,10 +123,6 @@ mod tests {
             },
             AdaptiveOptions {
                 idp_block_size: 4,
-                ..base
-            },
-            AdaptiveOptions {
-                idp_strategy: IdpStrategy::ConnectedSmallest,
                 ..base
             },
         ] {

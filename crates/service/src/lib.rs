@@ -101,9 +101,7 @@ pub(crate) fn lock_recovering<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dphyp::{
-        optimize_adaptive, AdaptiveOptions, IdpStrategy, OptimizeError, PlanTier, QuerySpec,
-    };
+    use dphyp::{optimize_adaptive, AdaptiveOptions, OptimizeError, PlanTier, QuerySpec};
 
     fn star_spec(hub: f64, sats: &[f64], sel: f64) -> QuerySpec {
         let n = sats.len() + 1;
@@ -319,7 +317,6 @@ mod tests {
             cache: CacheOptions {
                 capacity: 2,
                 shards: 1,
-                ..Default::default()
             },
             ..Default::default()
         });
@@ -514,7 +511,6 @@ mod tests {
         let service = Service::new(ServiceOptions {
             adaptive: AdaptiveOptions {
                 ccp_budget: 10_000,
-                idp_strategy: IdpStrategy::ConnectedSmallest,
                 ..Default::default()
             },
             ..Default::default()

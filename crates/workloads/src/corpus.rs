@@ -181,10 +181,6 @@ mod tests {
             "some query picks a cost model"
         );
         assert!(
-            has(&|q| q.options.idp_strategy.is_some()),
-            "some query picks an IDP block-selection strategy"
-        );
-        assert!(
             has(&|q| q.row_overrides.iter().any(|r| r.is_some())),
             "some query pins a synthetic table size (`rows=`) for the feedback loop"
         );

@@ -26,7 +26,6 @@ fn service_with_rate(sample_rate: u64) -> Service {
             // production); the bit-identity comparison wants a genuinely-never-sampled
             // control, so push the warmup out of reach.
             warmup: u64::MAX,
-            ..SamplerOptions::default()
         },
         ..ServiceOptions::default()
     })
